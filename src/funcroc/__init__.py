@@ -49,6 +49,7 @@ from .grids import (
     norm,
 )
 from .harness import (
+    FITTERS,
     INDEX_NAMES,
     ReplicationResult,
     RunConfig,
@@ -61,6 +62,7 @@ from .harness import (
 )
 from .indexes import (
     DiscriminantIndex,
+    FitContext,
     IntegralIndex,
     LinearIndex,
     MaxIndex,

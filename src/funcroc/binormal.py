@@ -17,6 +17,7 @@ import scipy.linalg
 from scipy.special import ndtr, ndtri
 
 from .errors import DegenerateDirectionError, RangeViolationError
+from .estimation import spd_inverse, symmetric_matrix
 
 __all__ = [
     "GaussianPair",
@@ -27,21 +28,6 @@ __all__ = [
     "pooled_correlation_identity",
     "eigenbasis_optimal_direction",
 ]
-
-
-def _validate_spd(name: str, sigma: np.ndarray, k: int) -> np.ndarray:
-    sigma = np.array(sigma, dtype=float, copy=True)
-    if sigma.shape != (k, k):
-        raise ValueError(f"{name} must be {k} x {k}")
-    scale = max(1.0, float(np.abs(sigma).max()))
-    if np.abs(sigma - sigma.T).max() > 1e-10 * scale:
-        raise ValueError(f"{name} must be symmetric")
-    try:
-        scipy.linalg.cho_factor(sigma)
-    except scipy.linalg.LinAlgError as exc:
-        raise ValueError(f"{name} must be positive definite") from exc
-    sigma.setflags(write=False)
-    return sigma
 
 
 @dataclass(frozen=True)
@@ -64,16 +50,19 @@ class GaussianPair:
         if mu_d.ndim != 1 or mu_h.shape != mu_d.shape:
             raise ValueError("mean vectors must be 1-d and of equal length")
         k = mu_d.size
-        sigma_d = _validate_spd("sigma_d", self.sigma_d, k)
-        sigma_h = _validate_spd("sigma_h", self.sigma_h, k)
+        for name in ("sigma_d", "sigma_h"):
+            sigma = getattr(self, name)
+            if np.shape(sigma) != (k, k):
+                raise ValueError(f"{name} must be {k} x {k}")
+            sigma = symmetric_matrix(sigma, f"{name} must be symmetric")
+            spd_inverse(sigma, ValueError(f"{name} must be positive definite"))
+            object.__setattr__(self, name, sigma)
         if not 0.0 < self.pi_d < 1.0:
             raise ValueError("pi_d must lie in (0, 1)")
         mu_d.setflags(write=False)
         mu_h.setflags(write=False)
         object.__setattr__(self, "mu_d", mu_d)
         object.__setattr__(self, "mu_h", mu_h)
-        object.__setattr__(self, "sigma_d", sigma_d)
-        object.__setattr__(self, "sigma_h", sigma_h)
 
     @property
     def dim(self) -> int:

@@ -16,6 +16,7 @@ import sys
 
 from .errors import CurveParseError, FuncrocError, NumericalDegeneracyError
 from .harness import (
+    FITTERS,
     INDEX_NAMES,
     RunConfig,
     analyze,
@@ -25,14 +26,7 @@ from .harness import (
     run_study,
     write_report,
 )
-from .indexes import (
-    IntegralIndex,
-    MaxIndex,
-    MinIndex,
-    fit_mean_difference,
-    fit_optimal_linear,
-    fit_quadratic,
-)
+from .indexes import FitContext
 from .rocmetrics import default_p_grid, roc_curve, score_sample
 from .simulation import SCENARIO_NAMES, ScenarioSpec
 
@@ -150,20 +144,14 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_roc(args) -> int:
     d, h = ingest_curves(args.input)
-    name = args.index
-    if name == "max":
-        index = MaxIndex()
-    elif name == "min":
-        index = MinIndex()
-    elif name == "integral":
-        index = IntegralIndex()
-    elif name == "meandiff":
-        index = fit_mean_difference(d, h)
-    elif name == "linear":
-        index = fit_optimal_linear(d, h, var_fraction=args.var_fraction)
-    else:
-        index = fit_quadratic(d, h, var_fraction=args.var_fraction, ridge=args.ridge)
-    summary = roc_curve(score_sample(index, d, h), default_p_grid(args.p_grid_size))
+    config = RunConfig(
+        scenario=args.input,
+        var_fraction=args.var_fraction,
+        ridge=args.ridge,
+        p_grid_size=args.p_grid_size,
+    )
+    index = FITTERS[args.index](FitContext(d, h), config)
+    summary = roc_curve(score_sample(index, d, h), default_p_grid(config.p_grid_size))
     with open(args.out, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["p", "roc"])

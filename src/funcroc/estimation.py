@@ -36,6 +36,29 @@ __all__ = [
 _SYMMETRY_RTOL = 1e-10
 
 
+def symmetric_matrix(value, message: str, error: type[Exception] = ValueError) -> np.ndarray:
+    """Read-only float copy of a square matrix, checked to equal its transpose.
+
+    The tolerance is 1e-10 times max(1, largest entry magnitude); a larger
+    asymmetry raises ``error(message)``.
+    """
+    matrix = np.array(value, dtype=float, copy=True)
+    scale = max(1.0, float(np.abs(matrix).max()))
+    if np.abs(matrix - matrix.T).max() > _SYMMETRY_RTOL * scale:
+        raise error(message)
+    matrix.setflags(write=False)
+    return matrix
+
+
+def spd_inverse(matrix: np.ndarray, error: Exception) -> np.ndarray:
+    """Cholesky-based inverse of an SPD matrix; raises ``error`` if it is not SPD."""
+    try:
+        factor = scipy.linalg.cho_factor(matrix)
+    except scipy.linalg.LinAlgError as exc:
+        raise error from exc
+    return scipy.linalg.cho_solve(factor, np.eye(matrix.shape[0]))
+
+
 @dataclass(frozen=True)
 class CovarianceKernel:
     """A discretized covariance operator: entry (i, j) approximates gamma(t_i, t_j)."""
@@ -44,16 +67,14 @@ class CovarianceKernel:
     matrix: np.ndarray
 
     def __post_init__(self):
-        matrix = np.array(self.matrix, dtype=float, copy=True)
         m = len(self.grid)
-        if matrix.shape != (m, m):
+        if np.shape(self.matrix) != (m, m):
             raise ValueError("kernel matrix must be square and match the grid")
+        matrix = symmetric_matrix(
+            self.matrix, "kernel matrix is not symmetric within tolerance", InvalidKernelError
+        )
         if not np.all(np.isfinite(matrix)):
             raise ValueError("kernel matrix must be finite")
-        scale = max(1.0, float(np.abs(matrix).max()))
-        if np.abs(matrix - matrix.T).max() > _SYMMETRY_RTOL * scale:
-            raise InvalidKernelError("kernel matrix is not symmetric within tolerance")
-        matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
 
 
@@ -145,16 +166,13 @@ def eigendecompose(kernel: CovarianceKernel, count: int) -> EigenSystem:
     values, vectors = scipy.linalg.eigh(symmetrized)
     order = np.argsort(values)[::-1]
     values = np.clip(values[order], 0.0, None)
-    vectors = vectors[:, order]
-    functions = vectors / sqrt_w[:, None]
-    for ell in range(count):
-        column = functions[:, ell]
-        if column[np.argmax(np.abs(column))] < 0:
-            functions[:, ell] = -column
+    functions = np.ascontiguousarray(vectors[:, order[:count]]) / sqrt_w[:, None]
+    peaks = functions[np.argmax(np.abs(functions), axis=0), np.arange(count)]
+    functions[:, peaks < 0] *= -1.0
     return EigenSystem(
         grid=kernel.grid,
         eigenvalues=values[:count].copy(),
-        eigenfunctions=functions[:, :count].copy(),
+        eigenfunctions=functions,
         total_variance=float(values.sum()),
     )
 

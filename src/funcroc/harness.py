@@ -14,8 +14,9 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .errors import CurveParseError, FuncrocError
 from .grids import FunctionalSample, Grid, Group
 from .indexes import (
     DiscriminantIndex,
+    FitContext,
     IntegralIndex,
     MaxIndex,
     MinIndex,
@@ -35,6 +37,7 @@ from .rocmetrics import default_p_grid, roc_curve, score_sample
 from .simulation import ScenarioSpec, generate_scenario
 
 __all__ = [
+    "FITTERS",
     "INDEX_NAMES",
     "RunConfig",
     "ReplicationResult",
@@ -46,7 +49,21 @@ __all__ = [
     "emit_report",
 ]
 
-INDEX_NAMES = ("max", "min", "integral", "meandiff", "linear", "quad")
+# Each index name maps to the rule that builds it from one draw's context.
+# A zero penalty weight fits the unpenalized linear rule.
+FITTERS: dict[str, Callable[[FitContext, RunConfig], DiscriminantIndex]] = {
+    "max": lambda ctx, config: MaxIndex(),
+    "min": lambda ctx, config: MinIndex(),
+    "integral": lambda ctx, config: IntegralIndex(),
+    "meandiff": lambda ctx, config: fit_mean_difference(ctx),
+    "linear": lambda ctx, config: fit_optimal_linear(
+        ctx, var_fraction=config.var_fraction, penalty=PenaltySpec(lam=config.penalty_lambda)
+    ),
+    "quad": lambda ctx, config: fit_quadratic(
+        ctx, var_fraction=config.var_fraction, ridge=config.ridge
+    ),
+}
+INDEX_NAMES = tuple(FITTERS)
 
 
 @dataclass(frozen=True)
@@ -118,29 +135,6 @@ class StudyReport:
     roc_samples: dict[str, list] = field(default_factory=dict)
 
 
-def _fit_index(
-    name: str, d: FunctionalSample, h: FunctionalSample, config: RunConfig
-) -> DiscriminantIndex:
-    if name == "max":
-        return MaxIndex()
-    if name == "min":
-        return MinIndex()
-    if name == "integral":
-        return IntegralIndex()
-    if name == "meandiff":
-        return fit_mean_difference(d, h)
-    if name == "linear":
-        penalty = (
-            PenaltySpec(lam=config.penalty_lambda) if config.penalty_lambda > 0 else None
-        )
-        return fit_optimal_linear(
-            d, h, mode="average", var_fraction=config.var_fraction, penalty=penalty
-        )
-    if name == "quad":
-        return fit_quadratic(d, h, var_fraction=config.var_fraction, ridge=config.ridge)
-    raise ValueError(f"unknown index name: {name!r}")
-
-
 def _evaluate_indexes(
     result: ReplicationResult,
     d: FunctionalSample,
@@ -148,9 +142,10 @@ def _evaluate_indexes(
     config: RunConfig,
 ) -> None:
     p_grid = default_p_grid(config.p_grid_size)
+    ctx = FitContext(d, h)
     for name in config.indexes:
         try:
-            index = _fit_index(name, d, h, config)
+            index = FITTERS[name](ctx, config)
             scores = score_sample(index, d, h)
             summary = roc_curve(scores, p_grid)
             if config.flip_orientation and summary.auc < 0.5:
@@ -180,15 +175,7 @@ def run_replication(config: RunConfig, replication_id: int) -> ReplicationResult
 def _config_echo(config: RunConfig) -> dict:
     scenario = config.scenario
     if isinstance(scenario, ScenarioSpec):
-        scenario_echo = {
-            "name": scenario.name,
-            "n_d": scenario.n_d,
-            "n_h": scenario.n_h,
-            "seed": scenario.seed,
-            "rho": scenario.rho,
-            "process": scenario.process,
-            "grid_size": scenario.grid_size,
-        }
+        scenario_echo = asdict(scenario)
     else:
         scenario_echo = {"input": str(scenario)}
     return {
@@ -207,7 +194,6 @@ def _aggregate(
     config: RunConfig,
     results: list[ReplicationResult],
     elapsed: float,
-    collect_roc: bool,
 ) -> StudyReport:
     per_index: dict[str, dict] = {}
     roc_samples: dict[str, list] = {}
@@ -234,7 +220,7 @@ def _aggregate(
         if failures:
             entry["n_failed"] = len(failures)
         per_index[name] = entry
-        if collect_roc:
+        if config.keep_roc:
             roc_samples[name] = [r.roc_values[name].tolist() for r in results
                                  if name in r.roc_values]
     return StudyReport(
@@ -257,17 +243,15 @@ def run_study(config: RunConfig) -> StudyReport:
         return analyze(d, h, config)
     start = time.perf_counter()
     results = [run_replication(config, rep) for rep in range(config.reps)]
-    results.sort(key=lambda r: r.replication_id)
-    return _aggregate(config, results, time.perf_counter() - start, config.keep_roc)
+    return _aggregate(config, results, time.perf_counter() - start)
 
 
 def analyze(d: FunctionalSample, h: FunctionalSample, config: RunConfig) -> StudyReport:
     """Single-pass analysis of one dataset: fit, score and summarize."""
     start = time.perf_counter()
-    single = replace(config, keep_roc=True) if config.keep_roc else config
     result = ReplicationResult(replication_id=0)
-    _evaluate_indexes(result, d, h, single)
-    return _aggregate(config, [result], time.perf_counter() - start, config.keep_roc)
+    _evaluate_indexes(result, d, h, config)
+    return _aggregate(config, [result], time.perf_counter() - start)
 
 
 def _parse_float(cell: str, line: int, column: int) -> float:
@@ -294,37 +278,38 @@ def ingest_curves(path) -> tuple[FunctionalSample, FunctionalSample]:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise CurveParseError(f"cannot read {path}: {exc}") from exc
-    rows = list(csv.reader(io.StringIO(text)))
-    rows = [row for row in rows if row]
+    # pair each row with its line number before blank rows are dropped
+    reader = csv.reader(io.StringIO(text))
+    rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise CurveParseError("file is empty", line=1)
 
-    header = rows[0]
+    header_line, header = rows[0]
     if len(header) < 3 or header[0].strip().lower() != "label":
         raise CurveParseError(
-            "header must be 'label,t1,...,tm' with at least two grid points", line=1
+            "header must be 'label,t1,...,tm' with at least two grid points", line=header_line
         )
     points = [
-        _parse_float(cell.strip(), line=1, column=j + 2)
+        _parse_float(cell.strip(), line=header_line, column=j + 2)
         for j, cell in enumerate(header[1:])
     ]
     try:
         grid = Grid.from_points(np.asarray(points))
     except ValueError as exc:
-        raise CurveParseError(f"bad grid in header: {exc}", line=1) from exc
+        raise CurveParseError(f"bad grid in header: {exc}", line=header_line) from exc
 
     m = len(grid)
     groups: dict[Group, list[list[float]]] = {Group.DISEASED: [], Group.HEALTHY: []}
-    for offset, row in enumerate(rows[1:], start=2):
+    for line, row in rows[1:]:
         if len(row) != m + 1:
             raise CurveParseError(
-                f"expected {m + 1} cells, found {len(row)}", line=offset
+                f"expected {m + 1} cells, found {len(row)}", line=line
             )
         label = row[0].strip().upper()
         if label not in ("D", "H"):
-            raise CurveParseError(f"unknown group label {row[0]!r}", line=offset)
+            raise CurveParseError(f"unknown group label {row[0]!r}", line=line)
         values = [
-            _parse_float(cell.strip(), line=offset, column=j + 2)
+            _parse_float(cell.strip(), line=line, column=j + 2)
             for j, cell in enumerate(row[1:])
         ]
         groups[Group.DISEASED if label == "D" else Group.HEALTHY].append(values)
@@ -400,9 +385,12 @@ def write_report(report: StudyReport, path, format: str | None = None) -> None:
         raise FuncrocError(f"cannot write report to {path}: {exc}") from exc
 
 
-def roc_export_rows(report: StudyReport, p_grid_size: int = 101) -> list[tuple]:
-    """Flatten retained ROC samples into (index, p, value) rows."""
-    grid = default_p_grid(p_grid_size)
+def roc_export_rows(report: StudyReport) -> list[tuple]:
+    """Flatten retained ROC samples into (index, p, value) rows.
+
+    The p values are those of the probability grid the report was made on.
+    """
+    grid = default_p_grid(report.config["p_grid_size"])
     rows = []
     for name in INDEX_NAMES:
         for sample in report.roc_samples.get(name, []):

@@ -14,6 +14,7 @@ differ in covariance rather than in mean.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -27,6 +28,7 @@ from .errors import (
     SingularSystemError,
 )
 from .estimation import (
+    CovarianceKernel,
     EigenSystem,
     choose_dimension,
     combine_covariances,
@@ -34,8 +36,10 @@ from .estimation import (
     project_scores,
     sample_covariance,
     sample_mean,
+    spd_inverse,
+    symmetric_matrix,
 )
-from .grids import Curve, FunctionalSample, Group, norm
+from .grids import Curve, FunctionalSample, Grid, Group, norm
 
 __all__ = [
     "MaxIndex",
@@ -45,6 +49,7 @@ __all__ = [
     "QuadraticIndex",
     "DiscriminantIndex",
     "PenaltySpec",
+    "FitContext",
     "apply_index",
     "index_scores",
     "fit_mean_difference",
@@ -97,16 +102,12 @@ class QuadraticIndex:
     def __post_init__(self):
         if not 1 <= self.k <= self.basis.count:
             raise ValueError("k must lie between 1 and the basis count")
-        lam = np.array(self.lambda_mat, dtype=float, copy=True)
         alpha = np.array(self.alpha_vec, dtype=float, copy=True)
-        if lam.shape != (self.k, self.k):
+        if np.shape(self.lambda_mat) != (self.k, self.k):
             raise ValueError("lambda_mat must be k x k")
         if alpha.shape != (self.k,):
             raise ValueError("alpha_vec must have length k")
-        scale = max(1.0, float(np.abs(lam).max()))
-        if np.abs(lam - lam.T).max() > 1e-10 * scale:
-            raise ValueError("lambda_mat must be symmetric")
-        lam.setflags(write=False)
+        lam = symmetric_matrix(self.lambda_mat, "lambda_mat must be symmetric")
         alpha.setflags(write=False)
         object.__setattr__(self, "lambda_mat", lam)
         object.__setattr__(self, "alpha_vec", alpha)
@@ -132,13 +133,10 @@ class PenaltySpec:
         if self.lam < 0:
             raise ValueError("penalty weight must be nonnegative")
         if self.matrix is not None:
-            matrix = np.array(self.matrix, dtype=float, copy=True)
-            if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            shape = np.shape(self.matrix)
+            if len(shape) != 2 or shape[0] != shape[1]:
                 raise ValueError("penalty matrix must be square")
-            scale = max(1.0, float(np.abs(matrix).max()))
-            if np.abs(matrix - matrix.T).max() > 1e-10 * scale:
-                raise ValueError("penalty matrix must be symmetric")
-            matrix.setflags(write=False)
+            matrix = symmetric_matrix(self.matrix, "penalty matrix must be symmetric")
             object.__setattr__(self, "matrix", matrix)
 
 
@@ -167,26 +165,66 @@ def apply_index(idx: DiscriminantIndex, x: Curve) -> float:
     return float(index_scores(idx, holder)[0])
 
 
-def _mean_difference(d: FunctionalSample, h: FunctionalSample) -> Curve:
-    if not d.grid.compatible_with(h.grid):
-        raise GridMismatchError("samples live on different grids")
-    return Curve(d.grid, sample_mean(d).values - sample_mean(h).values)
+class FitContext:
+    """The moments of one draw that the fitted indexes share.
+
+    Holds a (diseased, healthy) sample pair and computes the mean
+    difference, the two group covariance kernels, their pooled kernel and
+    its full eigensystem once each, on first use.  Construction does no work
+    and cannot fail; a property whose inputs are invalid raises its typed
+    error on every access.
+    """
+
+    def __init__(self, d: FunctionalSample, h: FunctionalSample):
+        self.d = d
+        self.h = h
+
+    @cached_property
+    def grid(self) -> Grid:
+        """The grid both samples live on."""
+        if not self.d.grid.compatible_with(self.h.grid):
+            raise GridMismatchError("samples live on different grids")
+        return self.d.grid
+
+    @cached_property
+    def mean_diff(self) -> Curve:
+        """Diseased minus healthy mean curve."""
+        return Curve(self.grid, sample_mean(self.d).values - sample_mean(self.h).values)
+
+    @cached_property
+    def covariances(self) -> tuple[CovarianceKernel, CovarianceKernel]:
+        """Diseased and healthy sample covariance kernels (divisor n)."""
+        if self.d.n < 2 or self.h.n < 2:
+            raise InsufficientSampleError("both groups need at least two curves")
+        return sample_covariance(self.d), sample_covariance(self.h)
+
+    @cached_property
+    def pooled(self) -> CovarianceKernel:
+        """Sample-size weighted pool of the two group covariance kernels."""
+        cov_d, cov_h = self.covariances
+        return combine_covariances(cov_d, cov_h, "pooled", n_a=self.d.n, n_b=self.h.n)
+
+    @cached_property
+    def basis(self) -> EigenSystem:
+        """Every eigenpair of the pooled covariance operator."""
+        count = len(self.grid)  # grids are checked before sample sizes
+        return eigendecompose(self.pooled, count=count)
 
 
-def _check_direction_scale(diff_norm: float, d, h) -> None:
-    scale = max(norm(sample_mean(d)), norm(sample_mean(h)), 1.0)
+def _check_direction_scale(diff_norm: float, ctx: FitContext) -> None:
+    scale = max(norm(sample_mean(ctx.d)), norm(sample_mean(ctx.h)), 1.0)
     if diff_norm <= 1e-13 * scale:
         raise DegenerateDirectionError(
             "group mean curves coincide; no discriminating direction exists"
         )
 
 
-def fit_mean_difference(d: FunctionalSample, h: FunctionalSample) -> LinearIndex:
+def fit_mean_difference(ctx: FitContext) -> LinearIndex:
     """Linear index along the normalized difference of the group means."""
-    diff = _mean_difference(d, h)
+    diff = ctx.mean_diff
     length = norm(diff)
-    _check_direction_scale(length, d, h)
-    return LinearIndex(Curve(d.grid, diff.values / length))
+    _check_direction_scale(length, ctx)
+    return LinearIndex(Curve(ctx.grid, diff.values / length))
 
 
 def second_difference_penalty(basis: EigenSystem, k: int) -> np.ndarray:
@@ -196,18 +234,15 @@ def second_difference_penalty(basis: EigenSystem, k: int) -> np.ndarray:
     derivatives of basis functions l and r; always symmetric PSD.
     """
     points = basis.grid.points
-    curvatures = np.empty((len(basis.grid), k))
-    for ell in range(k):
-        first = np.gradient(basis.eigenfunctions[:, ell], points)
-        curvatures[:, ell] = np.gradient(first, points)
+    slopes = np.gradient(basis.eigenfunctions[:, :k], points, axis=0)
+    curvatures = np.gradient(slopes, points, axis=0)
     weighted = basis.grid.weights[:, None] * curvatures
     gram = curvatures.T @ weighted
     return (gram + gram.T) / 2.0
 
 
 def fit_optimal_linear(
-    d: FunctionalSample,
-    h: FunctionalSample,
+    ctx: FitContext,
     mode: str = "average",
     var_fraction: float = 0.95,
     penalty: PenaltySpec | None = None,
@@ -231,23 +266,20 @@ def fit_optimal_linear(
     """
     if mode not in ("pooled", "average"):
         raise ValueError(f"unknown mode: {mode!r}")
-    if d.n < 2 or h.n < 2:
-        raise InsufficientSampleError("both groups need at least two curves")
-    diff = _mean_difference(d, h)
+    cov_d, cov_h = ctx.covariances
+    diff = ctx.mean_diff
 
-    cov_d = sample_covariance(d)
-    cov_h = sample_covariance(h)
-    pooled = combine_covariances(cov_d, cov_h, "pooled", n_a=d.n, n_b=h.n)
+    pooled = ctx.pooled
     denominator = pooled if mode == "pooled" else combine_covariances(cov_d, cov_h, "average")
 
-    basis = eigendecompose(pooled, count=len(d.grid))
+    basis = ctx.basis
     k = choose_dimension(basis, var_fraction)
 
-    grid = d.grid
+    grid = ctx.grid
     phi = basis.eigenfunctions[:, :k]
     weighted_phi = grid.weights[:, None] * phi
     delta = weighted_phi.T @ diff.values
-    _check_direction_scale(float(np.linalg.norm(delta)), d, h)
+    _check_direction_scale(float(np.linalg.norm(delta)), ctx)
 
     gram = weighted_phi.T @ denominator.matrix @ weighted_phi
     gram = (gram + gram.T) / 2.0
@@ -281,18 +313,16 @@ def fit_optimal_linear(
     return LinearIndex(Curve(grid, beta_values))
 
 
-def _spd_inverse(matrix: np.ndarray, ridge: float, group: str) -> np.ndarray:
-    regularized = matrix + ridge * np.eye(matrix.shape[0])
-    try:
-        factor = scipy.linalg.cho_factor(regularized)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularCovarianceError(group) from exc
-    return scipy.linalg.cho_solve(factor, np.eye(matrix.shape[0]))
+def _quadratic_coefficients(
+    inv_d: np.ndarray, inv_h: np.ndarray, mu_d: np.ndarray, mu_h: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(L, a) with L = inv_D - inv_H, symmetrized, and a = inv_D mu_D - inv_H mu_H."""
+    lambda_mat = inv_d - inv_h
+    return (lambda_mat + lambda_mat.T) / 2.0, inv_d @ mu_d - inv_h @ mu_h
 
 
 def fit_quadratic(
-    d: FunctionalSample,
-    h: FunctionalSample,
+    ctx: FitContext,
     var_fraction: float = 0.95,
     ridge: float = 0.0,
 ) -> QuadraticIndex:
@@ -304,41 +334,26 @@ def fit_quadratic(
     L = inv(S_D + ridge I) - inv(S_H + ridge I) and
     a = inv(S_D + ridge I) mu_D - inv(S_H + ridge I) mu_H.
     """
-    if not d.grid.compatible_with(h.grid):
-        raise GridMismatchError("samples live on different grids")
-    if d.n < 2 or h.n < 2:
-        raise InsufficientSampleError("both groups need at least two curves")
+    basis = ctx.basis
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
-
-    cov_d = sample_covariance(d)
-    cov_h = sample_covariance(h)
-    pooled = combine_covariances(cov_d, cov_h, "pooled", n_a=d.n, n_b=h.n)
-    basis = eigendecompose(pooled, count=len(d.grid))
     k = choose_dimension(basis, var_fraction)
-    if d.n < k + 1:
-        raise InsufficientSampleError(
-            f"diseased group has {d.n} curves but the quadratic fit needs at least {k + 1}"
-        )
-    if h.n < k + 1:
-        raise InsufficientSampleError(
-            f"healthy group has {h.n} curves but the quadratic fit needs at least {k + 1}"
-        )
+    groups = ((ctx.d, "diseased"), (ctx.h, "healthy"))
+    for sample, group in groups:
+        if sample.n < k + 1:
+            raise InsufficientSampleError(
+                f"{group} group has {sample.n} curves but the quadratic fit needs "
+                f"at least {k + 1}"
+            )
 
-    scores_d = project_scores(d, basis, k)
-    scores_h = project_scores(h, basis, k)
-    mu_d = scores_d.mean(axis=0)
-    mu_h = scores_h.mean(axis=0)
-    centered_d = scores_d - mu_d
-    centered_h = scores_h - mu_h
-    sigma_d = centered_d.T @ centered_d / d.n
-    sigma_h = centered_h.T @ centered_h / h.n
-
-    inv_d = _spd_inverse(sigma_d, ridge, "diseased")
-    inv_h = _spd_inverse(sigma_h, ridge, "healthy")
-    lambda_mat = inv_d - inv_h
-    lambda_mat = (lambda_mat + lambda_mat.T) / 2.0
-    alpha_vec = inv_d @ mu_d - inv_h @ mu_h
+    means, inverses = [], []
+    for sample, group in groups:
+        scores = project_scores(sample, basis, k)
+        means.append(scores.mean(axis=0))
+        centered = scores - means[-1]
+        sigma = centered.T @ centered / sample.n
+        inverses.append(spd_inverse(sigma + ridge * np.eye(k), SingularCovarianceError(group)))
+    lambda_mat, alpha_vec = _quadratic_coefficients(*inverses, *means)
     return QuadraticIndex(basis=basis, k=k, lambda_mat=lambda_mat, alpha_vec=alpha_vec)
 
 
@@ -361,19 +376,8 @@ def quadratic_population(
         raise ValueError("mean vectors must have equal length")
     inverses = []
     for name, sigma in (("sigma_d", sigma_d), ("sigma_h", sigma_h)):
-        sigma = np.asarray(sigma, dtype=float)
-        if sigma.shape != (k, k):
+        if np.shape(sigma) != (k, k):
             raise ValueError(f"{name} must be k x k")
-        scale = max(1.0, float(np.abs(sigma).max()))
-        if np.abs(sigma - sigma.T).max() > 1e-10 * scale:
-            raise ValueError(f"{name} must be symmetric")
-        try:
-            factor = scipy.linalg.cho_factor(sigma)
-        except scipy.linalg.LinAlgError as exc:
-            raise ValueError(f"{name} must be positive definite") from exc
-        inverses.append(scipy.linalg.cho_solve(factor, np.eye(k)))
-    inv_d, inv_h = inverses
-    lambda_mat = inv_d - inv_h
-    lambda_mat = (lambda_mat + lambda_mat.T) / 2.0
-    alpha_vec = inv_d @ mu_d - inv_h @ mu_h
-    return lambda_mat, alpha_vec
+        sigma = symmetric_matrix(sigma, f"{name} must be symmetric")
+        inverses.append(spd_inverse(sigma, ValueError(f"{name} must be positive definite")))
+    return _quadratic_coefficients(*inverses, mu_d, mu_h)

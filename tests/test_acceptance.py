@@ -12,6 +12,7 @@ import itertools
 import numpy as np
 
 from funcroc import (
+    FitContext,
     GaussianPair,
     RunConfig,
     ScenarioSpec,
@@ -203,7 +204,7 @@ def test_criterion_07_algebraic_identity_suite():
     # identical score samples collapse the quadratic part exactly
     spec = ScenarioSpec(name="P1", n_d=60, n_h=60, seed=SEED, rho=1.0, grid_size=40)
     d, _ = generate_scenario(spec)
-    collapse = fit_quadratic(d, d)
+    collapse = fit_quadratic(FitContext(d, d))
     collapse_exact = bool(
         np.all(collapse.lambda_mat == 0.0) and np.all(collapse.alpha_vec == 0.0)
     )

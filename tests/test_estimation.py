@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from funcroc import (
     CovarianceKernel,
@@ -180,6 +181,23 @@ class TestEigendecompose:
         for ell in range(10):
             column = eig.eigenfunctions[:, ell]
             assert column[np.argmax(np.abs(column))] > 0
+
+    @pytest.mark.parametrize("count", [1, 7, 40])
+    def test_sign_fix_matches_the_column_loop(self, count):
+        s = brownian_sample(50, m=40, seed=6)
+        kernel = sample_covariance(s)
+        # reference: the symmetrized eigh, then one sign decision per column
+        sqrt_w = np.sqrt(s.grid.weights)
+        symmetrized = sqrt_w[:, None] * kernel.matrix * sqrt_w[None, :]
+        values, vectors = scipy.linalg.eigh((symmetrized + symmetrized.T) / 2.0)
+        functions = vectors[:, np.argsort(values)[::-1]] / sqrt_w[:, None]
+        for ell in range(count):
+            column = functions[:, ell]
+            if column[np.argmax(np.abs(column))] < 0:
+                functions[:, ell] = -column
+        eig = eigendecompose(kernel, count)
+        assert np.array_equal(eig.eigenfunctions, functions[:, :count])
+        assert eig.eigenfunctions.flags["C_CONTIGUOUS"]
 
     def test_nonsymmetric_kernel_is_rejected(self):
         grid = make_uniform_grid(5)

@@ -20,6 +20,7 @@ from funcroc import (
     run_study,
     sample_gaussian,
 )
+from funcroc.harness import roc_export_rows
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -187,6 +188,17 @@ class TestAnalyze:
             assert len(sequences) == 1
             assert len(sequences[0]) == 101
 
+    def test_roc_export_labels_rows_with_the_report_p_grid(self):
+        from funcroc import generate_scenario
+
+        d, h = generate_scenario(small_scenario())
+        config = RunConfig(
+            scenario="file.csv", indexes=("integral",), reps=1, keep_roc=True, p_grid_size=11
+        )
+        rows = roc_export_rows(analyze(d, h, config))
+        assert len(rows) == 11
+        assert [p for _, p, _ in rows] == pytest.approx(np.linspace(0.0, 1.0, 11))
+
 
 class TestIngestCurves:
     def test_toy_file_groups_and_grid(self, tmp_path):
@@ -212,6 +224,13 @@ class TestIngestCurves:
         path.write_text("label,0.5,1.0\nD,1.0,2.0\nH,3.0\n", encoding="utf-8")
         with pytest.raises(CurveParseError, match="line 3"):
             ingest_curves(path)
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("label,0.5,1.0\nD,1,2\n\nH,1,2\nH,1,oops\n", encoding="utf-8")
+        with pytest.raises(CurveParseError, match="line 5") as excinfo:
+            ingest_curves(path)
+        assert excinfo.value.line == 5
 
     def test_unknown_label_is_rejected(self, tmp_path):
         path = tmp_path / "label.csv"

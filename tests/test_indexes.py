@@ -4,7 +4,9 @@ import pytest
 from funcroc import (
     Curve,
     DegenerateDirectionError,
+    FitContext,
     FunctionalSample,
+    GridMismatchError,
     Group,
     InsufficientSampleError,
     IntegralIndex,
@@ -74,13 +76,38 @@ class TestApplyIndex:
         assert np.allclose(index_scores(idx, s), 2.0 * scores @ alpha)
 
 
+class TestFitContext:
+    def test_construction_does_no_work_and_cannot_fail(self):
+        # mismatched grids and a one-curve group: nothing is checked yet
+        d = FunctionalSample(make_uniform_grid(10), np.ones((1, 10)), Group.DISEASED)
+        h = FunctionalSample(make_uniform_grid(12), np.zeros((3, 12)), Group.HEALTHY)
+        ctx = FitContext(d, h)
+        assert (ctx.d, ctx.h) == (d, h)
+        for _ in range(2):
+            with pytest.raises(GridMismatchError, match="different grids"):
+                ctx.mean_diff
+            with pytest.raises(InsufficientSampleError, match="at least two curves"):
+                ctx.covariances
+
+    def test_moments_are_computed_once_and_shared(self):
+        spec = ScenarioSpec(name="P1", n_d=30, n_h=30, seed=17, rho=1.0, grid_size=25)
+        ctx = FitContext(*generate_scenario(spec))
+        assert ctx.basis is ctx.basis
+        assert ctx.basis.count == 25
+        assert ctx.covariances[0] is ctx.covariances[0]
+        quad = fit_quadratic(ctx)
+        linear = fit_optimal_linear(ctx, penalty=PenaltySpec(lam=0.5))
+        assert quad.basis is ctx.basis
+        assert inner_product(linear.beta, ctx.mean_diff) > 0.0
+
+
 class TestFitMeanDifference:
     def test_direction_is_normalized_mean_gap(self):
         grid = make_uniform_grid(50)
         shape = np.sin(np.pi * grid.points)
         d = FunctionalSample(grid, np.vstack([2 * shape, 2 * shape]), Group.DISEASED)
         h = FunctionalSample(grid, np.zeros((2, 50)), Group.HEALTHY)
-        idx = fit_mean_difference(d, h)
+        idx = fit_mean_difference(FitContext(d, h))
         expected = shape / np.sqrt(np.sum(grid.weights * shape**2))
         assert np.allclose(idx.beta.values, expected, atol=1e-12)
         assert norm(idx.beta) == pytest.approx(1.0, abs=1e-8)
@@ -88,20 +115,20 @@ class TestFitMeanDifference:
     def test_swapping_groups_negates_the_direction(self):
         spec = ScenarioSpec(name="P1", n_d=40, n_h=40, seed=5, rho=1.0)
         d, h = generate_scenario(spec)
-        forward = fit_mean_difference(d, h)
-        backward = fit_mean_difference(h, d)
+        forward = fit_mean_difference(FitContext(d, h))
+        backward = fit_mean_difference(FitContext(h, d))
         assert np.allclose(forward.beta.values, -backward.beta.values, atol=1e-12)
 
     def test_identical_samples_are_degenerate(self):
         spec = ScenarioSpec(name="P1", n_d=10, n_h=10, seed=6, rho=1.0)
         d, _ = generate_scenario(spec)
         with pytest.raises(DegenerateDirectionError):
-            fit_mean_difference(d, d)
+            fit_mean_difference(FitContext(d, d))
 
     def test_reaches_published_accuracy_on_shifted_brownian(self):
         spec = ScenarioSpec(name="P1", n_d=300, n_h=300, seed=7, rho=1.0)
         d, h = generate_scenario(spec)
-        value = auc(score_sample(fit_mean_difference(d, h), d, h))
+        value = auc(score_sample(fit_mean_difference(FitContext(d, h)), d, h))
         assert value == pytest.approx(0.9653, abs=0.03)
 
 
@@ -114,7 +141,7 @@ class TestFitOptimalLinear:
         mean_gap = np.array([0.8, -0.5, 0.3, 0.2, -0.4])
         d, basis = fourier_sample(rng, 5000, grid, mean_gap, 1.0, Group.DISEASED)
         h, _ = fourier_sample(rng, 5000, grid, np.zeros(5), 1.0, Group.HEALTHY)
-        idx = fit_optimal_linear(d, h, var_fraction=0.999)
+        idx = fit_optimal_linear(FitContext(d, h), var_fraction=0.999)
         target = basis @ mean_gap
         target = target / np.sqrt(np.sum(grid.weights * target**2))
         cosine = float(np.sum(grid.weights * idx.beta.values * target))
@@ -124,18 +151,18 @@ class TestFitOptimalLinear:
         spec = ScenarioSpec(name="P1", n_d=20, n_h=20, seed=9, rho=1.0)
         d, _ = generate_scenario(spec)
         with pytest.raises(DegenerateDirectionError):
-            fit_optimal_linear(d, d)
+            fit_optimal_linear(FitContext(d, d))
 
     def test_reaches_published_accuracy_on_shifted_brownian(self):
         spec = ScenarioSpec(name="P1", n_d=300, n_h=300, seed=10, rho=1.0)
         d, h = generate_scenario(spec)
-        value = auc(score_sample(fit_optimal_linear(d, h), d, h))
+        value = auc(score_sample(fit_optimal_linear(FitContext(d, h)), d, h))
         assert value == pytest.approx(0.9892, abs=0.01)
 
     def test_unit_norm_and_orientation(self):
         spec = ScenarioSpec(name="P1", n_d=60, n_h=60, seed=11, rho=2.0)
         d, h = generate_scenario(spec)
-        idx = fit_optimal_linear(d, h)
+        idx = fit_optimal_linear(FitContext(d, h))
         assert norm(idx.beta) == pytest.approx(1.0, abs=1e-8)
         gap = Curve(d.grid, d.values.mean(axis=0) - h.values.mean(axis=0))
         assert inner_product(idx.beta, gap) >= 0.0
@@ -145,7 +172,7 @@ class TestFitOptimalLinear:
         rng = np.random.default_rng(700 + seed)
         spec = ScenarioSpec(name="P1", n_d=80, n_h=80, seed=int(seed), rho=1.0, grid_size=60)
         d, h = generate_scenario(spec)
-        idx = fit_optimal_linear(d, h, mode="average", var_fraction=0.95)
+        idx = fit_optimal_linear(FitContext(d, h), mode="average", var_fraction=0.95)
 
         from funcroc import choose_dimension, combine_covariances
 
@@ -173,7 +200,7 @@ class TestFitOptimalLinear:
     def test_pooled_mode_reduces_to_eigenvalue_rescaling(self):
         spec = ScenarioSpec(name="P1", n_d=100, n_h=100, seed=13, rho=1.0, grid_size=50)
         d, h = generate_scenario(spec)
-        idx = fit_optimal_linear(d, h, mode="pooled", var_fraction=0.95)
+        idx = fit_optimal_linear(FitContext(d, h), mode="pooled", var_fraction=0.95)
 
         from funcroc import choose_dimension, combine_covariances
 
@@ -191,8 +218,8 @@ class TestFitOptimalLinear:
     def test_penalty_shrinks_toward_smooth_directions(self):
         spec = ScenarioSpec(name="P1", n_d=80, n_h=80, seed=14, rho=1.0, grid_size=60)
         d, h = generate_scenario(spec)
-        plain = fit_optimal_linear(d, h)
-        damped = fit_optimal_linear(d, h, penalty=PenaltySpec(lam=1e-3))
+        plain = fit_optimal_linear(FitContext(d, h))
+        damped = fit_optimal_linear(FitContext(d, h), penalty=PenaltySpec(lam=1e-3))
         grid = d.grid
 
         def roughness(values):
@@ -206,7 +233,7 @@ class TestFitOptimalLinear:
         spec = ScenarioSpec(name="P1", n_d=40, n_h=40, seed=15, rho=1.0, grid_size=40)
         d, h = generate_scenario(spec)
         with pytest.raises(ValueError):
-            fit_optimal_linear(d, h, penalty=PenaltySpec(lam=0.1, matrix=np.eye(2)))
+            fit_optimal_linear(FitContext(d, h), penalty=PenaltySpec(lam=0.1, matrix=np.eye(2)))
 
     def test_second_difference_penalty_is_psd(self):
         spec = ScenarioSpec(name="P1", n_d=40, n_h=40, seed=16, rho=1.0, grid_size=40)
@@ -216,13 +243,25 @@ class TestFitOptimalLinear:
         assert np.allclose(penalty, penalty.T)
         assert np.linalg.eigvalsh(penalty).min() >= -1e-10
 
+    def test_second_difference_penalty_matches_the_column_loop(self):
+        spec = ScenarioSpec(name="P1", n_d=40, n_h=40, seed=16, rho=1.0, grid_size=40)
+        d, _ = generate_scenario(spec)
+        basis = eigendecompose(sample_covariance(d), 6)
+        points = basis.grid.points
+        curvatures = np.empty((40, 6))
+        for ell in range(6):
+            first = np.gradient(basis.eigenfunctions[:, ell], points)
+            curvatures[:, ell] = np.gradient(first, points)
+        gram = curvatures.T @ (basis.grid.weights[:, None] * curvatures)
+        assert np.array_equal(second_difference_penalty(basis, 6), (gram + gram.T) / 2.0)
+
 
 class TestScaleInvarianceOfRanking:
     @pytest.mark.parametrize("c", [0.5, 3.0, 17.0])
     def test_positive_rescaling_preserves_roc_and_auc(self, c):
         spec = ScenarioSpec(name="P1", n_d=50, n_h=50, seed=17, rho=1.0, grid_size=40)
         d, h = generate_scenario(spec)
-        idx = fit_optimal_linear(d, h)
+        idx = fit_optimal_linear(FitContext(d, h))
         scaled = LinearIndex(Curve(d.grid, c * idx.beta.values))
         base = score_sample(idx, d, h)
         moved = score_sample(scaled, d, h)
@@ -240,33 +279,33 @@ class TestFitQuadratic:
         grid = make_uniform_grid(60)
         d = sample_gaussian(ProcessSpec.brownian(), grid, 2000, rng, Group.DISEASED)
         h = sample_gaussian(ProcessSpec.brownian(), grid, 2000, rng, Group.HEALTHY)
-        idx = fit_quadratic(d, h)
+        idx = fit_quadratic(FitContext(d, h))
         assert auc(score_sample(idx, d, h)) == pytest.approx(0.5, abs=0.03)
 
     def test_same_scores_give_exactly_zero_quadratic_part(self):
         spec = ScenarioSpec(name="P1", n_d=50, n_h=50, seed=19, rho=1.0, grid_size=40)
         d, _ = generate_scenario(spec)
-        idx = fit_quadratic(d, d)
+        idx = fit_quadratic(FitContext(d, d))
         assert np.all(idx.lambda_mat == 0.0)
         assert np.all(idx.alpha_vec == 0.0)
 
     def test_reaches_published_accuracy_on_mode_swapped_model(self):
         spec = ScenarioSpec(name="C20", n_d=300, n_h=300, seed=20)
         d, h = generate_scenario(spec)
-        value = auc(score_sample(fit_quadratic(d, h), d, h))
+        value = auc(score_sample(fit_quadratic(FitContext(d, h)), d, h))
         assert value == pytest.approx(0.9090, abs=0.04)
 
     def test_perfect_rule_when_covariances_differ_at_origin(self):
         spec = ScenarioSpec(name="D20", n_d=300, n_h=300, seed=21)
         d, h = generate_scenario(spec)
-        value = auc(score_sample(fit_quadratic(d, h), d, h))
+        value = auc(score_sample(fit_quadratic(FitContext(d, h)), d, h))
         assert value >= 0.999
 
     def test_insufficient_group_size_is_reported(self):
         spec = ScenarioSpec(name="D20", n_d=4, n_h=300, seed=22)
         d, h = generate_scenario(spec)
         with pytest.raises(InsufficientSampleError, match="diseased"):
-            fit_quadratic(d, h)
+            fit_quadratic(FitContext(d, h))
 
     def test_ridge_rescues_singular_scores(self):
         # duplicated curves make the score covariance singular
@@ -279,9 +318,9 @@ class TestFitQuadratic:
         from funcroc import SingularCovarianceError
 
         with pytest.raises(SingularCovarianceError) as excinfo:
-            fit_quadratic(dup, h, var_fraction=0.95, ridge=0.0)
+            fit_quadratic(FitContext(dup, h), var_fraction=0.95, ridge=0.0)
         assert excinfo.value.group == "diseased"
-        idx = fit_quadratic(dup, h, var_fraction=0.95, ridge=1e-6)
+        idx = fit_quadratic(FitContext(dup, h), var_fraction=0.95, ridge=1e-6)
         assert np.all(np.isfinite(idx.lambda_mat))
 
 
@@ -336,7 +375,7 @@ class TestGroupSwapAntisymmetry:
     def test_linear_auc_complements_under_swap(self):
         spec = ScenarioSpec(name="P1", n_d=40, n_h=40, seed=24, rho=1.0, grid_size=30)
         d, h = generate_scenario(spec)
-        idx = fit_mean_difference(d, h)
+        idx = fit_mean_difference(FitContext(d, h))
         forward = auc(score_sample(idx, d, h))
         backward = auc(score_sample(idx, h, d))
         assert forward + backward == 1.0

@@ -4,19 +4,21 @@
 for the configs below, computed with one BLAS thread.  Numbers are
 compared at a relative tolerance rather than byte for byte, so another
 BLAS build cannot fail the test on last-bit rounding; counts and error
-strings must match exactly.
+strings must match exactly.  The counting tests check that one draw
+shares a single pooled eigensystem among its fitted indexes.
 
 Regenerate the fixture (only when a change of numbers is intended) with
 ``OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_pinned_report.py``.
 """
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from funcroc import RunConfig, ScenarioSpec, run_study
+from funcroc import RunConfig, ScenarioSpec, indexes, run_replication, run_study
 
 FIXTURE = Path(__file__).parent / "data" / "pinned_per_index.json"
 NUMBERS = ("mean_auc", "sd_auc", "mean_youden")
@@ -62,6 +64,40 @@ def test_per_index_matches_the_pinned_report(label):
 def test_fixture_covers_a_partial_quadratic_failure():
     quad = _pinned()["P1-3+3-m15"]["quad"]
     assert (quad["n_ok"], quad["n_failed"]) == (1, 2)
+
+
+def _count_calls(monkeypatch, name):
+    """Record every call the fitters make to the named estimation function."""
+    calls = []
+    original = getattr(indexes, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(indexes, name, counting)
+    return calls
+
+
+def test_one_draw_decomposes_the_pooled_covariance_once(monkeypatch):
+    eigen = _count_calls(monkeypatch, "eigendecompose")
+    covariance = _count_calls(monkeypatch, "sample_covariance")
+    result = run_replication(CONFIGS["P1-25+25-m20-lambda0.5"], 0)
+    assert set(result.auc) == {"max", "min", "integral", "meandiff", "linear", "quad"}
+    assert len(eigen) == 1
+    assert len(covariance) == 2
+
+
+def test_parameter_free_draw_computes_no_covariance(monkeypatch):
+    eigen = _count_calls(monkeypatch, "eigendecompose")
+    covariance = _count_calls(monkeypatch, "sample_covariance")
+    config = dataclasses.replace(
+        CONFIGS["P1-25+25-m20-lambda0"], indexes=("max", "min", "integral")
+    )
+    result = run_replication(config, 0)
+    assert set(result.auc) == {"max", "min", "integral"}
+    assert covariance == []
+    assert eigen == []
 
 
 if __name__ == "__main__":
