@@ -111,6 +111,15 @@ class TestAuc:
         s = ScoreSample(d, h)
         assert auc(s) + auc(s.swapped()) <= 1.0 + 1e-15
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_group_swap_sums_to_one_minus_the_tie_share(self, seed):
+        rng = np.random.default_rng(600 + seed)
+        d = rng.integers(0, 4, size=rng.integers(1, 25)).astype(float)
+        h = rng.integers(0, 4, size=rng.integers(1, 25)).astype(float)
+        ties = sum(y_d == y_h for y_d in d for y_h in h) / (d.size * h.size)
+        s = ScoreSample(d, h)
+        assert auc(s) + auc(s.swapped()) == pytest.approx(1.0 - ties, abs=1e-12)
+
 
 class TestYouden:
     def test_identical_samples_have_near_zero_value(self):
@@ -207,6 +216,25 @@ class TestRocCurve:
         summary = roc_curve(s, np.linspace(0, 1, 2001))
         area = np.trapezoid(summary.roc_values, summary.p_grid)
         assert abs(area - summary.auc) <= 2 / 150
+
+    @pytest.mark.parametrize("size", [2, 11, 101])
+    @pytest.mark.parametrize("kind", ["uniform", "random"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_plug_in_formula_pointwise(self, seed, kind, size):
+        # tie-heavy integer scores; the uniform grids make n p land on integers
+        rng = np.random.default_rng(500 + seed)
+        d = rng.integers(0, 6, size=rng.integers(1, 40)).astype(float)
+        h = rng.integers(0, 6, size=rng.integers(1, 40)).astype(float)
+        if kind == "uniform":
+            p_grid = np.linspace(0.0, 1.0, size)
+        else:
+            p_grid = np.unique(rng.uniform(0.0, 1.0, size))
+        summary = roc_curve(ScoreSample(d, h), p_grid)
+        for p, value in zip(p_grid, summary.roc_values):
+            if p == 0.0 or p == 1.0:
+                assert value == p
+            else:
+                assert value == 1.0 - ecdf(d, equantile(h, 1.0 - p))
 
     def test_rejects_bad_grid(self):
         s = ScoreSample([1.0], [0.0])
