@@ -94,22 +94,21 @@ def auc_of_direction(g: GaussianPair, beta) -> float:
     return float(ndtr(separation / np.sqrt(spread)))
 
 
+def _check_distinct_means(g: GaussianPair, message: str) -> None:
+    """Raise when the mean gap is rounding noise relative to the means."""
+    scale = max(1.0, float(np.linalg.norm(g.mu_d)), float(np.linalg.norm(g.mu_h)))
+    if float(np.linalg.norm(g.mean_diff)) <= 1e-13 * scale:
+        raise DegenerateDirectionError(message)
+
+
 def optimal_auc_direction(g: GaussianPair) -> np.ndarray:
     """Unit direction maximizing the projected AUC.
 
     Proportional to (Sigma_D + Sigma_H)^{-1} (mu_D - mu_H); undefined when
     the means coincide, in which case every direction has AUC 1/2.
     """
-    diff = g.mean_diff
-    if float(np.linalg.norm(diff)) <= 1e-13 * max(
-        1.0, float(np.linalg.norm(g.mu_d)), float(np.linalg.norm(g.mu_h))
-    ):
-        raise DegenerateDirectionError(
-            "equal means make every projection an AUC-1/2 coin flip"
-        )
-    direction = scipy.linalg.solve(
-        g.sigma_d + g.sigma_h, diff, assume_a="pos"
-    )
+    _check_distinct_means(g, "equal means make every projection an AUC-1/2 coin flip")
+    direction = scipy.linalg.solve(g.sigma_d + g.sigma_h, g.mean_diff, assume_a="pos")
     return direction / np.linalg.norm(direction)
 
 
@@ -140,13 +139,9 @@ def youden_direction(g: GaussianPair) -> np.ndarray:
     scale = max(1.0, float(np.abs(g.sigma_d).max()), float(np.abs(g.sigma_h).max()))
     if np.abs(g.sigma_d - g.sigma_h).max() > 1e-10 * scale:
         raise ValueError("youden_direction requires equal covariance matrices")
-    diff = g.mean_diff
-    if float(np.linalg.norm(diff)) <= 1e-13 * max(
-        1.0, float(np.linalg.norm(g.mu_d)), float(np.linalg.norm(g.mu_h))
-    ):
-        raise DegenerateDirectionError("equal means admit no optimal direction")
+    _check_distinct_means(g, "equal means admit no optimal direction")
     sigma = (g.sigma_d + g.sigma_h) / 2.0
-    direction = scipy.linalg.solve(sigma, diff, assume_a="pos")
+    direction = scipy.linalg.solve(sigma, g.mean_diff, assume_a="pos")
     return direction / np.linalg.norm(direction)
 
 

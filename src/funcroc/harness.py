@@ -84,20 +84,22 @@ class RunConfig:
     flip_orientation: bool = False
     p_grid_size: int = 101
     keep_roc: bool = False
-    output_path: str | None = None
 
     def __post_init__(self):
         indexes = tuple(self.indexes)
         unknown = [name for name in indexes if name not in INDEX_NAMES]
         if unknown:
-            raise ValueError(f"unknown index names: {unknown}")
+            raise ValueError(f"unknown index names: {', '.join(unknown)}")
+        if not indexes:
+            raise ValueError("at least one index is required")
         object.__setattr__(self, "indexes", indexes)
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
         if not 0.0 < self.var_fraction <= 1.0:
             raise ValueError("var_fraction must lie in (0, 1]")
-        if self.penalty_lambda < 0.0 or self.ridge < 0.0:
-            raise ValueError("penalty_lambda and ridge must be nonnegative")
+        # NaN fails too
+        if not (0.0 <= self.penalty_lambda < np.inf and 0.0 <= self.ridge < np.inf):
+            raise ValueError("penalty_lambda and ridge must be finite and nonnegative")
         if self.p_grid_size < 2:
             raise ValueError("p_grid_size must be at least 2")
 

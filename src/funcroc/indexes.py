@@ -120,9 +120,9 @@ DiscriminantIndex = Union[MaxIndex, MinIndex, IntegralIndex, LinearIndex, Quadra
 class PenaltySpec:
     """Roughness penalty for the optimal linear fit.
 
-    ``lam`` is the nonnegative penalty weight.  ``matrix``, when given, is
-    the penalty Gram matrix in basis coordinates and must match the
-    dimension chosen at fit time; when omitted, a second-difference
+    ``lam`` is the finite, nonnegative penalty weight.  ``matrix``, when
+    given, is the penalty Gram matrix in basis coordinates and must match
+    the dimension chosen at fit time; when omitted, a second-difference
     curvature Gram matrix of the basis functions is built during fitting.
     """
 
@@ -130,8 +130,8 @@ class PenaltySpec:
     matrix: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("penalty weight must be nonnegative")
+        if not 0.0 <= self.lam < np.inf:  # NaN fails too
+            raise ValueError("penalty weight must be finite and nonnegative")
         if self.matrix is not None:
             shape = np.shape(self.matrix)
             if len(shape) != 2 or shape[0] != shape[1]:
@@ -168,11 +168,11 @@ def apply_index(idx: DiscriminantIndex, x: Curve) -> float:
 class FitContext:
     """The moments of one draw that the fitted indexes share.
 
-    Holds a (diseased, healthy) sample pair and computes the mean
-    difference, the two group covariance kernels, their pooled kernel and
-    its full eigensystem once each, on first use.  Construction does no work
-    and cannot fail; a property whose inputs are invalid raises its typed
-    error on every access.
+    Holds a (diseased, healthy) sample pair and computes the group means,
+    their difference, the two group covariance kernels, their pooled kernel
+    and its full eigensystem once each, on first use.  Construction does no
+    work and cannot fail; a property whose inputs are invalid raises its
+    typed error on every access.
     """
 
     def __init__(self, d: FunctionalSample, h: FunctionalSample):
@@ -187,9 +187,14 @@ class FitContext:
         return self.d.grid
 
     @cached_property
+    def _means(self) -> tuple[Curve, Curve]:
+        """Diseased and healthy mean curves."""
+        return sample_mean(self.d), sample_mean(self.h)
+
+    @cached_property
     def mean_diff(self) -> Curve:
         """Diseased minus healthy mean curve."""
-        return Curve(self.grid, sample_mean(self.d).values - sample_mean(self.h).values)
+        return Curve(self.grid, self._means[0].values - self._means[1].values)
 
     @cached_property
     def covariances(self) -> tuple[CovarianceKernel, CovarianceKernel]:
@@ -212,7 +217,7 @@ class FitContext:
 
 
 def _check_direction_scale(diff_norm: float, ctx: FitContext) -> None:
-    scale = max(norm(sample_mean(ctx.d)), norm(sample_mean(ctx.h)), 1.0)
+    scale = max(norm(ctx._means[0]), norm(ctx._means[1]), 1.0)
     if diff_norm <= 1e-13 * scale:
         raise DegenerateDirectionError(
             "group mean curves coincide; no discriminating direction exists"
@@ -335,8 +340,8 @@ def fit_quadratic(
     a = inv(S_D + ridge I) mu_D - inv(S_H + ridge I) mu_H.
     """
     basis = ctx.basis
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
+    if not 0.0 <= ridge < np.inf:  # NaN fails too
+        raise ValueError("ridge must be finite and nonnegative")
     k = choose_dimension(basis, var_fraction)
     groups = ((ctx.d, "diseased"), (ctx.h, "healthy"))
     for sample, group in groups:

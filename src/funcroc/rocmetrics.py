@@ -3,12 +3,13 @@
 All three are plug-in estimators built from the empirical distribution and
 quantile functions of the scores, so they depend on the data only through
 ranks: any strictly increasing transformation of the scores leaves them
-unchanged.
+unchanged.  Each group is sorted once per ``ScoreSample``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +50,11 @@ class ScoreSample:
         """Scores with the group roles interchanged."""
         return ScoreSample(diseased=self.healthy, healthy=self.diseased)
 
+    @cached_property
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
+        """Diseased and healthy scores in ascending order."""
+        return np.sort(self.diseased), np.sort(self.healthy)
+
 
 @dataclass(frozen=True)
 class RocSummary:
@@ -61,6 +67,19 @@ class RocSummary:
     youden_threshold: float
 
 
+def _cdf(ordered: np.ndarray, t):
+    """(1/n) #{i : y_i <= t} for ascending scores, elementwise in t."""
+    return np.searchsorted(ordered, t, side="right") / ordered.size
+
+
+def _quantile(ordered: np.ndarray, p):
+    """The ceil(n p)-th order statistic of ascending scores, elementwise in p."""
+    n = ordered.size
+    # subtract a hair before ceil so n*p landing on an integer is not bumped up
+    ranks = np.clip(np.ceil(n * np.asarray(p) - 1e-9).astype(int), 1, n)
+    return ordered[ranks - 1]
+
+
 def ecdf(sample, t):
     """Empirical distribution function (1/n) #{i : y_i <= t}.
 
@@ -69,8 +88,7 @@ def ecdf(sample, t):
     values = np.asarray(sample, dtype=float)
     if values.size == 0:
         raise ValueError("sample must be nonempty")
-    ordered = np.sort(values)
-    result = np.searchsorted(ordered, t, side="right") / values.size
+    result = _cdf(np.sort(values), t)
     return float(result) if np.isscalar(t) else result
 
 
@@ -84,11 +102,7 @@ def equantile(sample, p: float) -> float:
         raise ValueError("sample must be nonempty")
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
-    n = values.size
-    # subtract a hair before ceil so n*p landing on an integer is not bumped up
-    rank = int(np.ceil(n * p - 1e-9))
-    rank = min(max(rank, 1), n)
-    return float(np.sort(values)[rank - 1])
+    return float(_quantile(np.sort(values), p))
 
 
 def default_p_grid(size: int = 101) -> np.ndarray:
@@ -105,8 +119,7 @@ def auc(s: ScoreSample) -> float:
     Computed through sorted ranks in O((n_D + n_H) log) time; the result is
     exactly the double-sum proportion, with ties contributing zero.
     """
-    ordered_h = np.sort(s.healthy)
-    below = np.searchsorted(ordered_h, s.diseased, side="left")
+    below = np.searchsorted(s._sorted[1], s.diseased, side="left")
     return float(below.sum() / (s.diseased.size * s.healthy.size))
 
 
@@ -118,12 +131,9 @@ def youden(s: ScoreSample) -> tuple[float, float]:
     supremum over p in (0, 1) of ROC(p) - p.  The smallest achieving
     threshold is returned on ties.
     """
-    candidates = np.unique(np.concatenate([s.diseased, s.healthy]))
-    ordered_d = np.sort(s.diseased)
-    ordered_h = np.sort(s.healthy)
-    cdf_h = np.searchsorted(ordered_h, candidates, side="right") / ordered_h.size
-    cdf_d = np.searchsorted(ordered_d, candidates, side="right") / ordered_d.size
-    gaps = cdf_h - cdf_d
+    ordered_d, ordered_h = s._sorted
+    candidates = np.unique(np.concatenate([ordered_d, ordered_h]))
+    gaps = _cdf(ordered_h, candidates) - _cdf(ordered_d, candidates)
     best = int(np.argmax(gaps))
     return float(gaps[best]), float(candidates[best])
 
@@ -135,27 +145,16 @@ def roc_curve(s: ScoreSample, p_grid: np.ndarray | None = None) -> RocSummary:
     convention.  The returned summary also carries ``auc`` and ``youden``
     computed from the same scores.
     """
-    if p_grid is None:
-        p_grid = default_p_grid()
-    p_grid = np.asarray(p_grid, dtype=float)
+    p_grid = np.asarray(default_p_grid() if p_grid is None else p_grid, dtype=float)
     if p_grid.ndim != 1 or p_grid.size < 1:
         raise ValueError("p_grid must be a nonempty vector")
-    if np.any(p_grid < 0.0) or np.any(p_grid > 1.0) or np.any(np.diff(p_grid) <= 0):
+    if not np.all((p_grid >= 0.0) & (p_grid <= 1.0)) or np.any(np.diff(p_grid) <= 0):
         raise ValueError("p_grid must be increasing within [0, 1]")
 
-    ordered_d = np.sort(s.diseased)
-    ordered_h = np.sort(s.healthy)
-    n_d, n_h = ordered_d.size, ordered_h.size
-
-    values = np.empty_like(p_grid)
+    ordered_d, ordered_h = s._sorted
+    values = np.where(p_grid < 1.0, 0.0, 1.0)  # the endpoint convention
     interior = (p_grid > 0.0) & (p_grid < 1.0)
-    q = 1.0 - p_grid[interior]
-    ranks = np.ceil(n_h * q - 1e-9).astype(int)
-    ranks = np.clip(ranks, 1, n_h)
-    h_quantiles = ordered_h[ranks - 1]
-    values[interior] = 1.0 - np.searchsorted(ordered_d, h_quantiles, side="right") / n_d
-    values[p_grid == 0.0] = 0.0
-    values[p_grid == 1.0] = 1.0
+    values[interior] = 1.0 - _cdf(ordered_d, _quantile(ordered_h, 1.0 - p_grid[interior]))
 
     youden_value, youden_threshold = youden(s)
     return RocSummary(

@@ -53,6 +53,25 @@ class TestSimulateCommand:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--lambda", "nan"), ("--lambda", "inf"), ("--ridge", "nan"), ("--ridge", "inf"),
+    ])
+    def test_non_finite_penalty_or_ridge_exits_with_two(self, flag, value, capsys):
+        code = main([
+            "simulate", "--scenario", "P1", "--rho", "1", "--nd", "30", "--nh", "30",
+            "--reps", "1", "--seed", "3", "--grid-size", "20", flag, value,
+        ])
+        assert code == 2
+        assert "finite and nonnegative" in capsys.readouterr().err
+
+    def test_empty_index_list_exits_with_two(self, capsys):
+        code = main([
+            "simulate", "--scenario", "P1", "--rho", "1", "--nd", "10", "--nh", "10",
+            "--reps", "2", "--seed", "7", "--indexes", " , ",
+        ])
+        assert code == 2
+        assert "at least one index" in capsys.readouterr().err
+
     def test_usage_error_exits_with_two(self, capsys):
         code = main(["simulate", "--scenario", "NOPE", "--nd", "5", "--nh", "5",
                      "--seed", "1"])

@@ -52,6 +52,20 @@ class TestRunConfigValidation:
         with pytest.raises(ValueError):
             RunConfig(scenario=small_scenario(), reps=0)
 
+    def test_unknown_names_are_listed_readably(self):
+        with pytest.raises(ValueError, match="unknown index names: banana, kiwi$"):
+            RunConfig(scenario=small_scenario(), indexes=("max", "banana", "kiwi"))
+
+    def test_empty_index_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one index"):
+            RunConfig(scenario=small_scenario(), indexes=())
+
+    @pytest.mark.parametrize("field", ["penalty_lambda", "ridge"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    def test_penalty_and_ridge_must_be_finite_and_nonnegative(self, field, value):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            RunConfig(scenario=small_scenario(), **{field: value})
+
 
 class TestRunReplication:
     def test_deterministic_given_config_and_id(self):

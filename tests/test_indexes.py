@@ -235,6 +235,11 @@ class TestFitOptimalLinear:
         with pytest.raises(ValueError):
             fit_optimal_linear(FitContext(d, h), penalty=PenaltySpec(lam=0.1, matrix=np.eye(2)))
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -0.1])
+    def test_penalty_weight_must_be_finite_and_nonnegative(self, lam):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            PenaltySpec(lam=lam)
+
     def test_second_difference_penalty_is_psd(self):
         spec = ScenarioSpec(name="P1", n_d=40, n_h=40, seed=16, rho=1.0, grid_size=40)
         d, h = generate_scenario(spec)
@@ -322,6 +327,14 @@ class TestFitQuadratic:
         assert excinfo.value.group == "diseased"
         idx = fit_quadratic(FitContext(dup, h), var_fraction=0.95, ridge=1e-6)
         assert np.all(np.isfinite(idx.lambda_mat))
+
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf, -1e-6])
+    def test_ridge_must_be_finite_and_nonnegative(self, ridge):
+        # scipy's own non-finite check raises a bare ValueError with another message
+        spec = ScenarioSpec(name="P1", n_d=30, n_h=30, seed=3, rho=1.0, grid_size=20)
+        d, h = generate_scenario(spec)
+        with pytest.raises(ValueError, match="ridge must be finite and nonnegative"):
+            fit_quadratic(FitContext(d, h), ridge=ridge)
 
 
 class TestQuadraticPopulation:

@@ -5,7 +5,8 @@ for the configs below, computed with one BLAS thread.  Numbers are
 compared at a relative tolerance rather than byte for byte, so another
 BLAS build cannot fail the test on last-bit rounding; counts and error
 strings must match exactly.  The counting tests check that one draw
-shares a single pooled eigensystem among its fitted indexes.
+shares a single pair of group means and a single pooled eigensystem among
+its fitted indexes.
 
 Regenerate the fixture (only when a change of numbers is intended) with
 ``OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_pinned_report.py``.
@@ -86,6 +87,13 @@ def test_one_draw_decomposes_the_pooled_covariance_once(monkeypatch):
     assert set(result.auc) == {"max", "min", "integral", "meandiff", "linear", "quad"}
     assert len(eigen) == 1
     assert len(covariance) == 2
+
+
+def test_one_draw_computes_the_group_means_once(monkeypatch):
+    means = _count_calls(monkeypatch, "sample_mean")
+    result = run_replication(CONFIGS["P1-25+25-m20-lambda0.5"], 0)
+    assert set(result.auc) == {"max", "min", "integral", "meandiff", "linear", "quad"}
+    assert len(means) == 2
 
 
 def test_parameter_free_draw_computes_no_covariance(monkeypatch):

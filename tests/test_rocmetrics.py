@@ -236,12 +236,27 @@ class TestRocCurve:
             else:
                 assert value == 1.0 - ecdf(d, equantile(h, 1.0 - p))
 
+    def test_one_call_sorts_each_group_once(self, monkeypatch):
+        sorted_sizes = []
+        original = np.sort
+
+        def counting(values, *args, **kwargs):
+            sorted_sizes.append(np.size(values))
+            return original(values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "sort", counting)
+        rng = np.random.default_rng(7)
+        roc_curve(ScoreSample(rng.standard_normal(5), rng.standard_normal(8)))
+        assert sorted(sorted_sizes) == [5, 8]
+
     def test_rejects_bad_grid(self):
         s = ScoreSample([1.0], [0.0])
         with pytest.raises(ValueError):
             roc_curve(s, np.array([0.2, 0.1]))
         with pytest.raises(ValueError):
             roc_curve(s, np.array([-0.1, 0.5]))
+        with pytest.raises(ValueError):
+            roc_curve(s, np.array([0.2, np.nan, 0.5]))
 
 
 class TestMonotoneInvariance:
