@@ -86,9 +86,11 @@ class EigenSystem:
     eigenvalues are clipped to zero).  Column ``l`` of ``eigenfunctions``
     holds the l-th eigenfunction evaluated on the grid; the columns are
     orthonormal under the quadrature inner product.  ``total_variance`` is
-    the sum of the full clipped spectrum, so that explained-variability
+    the variability of the whole operator, so that explained-variability
     fractions refer to the whole decomposition even when only the leading
-    part is retained.
+    part is retained.  It is the sum of the full clipped spectrum when the
+    m x m kernel was decomposed, and the operator's trace when the pairs
+    come from the N x N Gram form of N < m centered curves.
     """
 
     grid: Grid
@@ -167,14 +169,50 @@ def eigendecompose(kernel: CovarianceKernel, count: int) -> EigenSystem:
     order = np.argsort(values)[::-1]
     values = np.clip(values[order], 0.0, None)
     functions = np.ascontiguousarray(vectors[:, order[:count]]) / sqrt_w[:, None]
-    peaks = functions[np.argmax(np.abs(functions), axis=0), np.arange(count)]
-    functions[:, peaks < 0] *= -1.0
     return EigenSystem(
         grid=kernel.grid,
         eigenvalues=values[:count].copy(),
-        eigenfunctions=functions,
+        eigenfunctions=_fix_signs(functions),
         total_variance=float(values.sum()),
     )
+
+
+def _gram_eigendecompose(grid: Grid, centered: np.ndarray) -> EigenSystem:
+    """Eigenpairs of the covariance operator with kernel X'X / N, via X's Gram matrix.
+
+    ``centered`` holds N centered curves X as rows.  With Z = X W^{1/2} / sqrt(N),
+    the symmetrized m x m problem Z'Z shares its nonzero eigenvalues with
+    the N x N matrix Z Z', and an eigenvector u of Z Z' maps back to the
+    eigenfunction Z'u / (sqrt(lambda) sqrt(w)).  This costs O(N^2 m) rather
+    than O(m^3), so it is the cheaper route when N < m.  Only the pairs
+    above N * eps * lambda_max are kept (the operator's rank); their signs
+    are fixed as in ``eigendecompose``, and ``total_variance`` is the trace
+    of Z Z'.
+    """
+    n = centered.shape[0]
+    sqrt_w = np.sqrt(grid.weights)
+    scaled = centered * (sqrt_w / np.sqrt(n))
+    gram = scaled @ scaled.T
+    gram = (gram + gram.T) / 2.0
+    values, vectors = scipy.linalg.eigh(gram)
+    values, vectors = values[::-1], vectors[:, ::-1]
+    count = int(np.count_nonzero(values > n * np.finfo(float).eps * max(values[0], 0.0)))
+    values = values[:count].copy()
+    functions = (scaled.T @ vectors[:, :count]) / (np.sqrt(values) * sqrt_w[:, None])
+    return EigenSystem(
+        grid=grid,
+        eigenvalues=values,
+        eigenfunctions=_fix_signs(functions),
+        total_variance=float(np.trace(gram)),
+    )
+
+
+def _fix_signs(functions: np.ndarray) -> np.ndarray:
+    """Flip columns in place so each one's largest-magnitude coordinate is positive."""
+    count = functions.shape[1]
+    peaks = functions[np.argmax(np.abs(functions), axis=0), np.arange(count)]
+    functions[:, peaks < 0] *= -1.0
+    return functions
 
 
 def choose_dimension(e: EigenSystem, fraction: float) -> int:

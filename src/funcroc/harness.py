@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -93,6 +94,11 @@ class RunConfig:
         if not indexes:
             raise ValueError("at least one index is required")
         object.__setattr__(self, "indexes", indexes)
+        for name in ("reps", "p_grid_size"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer")
+            object.__setattr__(self, name, int(value))
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
         if not 0.0 < self.var_fraction <= 1.0:

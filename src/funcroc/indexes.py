@@ -28,6 +28,7 @@ from .errors import (
     SingularSystemError,
 )
 from .estimation import (
+    _gram_eigendecompose,
     CovarianceKernel,
     EigenSystem,
     choose_dimension,
@@ -170,9 +171,11 @@ class FitContext:
 
     Holds a (diseased, healthy) sample pair and computes the group means,
     their difference, the two group covariance kernels, their pooled kernel
-    and its full eigensystem once each, on first use.  Construction does no
-    work and cannot fail; a property whose inputs are invalid raises its
-    typed error on every access.
+    and its eigensystem once each, on first use.  With fewer curves than
+    grid points (N = n_D + n_H < m) the eigensystem comes from the N x N
+    Gram matrix of the centered curves, and no m x m kernel is built.
+    Construction does no work and cannot fail; a property whose inputs are
+    invalid raises its typed error on every access.
     """
 
     def __init__(self, d: FunctionalSample, h: FunctionalSample):
@@ -192,15 +195,23 @@ class FitContext:
         return sample_mean(self.d), sample_mean(self.h)
 
     @cached_property
+    def _centered(self) -> tuple[np.ndarray, np.ndarray]:
+        """Diseased and healthy curves minus their group mean curves."""
+        return tuple(s.values - mean.values for s, mean in zip((self.d, self.h), self._means))
+
+    @cached_property
     def mean_diff(self) -> Curve:
         """Diseased minus healthy mean curve."""
         return Curve(self.grid, self._means[0].values - self._means[1].values)
 
+    def _check_sizes(self) -> None:
+        if self.d.n < 2 or self.h.n < 2:
+            raise InsufficientSampleError("both groups need at least two curves")
+
     @cached_property
     def covariances(self) -> tuple[CovarianceKernel, CovarianceKernel]:
         """Diseased and healthy sample covariance kernels (divisor n)."""
-        if self.d.n < 2 or self.h.n < 2:
-            raise InsufficientSampleError("both groups need at least two curves")
+        self._check_sizes()
         return sample_covariance(self.d), sample_covariance(self.h)
 
     @cached_property
@@ -211,9 +222,18 @@ class FitContext:
 
     @cached_property
     def basis(self) -> EigenSystem:
-        """Every eigenpair of the pooled covariance operator."""
-        count = len(self.grid)  # grids are checked before sample sizes
-        return eigendecompose(self.pooled, count=count)
+        """The eigenpairs of the pooled covariance operator.
+
+        When N >= m these are all m pairs of the pooled kernel, and
+        ``total_variance`` is the sum of the clipped spectrum.  When N < m
+        they are the rank-many pairs (N - 2 for curves in general position)
+        of the Gram form, and ``total_variance`` is the operator's trace.
+        """
+        m = len(self.grid)  # grids are checked before sample sizes
+        if self.d.n + self.h.n >= m:
+            return eigendecompose(self.pooled, count=m)
+        self._check_sizes()
+        return _gram_eigendecompose(self.grid, np.vstack(self._centered))
 
 
 def _check_direction_scale(diff_norm: float, ctx: FitContext) -> None:
@@ -266,17 +286,15 @@ def fit_optimal_linear(
 
     The closed-form maximizer solves (G + lam * P) b = delta in basis
     coordinates, where delta holds the projected mean differences and G the
-    projected denominator covariance.  The returned direction has unit
-    quadrature norm and nonnegative inner product with the mean difference.
+    projected denominator covariance.  G comes from the centered group
+    coordinates A_g = (X_g - mean_g) W Phi_k, as (A_D'A_D / n_D + A_H'A_H / n_H) / 2
+    or (A_D'A_D + A_H'A_H) / N, so no m x m covariance is formed.
+    The returned direction has unit quadrature norm and nonnegative inner
+    product with the mean difference.
     """
     if mode not in ("pooled", "average"):
         raise ValueError(f"unknown mode: {mode!r}")
-    cov_d, cov_h = ctx.covariances
     diff = ctx.mean_diff
-
-    pooled = ctx.pooled
-    denominator = pooled if mode == "pooled" else combine_covariances(cov_d, cov_h, "average")
-
     basis = ctx.basis
     k = choose_dimension(basis, var_fraction)
 
@@ -286,7 +304,11 @@ def fit_optimal_linear(
     delta = weighted_phi.T @ diff.values
     _check_direction_scale(float(np.linalg.norm(delta)), ctx)
 
-    gram = weighted_phi.T @ denominator.matrix @ weighted_phi
+    a_d, a_h = (centered @ weighted_phi for centered in ctx._centered)
+    if mode == "pooled":
+        gram = (a_d.T @ a_d + a_h.T @ a_h) / (ctx.d.n + ctx.h.n)
+    else:
+        gram = (a_d.T @ a_d / ctx.d.n + a_h.T @ a_h / ctx.h.n) / 2.0
     gram = (gram + gram.T) / 2.0
     if penalty is not None and penalty.lam > 0.0:
         pen = penalty.matrix

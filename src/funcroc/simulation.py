@@ -35,6 +35,8 @@ _PROP_NAMES = ("P0", "P1")
 _KINDS = ("brownian", "exp_variogram", "ornstein_uhlenbeck", "finite_rank")
 
 _SEED_MASK = (1 << 64) - 1
+_FACTOR_CACHE_SIZE = 16
+_factor_cache: dict[tuple, np.ndarray] = {}
 
 
 def sine_eigenfunction(ell: int, t: np.ndarray) -> np.ndarray:
@@ -139,6 +141,24 @@ def _jittered_cholesky(matrix: np.ndarray) -> np.ndarray:
     )
 
 
+def _cholesky_factor(spec: ProcessSpec, grid: Grid) -> np.ndarray:
+    """Read-only jittered Cholesky factor of a process kernel on a grid.
+
+    Factors are cached by (spec, grid points), so study replications that
+    redraw the same processes factor each kernel once.  The cache holds at
+    most ``_FACTOR_CACHE_SIZE`` factors and drops the oldest first.
+    """
+    key = (spec, grid.points.tobytes())
+    factor = _factor_cache.get(key)
+    if factor is None:
+        factor = _jittered_cholesky(kernel_matrix(spec, grid).matrix)
+        factor.setflags(write=False)
+        if len(_factor_cache) >= _FACTOR_CACHE_SIZE:
+            del _factor_cache[next(iter(_factor_cache))]
+        _factor_cache[key] = factor
+    return factor
+
+
 def sample_gaussian(
     spec: ProcessSpec,
     grid: Grid,
@@ -149,9 +169,9 @@ def sample_gaussian(
     """Draw n independent process paths on the grid.
 
     Dense kernels go through a lower Cholesky factor with escalating
-    diagonal jitter; the finite-rank process sums its eigenfunction
-    expansion with independent normal coefficients of variance
-    scale * lambda_l.
+    diagonal jitter, computed once per (spec, grid points) and then reused;
+    the finite-rank process sums its eigenfunction expansion with
+    independent normal coefficients of variance scale * lambda_l.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -164,7 +184,7 @@ def sample_gaussian(
         coefficients = rng.standard_normal((n, len(spec.lambdas))) * sd
         values = mean + coefficients @ modes.T
     else:
-        factor = _jittered_cholesky(kernel_matrix(spec, grid).matrix)
+        factor = _cholesky_factor(spec, grid)
         noise = rng.standard_normal((n, len(grid)))
         values = mean + noise @ factor.T
     return FunctionalSample(grid, values, group)

@@ -66,6 +66,21 @@ class TestRunConfigValidation:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             RunConfig(scenario=small_scenario(), **{field: value})
 
+    @pytest.mark.parametrize("field", ["reps", "p_grid_size"])
+    @pytest.mark.parametrize("value", [2.5, 5.5, 3.0, True, np.float64(4.0), "5"])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
+            RunConfig(scenario=small_scenario(), **{field: value})
+
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.int32(3)])
+    def test_python_and_numpy_integer_counts_are_accepted(self, value):
+        config = RunConfig(scenario=small_scenario(), indexes=("max",), reps=value,
+                           p_grid_size=value)
+        assert type(config.reps) is int and type(config.p_grid_size) is int
+        report = run_study(config)
+        assert report.replications == 3
+        assert json.loads(emit_report(report, "machine-readable"))["config"]["reps"] == 3
+
 
 class TestRunReplication:
     def test_deterministic_given_config_and_id(self):

@@ -4,6 +4,7 @@ import pytest
 from funcroc import (
     Curve,
     DegenerateDirectionError,
+    DegenerateOperatorError,
     FitContext,
     FunctionalSample,
     GridMismatchError,
@@ -19,6 +20,7 @@ from funcroc import (
     ScenarioSpec,
     apply_index,
     auc,
+    choose_dimension,
     eigendecompose,
     fit_mean_difference,
     fit_optimal_linear,
@@ -99,6 +101,61 @@ class TestFitContext:
         linear = fit_optimal_linear(ctx, penalty=PenaltySpec(lam=0.5))
         assert quad.basis is ctx.basis
         assert inner_product(linear.beta, ctx.mean_diff) > 0.0
+
+
+class TestGramFormBasis:
+    """With fewer curves than grid points the pooled basis comes from the Gram form."""
+
+    DRAWS = [
+        ScenarioSpec(name="D20", n_d=40, n_h=40, seed=3, grid_size=400),
+        ScenarioSpec(name="P1", n_d=3, n_h=3, seed=1, rho=1.0, grid_size=15),
+        ScenarioSpec(name="C20", n_d=6, n_h=8, seed=7, grid_size=20),
+    ]
+
+    @pytest.mark.parametrize("spec", DRAWS, ids=lambda spec: spec.name)
+    @pytest.mark.parametrize("replication", range(3))
+    def test_matches_the_full_decomposition(self, spec, replication):
+        ctx = FitContext(*generate_scenario(spec.substream(replication)))
+        m, n = spec.grid_size, spec.n_d + spec.n_h
+        assert n < m
+        dual, full = ctx.basis, eigendecompose(ctx.pooled, m)
+        for fraction in (0.95, 1.0):
+            assert choose_dimension(dual, fraction) == choose_dimension(full, fraction)
+        k = choose_dimension(full, 0.95)
+        assert np.abs(dual.eigenfunctions[:, :k] - full.eigenfunctions[:, :k]).max() < 1e-10
+        lead = full.eigenvalues[0]
+        assert np.abs(dual.eigenvalues - full.eigenvalues[: dual.count]).max() <= 1e-12 * lead
+        assert dual.total_variance == pytest.approx(full.total_variance, rel=1e-12, abs=0.0)
+        # the rank of the centered curves: N - 2 in general position; C20's
+        # diseased process has rank 3, so there it is 3 + n_H - 1
+        centered = np.vstack([s.values - s.values.mean(axis=0) for s in (ctx.d, ctx.h)])
+        rank = np.linalg.matrix_rank(centered)
+        assert rank == (3 + spec.n_h - 1 if spec.name == "C20" else n - 2)
+        assert dual.count == rank
+
+    def test_within_group_constant_curves_are_degenerate_on_both_paths(self):
+        # each group repeats one integer-valued curve, so centering is exact
+        # and both covariance operators vanish
+        grid = make_uniform_grid(20)
+        shape = np.arange(20.0) % 4
+        errors = []
+        for n in (3, 12):  # N < m (Gram form) and N >= m (full decomposition)
+            d = FunctionalSample(grid, np.tile(2.0 * shape, (n, 1)), Group.DISEASED)
+            h = FunctionalSample(grid, np.tile(shape, (n, 1)), Group.HEALTHY)
+            for fit in (fit_optimal_linear, fit_quadratic):
+                with pytest.raises(DegenerateOperatorError) as excinfo:
+                    fit(FitContext(d, h))
+                errors.append(str(excinfo.value))
+        assert errors == ["operator has an all-zero spectrum"] * 4
+
+    def test_insufficient_group_is_reported_before_any_work(self):
+        grid = make_uniform_grid(20)
+        rng = np.random.default_rng(4)
+        d = FunctionalSample(grid, rng.standard_normal((1, 20)), Group.DISEASED)
+        h = FunctionalSample(grid, rng.standard_normal((5, 20)), Group.HEALTHY)
+        for _ in range(2):
+            with pytest.raises(InsufficientSampleError, match="at least two curves"):
+                FitContext(d, h).basis
 
 
 class TestFitMeanDifference:

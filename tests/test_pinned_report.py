@@ -6,7 +6,9 @@ compared at a relative tolerance rather than byte for byte, so another
 BLAS build cannot fail the test on last-bit rounding; counts and error
 strings must match exactly.  The counting tests check that one draw
 shares a single pair of group means and a single pooled eigensystem among
-its fitted indexes.
+its fitted indexes, that a draw with fewer curves than grid points builds
+no grid-sized covariance at all, and that a study factors each process
+kernel once.
 
 Regenerate the fixture (only when a change of numbers is intended) with
 ``OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_pinned_report.py``.
@@ -17,9 +19,21 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from funcroc import RunConfig, ScenarioSpec, indexes, run_replication, run_study
+from funcroc import (
+    ProcessSpec,
+    RunConfig,
+    ScenarioSpec,
+    emit_report,
+    generate_scenario,
+    indexes,
+    make_uniform_grid,
+    run_replication,
+    run_study,
+    simulation,
+)
 
 FIXTURE = Path(__file__).parent / "data" / "pinned_per_index.json"
 NUMBERS = ("mean_auc", "sd_auc", "mean_youden")
@@ -106,6 +120,61 @@ def test_parameter_free_draw_computes_no_covariance(monkeypatch):
     assert set(result.auc) == {"max", "min", "integral"}
     assert covariance == []
     assert eigen == []
+
+
+def test_wide_grid_draw_builds_no_grid_sized_kernel(monkeypatch):
+    # 20 + 20 curves on 100 points: the pooled basis comes from the 40 x 40 Gram form
+    eigen = _count_calls(monkeypatch, "eigendecompose")
+    covariance = _count_calls(monkeypatch, "sample_covariance")
+    combined = _count_calls(monkeypatch, "combine_covariances")
+    config = RunConfig(scenario=ScenarioSpec(name="D20", n_d=20, n_h=20, seed=9, grid_size=100),
+                       reps=1, penalty_lambda=0.5)
+    result = run_replication(config, 0)
+    assert set(result.auc) == {"max", "min", "integral", "meandiff", "linear", "quad"}
+    assert (eigen, covariance, combined) == ([], [], [])
+
+
+def _report_bytes(config):
+    report = dataclasses.replace(run_study(config), elapsed_seconds=0.0)
+    return emit_report(report, "machine-readable")
+
+
+def test_study_factors_each_process_kernel_once(monkeypatch):
+    monkeypatch.setattr(simulation, "_factor_cache", {})
+    kernels = []
+    original = simulation.kernel_matrix
+
+    def counting(spec, grid):
+        kernels.append((spec, len(grid)))
+        return original(spec, grid)
+
+    monkeypatch.setattr(simulation, "kernel_matrix", counting)
+    spec = ScenarioSpec(name="D20", n_d=20, n_h=20, seed=9, grid_size=50)
+    config = RunConfig(scenario=spec, reps=3, keep_roc=True)
+    warm = _report_bytes(config)
+    diseased, healthy = simulation._scenario_processes(spec)
+    assert kernels == [(diseased, 50), (healthy, 50)]
+    factors = list(simulation._factor_cache.values())
+    assert len(factors) == 2 and not any(f.flags.writeable for f in factors)
+
+    draws = [generate_scenario(spec.substream(r)) for r in range(3)]
+    simulation._factor_cache.clear()
+    assert _report_bytes(config) == warm
+    for r, (d, h) in enumerate(draws):
+        simulation._factor_cache.clear()
+        fresh_d, fresh_h = generate_scenario(spec.substream(r))
+        assert np.array_equal(d.values, fresh_d.values) and np.array_equal(h.values, fresh_h.values)
+
+
+def test_factor_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(simulation, "_factor_cache", {})
+    grid = make_uniform_grid(5)
+    rng = np.random.default_rng(0)
+    scales = [1.0 + i for i in range(simulation._FACTOR_CACHE_SIZE + 3)]
+    for scale in scales:
+        simulation.sample_gaussian(ProcessSpec.brownian(scale=scale), grid, 2, rng)
+    cached_scales = [spec.scale for spec, _ in simulation._factor_cache]
+    assert cached_scales == scales[-simulation._FACTOR_CACHE_SIZE:]
 
 
 if __name__ == "__main__":

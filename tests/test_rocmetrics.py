@@ -246,7 +246,13 @@ class TestRocCurve:
 
         monkeypatch.setattr(np, "sort", counting)
         rng = np.random.default_rng(7)
-        roc_curve(ScoreSample(rng.standard_normal(5), rng.standard_normal(8)))
+        scores = ScoreSample(rng.standard_normal(5), rng.standard_normal(8))
+        roc_curve(scores)
+        assert sorted(sorted_sizes) == [5, 8]
+        # the flipped summary reuses both the validated arrays and their sort
+        flipped = scores.swapped()
+        assert flipped.diseased is scores.healthy and flipped.healthy is scores.diseased
+        roc_curve(flipped)
         assert sorted(sorted_sizes) == [5, 8]
 
     def test_rejects_bad_grid(self):
@@ -301,3 +307,19 @@ class TestScoreSample:
         idx = LinearIndex(Curve(grid, beta))
         s = score_sample(idx, sample, sample)
         assert np.all(s.diseased == 0.0)
+
+    @pytest.mark.parametrize("sorted_first", [False, True])
+    def test_swapped_sample_summarizes_like_a_fresh_one(self, sorted_first):
+        rng = np.random.default_rng(11)
+        d, h = rng.integers(0, 4, 9).astype(float), rng.integers(0, 4, 6).astype(float)
+        scores = ScoreSample(d, h)
+        if sorted_first:
+            roc_curve(scores)
+        flipped = scores.swapped()
+        assert not flipped.diseased.flags.writeable and not flipped.healthy.flags.writeable
+        got, expected = roc_curve(flipped), roc_curve(ScoreSample(h, d))
+        assert np.array_equal(got.roc_values, expected.roc_values)
+        assert (got.auc, got.youden, got.youden_threshold) == (
+            expected.auc, expected.youden, expected.youden_threshold
+        )
+        assert flipped.swapped().diseased is scores.diseased
