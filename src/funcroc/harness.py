@@ -13,8 +13,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import numbers
 import time
+from array import array
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -269,30 +271,47 @@ def _parse_float(cell: str, line: int, column: int) -> float:
         raise CurveParseError(
             f"column {column}: not a number: {cell!r}", line=line
         ) from exc
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise CurveParseError(f"column {column}: non-finite value {cell!r}", line=line)
     return value
 
 
-def ingest_curves(path) -> tuple[FunctionalSample, FunctionalSample]:
-    """Read a labeled curve file into (diseased, healthy) samples.
+def _parse_cells(cells: list[str], line: int) -> list[float]:
+    """The values of one row's cells, which sit in columns 2, 3, ...
 
-    Format: a header ``label,t1,...,tm`` giving the grid abscissae, then one
-    row per subject holding a group label (``D`` or ``H``) followed by m
-    values.  Both groups must be present; all rows share the header grid.
+    ``float`` strips the same whitespace as ``str.strip``, so the bulk parse
+    gives the values the per-cell parse would.  Only a row that fails it, or
+    whose sum is not finite, is parsed cell by cell, to name the first bad
+    column; a row whose sum merely overflowed parses there unchanged.
     """
-    path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CurveParseError(f"cannot read {path}: {exc}") from exc
-    # pair each row with its line number before blank rows are dropped
-    reader = csv.reader(io.StringIO(text))
-    rows = [(reader.line_num, row) for row in reader if row]
-    if not rows:
-        raise CurveParseError("file is empty", line=1)
+        values = list(map(float, cells))
+        if math.isfinite(sum(values)):
+            return values
+    except ValueError:
+        pass
+    return [_parse_float(cell.strip(), line, column) for column, cell in enumerate(cells, start=2)]
 
-    header_line, header = rows[0]
+
+def _read_curves(handle) -> tuple[Grid, dict[str, array]] | None:
+    """Parse the header and the data rows of a CSV text stream, in file order.
+
+    Returns the grid and the row-major values of each group label, or None
+    when the stream holds no nonblank row.  Raises ``CurveParseError`` at the
+    first bad line; line numbers count blank lines too.
+    """
+    reader = csv.reader(handle)
+    try:
+        return _parse_rows(reader)
+    except csv.Error as exc:  # e.g. a field over csv's size limit
+        raise CurveParseError(f"malformed CSV: {exc}", line=reader.line_num) from exc
+
+
+def _parse_rows(reader) -> tuple[Grid, dict[str, array]] | None:
+    header = next((row for row in reader if row), None)
+    if header is None:
+        return None
+    header_line = reader.line_num
     if len(header) < 3 or header[0].strip().lower() != "label":
         raise CurveParseError(
             "header must be 'label,t1,...,tm' with at least two grid points", line=header_line
@@ -306,27 +325,75 @@ def ingest_curves(path) -> tuple[FunctionalSample, FunctionalSample]:
     except ValueError as exc:
         raise CurveParseError(f"bad grid in header: {exc}", line=header_line) from exc
 
-    m = len(grid)
-    groups: dict[Group, list[list[float]]] = {Group.DISEASED: [], Group.HEALTHY: []}
-    for line, row in rows[1:]:
-        if len(row) != m + 1:
+    width = len(grid) + 1
+    groups = {"D": array("d"), "H": array("d")}
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != width:
             raise CurveParseError(
-                f"expected {m + 1} cells, found {len(row)}", line=line
+                f"expected {width} cells, found {len(row)}", line=reader.line_num
             )
-        label = row[0].strip().upper()
-        if label not in ("D", "H"):
-            raise CurveParseError(f"unknown group label {row[0]!r}", line=line)
-        values = [
-            _parse_float(cell.strip(), line=line, column=j + 2)
-            for j, cell in enumerate(row[1:])
-        ]
-        groups[Group.DISEASED if label == "D" else Group.HEALTHY].append(values)
+        values = groups.get(row[0].strip().upper())
+        if values is None:
+            raise CurveParseError(f"unknown group label {row[0]!r}", line=reader.line_num)
+        values.extend(_parse_cells(row[1:], reader.line_num))
+    return grid, groups
 
-    for group, label in ((Group.DISEASED, "D"), (Group.HEALTHY, "H")):
-        if not groups[group]:
+
+def _decoding_error(path: Path) -> CurveParseError:
+    """The first error in file order of a file that is not valid UTF-8.
+
+    The streaming decoder works in chunks, so the offset it reports is
+    relative to a chunk and the rows before the bad byte in that chunk are
+    still unread.  Decode the raw bytes again to find the first invalid
+    byte, and read the complete lines before it, whose errors come first.
+    """
+    raw = path.read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        offset = exc.start
+    else:  # the file changed after it was streamed
+        return CurveParseError(f"{path} is not valid UTF-8")
+    before = raw[:offset]
+    complete = before[: max(before.rfind(b"\n"), before.rfind(b"\r")) + 1]
+    try:
+        _read_curves(io.StringIO(complete.decode("utf-8"), newline=""))
+    except CurveParseError as error:
+        return error
+    # csv counts a CRLF pair as one line ending
+    line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+    return CurveParseError(f"invalid UTF-8 at byte offset {offset}", line=line)
+
+
+def ingest_curves(path) -> tuple[FunctionalSample, FunctionalSample]:
+    """Read a labeled curve file into (diseased, healthy) samples.
+
+    Format: a header ``label,t1,...,tm`` giving the grid abscissae, then one
+    row per subject holding a group label (``D`` or ``H``) followed by m
+    values.  Both groups must be present; all rows share the header grid.
+    The file is read in one streaming pass, and the first error in file
+    order is raised as ``CurveParseError``.
+    """
+    path = Path(path)
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            parsed = _read_curves(handle)
+    except OSError as exc:
+        raise CurveParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _decoding_error(path) from exc
+    if parsed is None:
+        raise CurveParseError("file is empty", line=1)
+
+    grid, groups = parsed
+    for label in ("D", "H"):
+        if not groups[label]:
             raise CurveParseError(f"no rows labeled {label!r} found")
-    diseased = FunctionalSample(grid, np.asarray(groups[Group.DISEASED]), Group.DISEASED)
-    healthy = FunctionalSample(grid, np.asarray(groups[Group.HEALTHY]), Group.HEALTHY)
+    m = len(grid)
+    diseased = FunctionalSample(grid, np.frombuffer(groups["D"]).reshape(-1, m), Group.DISEASED)
+    healthy = FunctionalSample(grid, np.frombuffer(groups["H"]).reshape(-1, m), Group.HEALTHY)
     return diseased, healthy
 
 

@@ -22,6 +22,7 @@ import scipy.linalg
 
 from .errors import (
     DegenerateDirectionError,
+    DegenerateOperatorError,
     GridMismatchError,
     InsufficientSampleError,
     SingularCovarianceError,
@@ -29,13 +30,10 @@ from .errors import (
 )
 from .estimation import (
     _gram_eigendecompose,
-    CovarianceKernel,
+    _pooled_eigendecompose,
     EigenSystem,
     choose_dimension,
-    combine_covariances,
-    eigendecompose,
     project_scores,
-    sample_covariance,
     sample_mean,
     spd_inverse,
     symmetric_matrix,
@@ -170,10 +168,11 @@ class FitContext:
     """The moments of one draw that the fitted indexes share.
 
     Holds a (diseased, healthy) sample pair and computes the group means,
-    their difference, the two group covariance kernels, their pooled kernel
-    and its eigensystem once each, on first use.  With fewer curves than
-    grid points (N = n_D + n_H < m) the eigensystem comes from the N x N
-    Gram matrix of the centered curves, and no m x m kernel is built.
+    their difference, the group-centered curves and the eigensystem of the
+    pooled covariance operator once each, on first use.  With N = n_D + n_H
+    >= m curves the eigensystem comes from the summed cross products of the
+    centered curves; with fewer curves than grid points it comes from their
+    N x N Gram matrix, and no m x m matrix is built.
     Construction does no work and cannot fail; a property whose inputs are
     invalid raises its typed error on every access.
     """
@@ -209,18 +208,6 @@ class FitContext:
             raise InsufficientSampleError("both groups need at least two curves")
 
     @cached_property
-    def covariances(self) -> tuple[CovarianceKernel, CovarianceKernel]:
-        """Diseased and healthy sample covariance kernels (divisor n)."""
-        self._check_sizes()
-        return sample_covariance(self.d), sample_covariance(self.h)
-
-    @cached_property
-    def pooled(self) -> CovarianceKernel:
-        """Sample-size weighted pool of the two group covariance kernels."""
-        cov_d, cov_h = self.covariances
-        return combine_covariances(cov_d, cov_h, "pooled", n_a=self.d.n, n_b=self.h.n)
-
-    @cached_property
     def basis(self) -> EigenSystem:
         """The eigenpairs of the pooled covariance operator.
 
@@ -228,17 +215,38 @@ class FitContext:
         ``total_variance`` is the sum of the clipped spectrum.  When N < m
         they are the rank-many pairs (N - 2 for curves in general position)
         of the Gram form, and ``total_variance`` is the operator's trace.
+        A trace at rounding level raises DegenerateOperatorError before any
+        eigensolve.
         """
         m = len(self.grid)  # grids are checked before sample sizes
-        if self.d.n + self.h.n >= m:
-            return eigendecompose(self.pooled, count=m)
         self._check_sizes()
+        self._check_spectrum()
+        if self.d.n + self.h.n >= m:
+            return _pooled_eigendecompose(self.grid, self._centered)
         return _gram_eigendecompose(self.grid, np.vstack(self._centered))
+
+    def _check_spectrum(self) -> None:
+        """Reject a pooled operator whose trace is no larger than centering roundoff.
+
+        Centering N curves of quadrature mean square S leaves errors of about
+        N eps sqrt(S) in each curve, so a trace (the total variance) at or
+        below (N eps)^2 S is noise: the curves are constant within each group
+        up to rounding.
+        """
+        n = self.d.n + self.h.n
+        weights = self.grid.weights
+        trace = sum(np.einsum("ij,ij->j", x, x) @ weights for x in self._centered) / n
+        # S is the trace plus the group means' share of the raw mean square
+        mean_square = trace + sum(
+            s.n * (mean.values**2 @ weights) for s, mean in zip((self.d, self.h), self._means)
+        ) / n
+        if trace <= (n * np.finfo(float).eps) ** 2 * mean_square:
+            raise DegenerateOperatorError("operator has an all-zero spectrum")
 
 
 def _check_direction_scale(diff_norm: float, ctx: FitContext) -> None:
-    scale = max(norm(ctx._means[0]), norm(ctx._means[1]), 1.0)
-    if diff_norm <= 1e-13 * scale:
+    # relative to the data's scale, so rescaling the curves cannot change the outcome
+    if diff_norm <= 1e-13 * max(norm(ctx._means[0]), norm(ctx._means[1])):
         raise DegenerateDirectionError(
             "group mean curves coincide; no discriminating direction exists"
         )

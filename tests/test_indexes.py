@@ -21,6 +21,7 @@ from funcroc import (
     apply_index,
     auc,
     choose_dimension,
+    combine_covariances,
     eigendecompose,
     fit_mean_difference,
     fit_optimal_linear,
@@ -47,6 +48,13 @@ def fourier_sample(rng, n, grid, mean_coefs, coef_sd, group):
     )
     coefs = mean_coefs + rng.standard_normal((n, k)) * coef_sd
     return FunctionalSample(grid, coefs @ basis.T, group), basis
+
+
+def pooled_kernel(d, h):
+    """The sample-size weighted pool of the two group covariance kernels."""
+    return combine_covariances(
+        sample_covariance(d), sample_covariance(h), "pooled", n_a=d.n, n_b=h.n
+    )
 
 
 class TestApplyIndex:
@@ -85,18 +93,20 @@ class TestFitContext:
         h = FunctionalSample(make_uniform_grid(12), np.zeros((3, 12)), Group.HEALTHY)
         ctx = FitContext(d, h)
         assert (ctx.d, ctx.h) == (d, h)
+        # the basis checks the grids first, so its sample-size error needs a shared grid
+        same_grid = FitContext(d, FunctionalSample(d.grid, np.zeros((3, 10)), Group.HEALTHY))
         for _ in range(2):
             with pytest.raises(GridMismatchError, match="different grids"):
                 ctx.mean_diff
             with pytest.raises(InsufficientSampleError, match="at least two curves"):
-                ctx.covariances
+                same_grid.basis
 
     def test_moments_are_computed_once_and_shared(self):
         spec = ScenarioSpec(name="P1", n_d=30, n_h=30, seed=17, rho=1.0, grid_size=25)
         ctx = FitContext(*generate_scenario(spec))
         assert ctx.basis is ctx.basis
         assert ctx.basis.count == 25
-        assert ctx.covariances[0] is ctx.covariances[0]
+        assert ctx._centered[0] is ctx._centered[0]
         quad = fit_quadratic(ctx)
         linear = fit_optimal_linear(ctx, penalty=PenaltySpec(lam=0.5))
         assert quad.basis is ctx.basis
@@ -118,7 +128,7 @@ class TestGramFormBasis:
         ctx = FitContext(*generate_scenario(spec.substream(replication)))
         m, n = spec.grid_size, spec.n_d + spec.n_h
         assert n < m
-        dual, full = ctx.basis, eigendecompose(ctx.pooled, m)
+        dual, full = ctx.basis, eigendecompose(pooled_kernel(ctx.d, ctx.h), m)
         for fraction in (0.95, 1.0):
             assert choose_dimension(dual, fraction) == choose_dimension(full, fraction)
         k = choose_dimension(full, 0.95)
@@ -156,6 +166,59 @@ class TestGramFormBasis:
         for _ in range(2):
             with pytest.raises(InsufficientSampleError, match="at least two curves"):
                 FitContext(d, h).basis
+
+
+class TestPooledBasis:
+    """With at least as many curves as grid points the basis comes from the cross products."""
+
+    DRAWS = [
+        ScenarioSpec(name="P1", n_d=30, n_h=30, seed=17, rho=1.0, grid_size=25),
+        ScenarioSpec(name="P0", n_d=30, n_h=250, seed=4242, rho=2.0, grid_size=40),
+        ScenarioSpec(name="C20", n_d=60, n_h=60, seed=5, grid_size=100),
+    ]
+
+    @pytest.mark.parametrize("spec", DRAWS, ids=lambda spec: spec.name)
+    @pytest.mark.parametrize("replication", range(2))
+    def test_matches_the_decomposition_of_the_pooled_kernel(self, spec, replication):
+        ctx = FitContext(*generate_scenario(spec.substream(replication)))
+        m = spec.grid_size
+        assert spec.n_d + spec.n_h >= m
+        basis, full = ctx.basis, eigendecompose(pooled_kernel(ctx.d, ctx.h), m)
+        assert basis.count == m
+        for fraction in (0.95, 1.0):
+            assert choose_dimension(basis, fraction) == choose_dimension(full, fraction)
+        k = choose_dimension(full, 0.95)
+        assert np.abs(basis.eigenfunctions[:, :k] - full.eigenfunctions[:, :k]).max() < 1e-10
+        assert np.abs(basis.eigenvalues - full.eigenvalues).max() <= 1e-12 * full.eigenvalues[0]
+        assert basis.total_variance == pytest.approx(full.total_variance, rel=1e-12, abs=0.0)
+
+
+class TestRoundingNoiseSpectrum:
+    """A pooled spectrum made only of centering roundoff is not fitted."""
+
+    @pytest.mark.parametrize("n", [3, 12])  # N < m (Gram form) and N >= m
+    def test_inexact_within_group_constant_curves_are_degenerate(self, n):
+        # the group means of these copies are inexact, so the centered
+        # curves hold roundoff of order 1e-16 rather than exact zeros
+        grid = make_uniform_grid(20)
+        shape = np.sin(np.pi * grid.points)
+        d = FunctionalSample(grid, np.tile(2.0 * shape, (n, 1)), Group.DISEASED)
+        h = FunctionalSample(grid, np.tile(shape, (n, 1)), Group.HEALTHY)
+        centered = np.vstack([s.values - s.values.mean(axis=0) for s in (d, h)])
+        assert np.abs(centered).max() > 0.0
+        for fit in (fit_optimal_linear, fit_quadratic):
+            with pytest.raises(DegenerateOperatorError, match="all-zero spectrum"):
+                fit(FitContext(d, h))
+
+    @pytest.mark.parametrize("n", [8, 30])
+    @pytest.mark.parametrize("scale", [1e-20, 1e20])
+    def test_rescaled_curves_fit_to_the_same_aucs(self, n, scale):
+        spec = ScenarioSpec(name="P1", n_d=n, n_h=n, seed=3, rho=1.0, grid_size=25)
+        d, h = generate_scenario(spec)
+        scaled = [FunctionalSample(s.grid, s.values * scale, s.group) for s in (d, h)]
+        fits = (fit_mean_difference, fit_optimal_linear, fit_quadratic)
+        expected = [auc(score_sample(fit(FitContext(d, h)), d, h)) for fit in fits]
+        assert [auc(score_sample(fit(FitContext(*scaled)), *scaled)) for fit in fits] == expected
 
 
 class TestFitMeanDifference:

@@ -27,6 +27,7 @@ from funcroc import (
     RunConfig,
     ScenarioSpec,
     emit_report,
+    estimation,
     generate_scenario,
     indexes,
     make_uniform_grid,
@@ -82,25 +83,29 @@ def test_fixture_covers_a_partial_quadratic_failure():
 
 
 def _count_calls(monkeypatch, name):
-    """Record every call the fitters make to the named estimation function."""
+    """Record every call to the named estimation function, from either module."""
     calls = []
-    original = getattr(indexes, name)
+    original = getattr(estimation, name)
 
     def counting(*args, **kwargs):
         calls.append(name)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(indexes, name, counting)
+    for module in (estimation, indexes):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counting)
     return calls
 
 
 def test_one_draw_decomposes_the_pooled_covariance_once(monkeypatch):
-    eigen = _count_calls(monkeypatch, "eigendecompose")
-    covariance = _count_calls(monkeypatch, "sample_covariance")
+    # 25 + 25 curves on 20 points: the pooled basis comes from the cross products
+    pooled = _count_calls(monkeypatch, "_pooled_eigendecompose")
+    kernels = [_count_calls(monkeypatch, name)
+               for name in ("sample_covariance", "combine_covariances", "eigendecompose")]
     result = run_replication(CONFIGS["P1-25+25-m20-lambda0.5"], 0)
     assert set(result.auc) == {"max", "min", "integral", "meandiff", "linear", "quad"}
-    assert len(eigen) == 1
-    assert len(covariance) == 2
+    assert len(pooled) == 1
+    assert kernels == [[], [], []]
 
 
 def test_one_draw_computes_the_group_means_once(monkeypatch):
