@@ -35,6 +35,7 @@ from .estimation import (
     choose_dimension,
     combine_covariances,
     eigendecompose,
+    pooled_eigensystem,
     project_scores,
     sample_covariance,
     sample_mean,

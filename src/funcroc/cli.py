@@ -19,7 +19,6 @@ from .harness import (
     FITTERS,
     INDEX_NAMES,
     RunConfig,
-    analyze,
     emit_report,
     ingest_curves,
     roc_export_rows,
@@ -114,7 +113,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    d, h = ingest_curves(args.input)
     config = RunConfig(
         scenario=args.input,
         indexes=_parse_indexes(args.indexes),
@@ -125,7 +123,7 @@ def _cmd_analyze(args) -> int:
         flip_orientation=args.flip,
         keep_roc=args.export_roc is not None,
     )
-    report = analyze(d, h, config)
+    report = run_study(config)
     sys.stdout.write(emit_report(report, "table-text").decode("utf-8"))
     if args.export_roc:
         with open(args.export_roc, "w", newline="", encoding="utf-8") as handle:

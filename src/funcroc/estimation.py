@@ -29,6 +29,7 @@ __all__ = [
     "sample_covariance",
     "combine_covariances",
     "eigendecompose",
+    "pooled_eigensystem",
     "choose_dimension",
     "project_scores",
 ]
@@ -163,69 +164,52 @@ def eigendecompose(kernel: CovarianceKernel, count: int) -> EigenSystem:
     if not 1 <= count <= m:
         raise ValueError("count must lie between 1 and the grid size")
     sqrt_w = np.sqrt(kernel.grid.weights)
-    return _weighted_eigensystem(
-        kernel.grid, sqrt_w[:, None] * kernel.matrix * sqrt_w[None, :], count
-    )
+    symmetrized = sqrt_w[:, None] * kernel.matrix * sqrt_w[None, :]
+    return _weighted_eigensystem(kernel.grid, (symmetrized + symmetrized.T) / 2.0, count)
 
 
-def _pooled_eigendecompose(grid: Grid, centered: tuple[np.ndarray, ...]) -> EigenSystem:
-    """All eigenpairs of the covariance operator with kernel sum_g X_g'X_g / N.
+def pooled_eigensystem(
+    grid: Grid, centered: tuple[np.ndarray, ...], means: tuple[np.ndarray, ...]
+) -> EigenSystem:
+    """Eigenpairs of the pooled covariance operator with kernel sum_g X_g'X_g / N.
 
     ``centered`` holds each group's centered curves X_g as rows, N curves in
-    all.  The groups' cross products are summed without stacking the curves
-    and scaled to the symmetrized form once, so no per-group or pooled kernel
-    is built; up to rounding, the result is ``eigendecompose`` of the pooled
-    kernel with count m.
+    all, and ``means`` the group mean curves they were centered by.  With
+    N >= m the groups' cross products are summed without stacking the
+    curves and scaled to the symmetrized form W^{1/2} K W^{1/2} once; all m
+    pairs are returned, as ``eigendecompose`` of the pooled kernel would
+    give them up to rounding.  With N < m, Z = X W^{1/2} / sqrt(N) of the
+    stacked curves has an N x N Gram matrix Z Z' that shares the operator's
+    nonzero eigenvalues, and an eigenvector u maps back to the eigenfunction
+    Z'u / (sqrt(lambda) sqrt(w)); this costs O(N^2 m) rather than O(m^3).
+    Only the pairs above N * eps * lambda_max (the operator's rank) are
+    kept, and ``total_variance`` is the trace of Z Z'.
+
+    Centering N curves of quadrature mean square S leaves errors of about
+    N eps sqrt(S) in each curve, so a trace at or below (N eps)^2 S is
+    noise: the curves are constant within each group up to rounding, and
+    DegenerateOperatorError is raised before the eigensolve.
     """
     n = sum(x.shape[0] for x in centered)
     sqrt_w = np.sqrt(grid.weights)
-    cross = sum(x.T @ x for x in centered)
-    cross *= np.outer(sqrt_w, sqrt_w / n)
-    # divide and conquer: 1.3-1.7x faster than scipy's default driver at m = 100
-    return _weighted_eigensystem(grid, cross, len(grid), driver="evd")
-
-
-def _weighted_eigensystem(
-    grid: Grid, symmetrized: np.ndarray, count: int, driver: str | None = None
-) -> EigenSystem:
-    """The ``count`` leading pairs of W^{1/2} K W^{1/2}, mapped back to eigenfunctions.
-
-    ``symmetrized`` is symmetric up to roundoff; it is symmetrized exactly
-    first.  ``driver`` picks the LAPACK eigensolver (scipy's default when
-    None).  ``total_variance`` is the sum of the whole clipped spectrum.
-    """
-    sqrt_w = np.sqrt(grid.weights)
-    symmetrized = (symmetrized + symmetrized.T) / 2.0
-    values, vectors = scipy.linalg.eigh(symmetrized, driver=driver)
-    order = np.argsort(values)[::-1]
-    values = np.clip(values[order], 0.0, None)
-    functions = np.ascontiguousarray(vectors[:, order[:count]]) / sqrt_w[:, None]
-    return EigenSystem(
-        grid=grid,
-        eigenvalues=values[:count].copy(),
-        eigenfunctions=_fix_signs(functions),
-        total_variance=float(values.sum()),
-    )
-
-
-def _gram_eigendecompose(grid: Grid, centered: np.ndarray) -> EigenSystem:
-    """Eigenpairs of the covariance operator with kernel X'X / N, via X's Gram matrix.
-
-    ``centered`` holds N centered curves X as rows.  With Z = X W^{1/2} / sqrt(N),
-    the symmetrized m x m problem Z'Z shares its nonzero eigenvalues with
-    the N x N matrix Z Z', and an eigenvector u of Z Z' maps back to the
-    eigenfunction Z'u / (sqrt(lambda) sqrt(w)).  This costs O(N^2 m) rather
-    than O(m^3), so it is the cheaper route when N < m.  Only the pairs
-    above N * eps * lambda_max are kept (the operator's rank); their signs
-    are fixed as in ``eigendecompose``, and ``total_variance`` is the trace
-    of Z Z'.
-    """
-    n = centered.shape[0]
-    sqrt_w = np.sqrt(grid.weights)
-    scaled = centered * (sqrt_w / np.sqrt(n))
-    gram = scaled @ scaled.T
-    gram = (gram + gram.T) / 2.0
-    values, vectors = scipy.linalg.eigh(gram)
+    full = n >= len(grid)
+    if full:
+        matrix = sum(x.T @ x for x in centered)
+        matrix *= np.outer(sqrt_w, sqrt_w / n)
+    else:
+        scaled = np.vstack(centered) * (sqrt_w / np.sqrt(n))
+        matrix = scaled @ scaled.T
+    matrix = (matrix + matrix.T) / 2.0
+    trace = float(np.trace(matrix))
+    # S is the trace plus the group means' share of the raw mean square
+    mean_square = trace + sum(
+        x.shape[0] * (mean**2 @ grid.weights) for x, mean in zip(centered, means)
+    ) / n
+    if trace <= (n * np.finfo(float).eps) ** 2 * mean_square:
+        raise DegenerateOperatorError("operator has an all-zero spectrum")
+    if full:
+        return _weighted_eigensystem(grid, matrix, len(grid))
+    values, vectors = scipy.linalg.eigh(matrix)
     values, vectors = values[::-1], vectors[:, ::-1]
     count = int(np.count_nonzero(values > n * np.finfo(float).eps * max(values[0], 0.0)))
     values = values[:count].copy()
@@ -234,7 +218,27 @@ def _gram_eigendecompose(grid: Grid, centered: np.ndarray) -> EigenSystem:
         grid=grid,
         eigenvalues=values,
         eigenfunctions=_fix_signs(functions),
-        total_variance=float(np.trace(gram)),
+        total_variance=trace,
+    )
+
+
+def _weighted_eigensystem(grid: Grid, symmetrized: np.ndarray, count: int) -> EigenSystem:
+    """The ``count`` leading pairs of W^{1/2} K W^{1/2}, mapped back to eigenfunctions.
+
+    ``symmetrized`` must be exactly symmetric.  ``total_variance`` is the sum
+    of the whole clipped spectrum.
+    """
+    sqrt_w = np.sqrt(grid.weights)
+    # divide and conquer: 1.3-1.7x faster than scipy's default driver at m = 100
+    values, vectors = scipy.linalg.eigh(symmetrized, driver="evd")
+    order = np.argsort(values)[::-1]
+    values = np.clip(values[order], 0.0, None)
+    functions = np.ascontiguousarray(vectors[:, order[:count]]) / sqrt_w[:, None]
+    return EigenSystem(
+        grid=grid,
+        eigenvalues=values[:count].copy(),
+        eigenfunctions=_fix_signs(functions),
+        total_variance=float(values.sum()),
     )
 
 

@@ -347,7 +347,8 @@ def _decoding_error(path: Path) -> CurveParseError:
     The streaming decoder works in chunks, so the offset it reports is
     relative to a chunk and the rows before the bad byte in that chunk are
     still unread.  Decode the raw bytes again to find the first invalid
-    byte, and read the complete lines before it, whose errors come first.
+    byte, counted from the file's first byte (a byte-order mark is three),
+    and read the complete lines before it, whose errors come first.
     """
     raw = path.read_bytes()
     try:
@@ -359,7 +360,7 @@ def _decoding_error(path: Path) -> CurveParseError:
     before = raw[:offset]
     complete = before[: max(before.rfind(b"\n"), before.rfind(b"\r")) + 1]
     try:
-        _read_curves(io.StringIO(complete.decode("utf-8"), newline=""))
+        _read_curves(io.StringIO(complete.decode("utf-8-sig"), newline=""))
     except CurveParseError as error:
         return error
     # csv counts a CRLF pair as one line ending
@@ -373,12 +374,13 @@ def ingest_curves(path) -> tuple[FunctionalSample, FunctionalSample]:
     Format: a header ``label,t1,...,tm`` giving the grid abscissae, then one
     row per subject holding a group label (``D`` or ``H``) followed by m
     values.  Both groups must be present; all rows share the header grid.
-    The file is read in one streaming pass, and the first error in file
-    order is raised as ``CurveParseError``.
+    A leading UTF-8 byte-order mark is skipped.  The file is read in one
+    streaming pass, and the first error in file order is raised as
+    ``CurveParseError``.
     """
     path = Path(path)
     try:
-        with open(path, encoding="utf-8", newline="") as handle:
+        with open(path, encoding="utf-8-sig", newline="") as handle:
             parsed = _read_curves(handle)
     except OSError as exc:
         raise CurveParseError(f"cannot read {path}: {exc}") from exc

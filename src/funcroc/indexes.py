@@ -22,17 +22,15 @@ import scipy.linalg
 
 from .errors import (
     DegenerateDirectionError,
-    DegenerateOperatorError,
     GridMismatchError,
     InsufficientSampleError,
     SingularCovarianceError,
     SingularSystemError,
 )
 from .estimation import (
-    _gram_eigendecompose,
-    _pooled_eigendecompose,
     EigenSystem,
     choose_dimension,
+    pooled_eigensystem,
     project_scores,
     sample_mean,
     spd_inverse,
@@ -169,10 +167,8 @@ class FitContext:
 
     Holds a (diseased, healthy) sample pair and computes the group means,
     their difference, the group-centered curves and the eigensystem of the
-    pooled covariance operator once each, on first use.  With N = n_D + n_H
-    >= m curves the eigensystem comes from the summed cross products of the
-    centered curves; with fewer curves than grid points it comes from their
-    N x N Gram matrix, and no m x m matrix is built.
+    pooled covariance operator once each, on first use; the eigensystem is
+    ``pooled_eigensystem`` of the centered curves.
     Construction does no work and cannot fail; a property whose inputs are
     invalid raises its typed error on every access.
     """
@@ -203,45 +199,13 @@ class FitContext:
         """Diseased minus healthy mean curve."""
         return Curve(self.grid, self._means[0].values - self._means[1].values)
 
-    def _check_sizes(self) -> None:
-        if self.d.n < 2 or self.h.n < 2:
-            raise InsufficientSampleError("both groups need at least two curves")
-
     @cached_property
     def basis(self) -> EigenSystem:
-        """The eigenpairs of the pooled covariance operator.
-
-        When N >= m these are all m pairs of the pooled kernel, and
-        ``total_variance`` is the sum of the clipped spectrum.  When N < m
-        they are the rank-many pairs (N - 2 for curves in general position)
-        of the Gram form, and ``total_variance`` is the operator's trace.
-        A trace at rounding level raises DegenerateOperatorError before any
-        eigensolve.
-        """
-        m = len(self.grid)  # grids are checked before sample sizes
-        self._check_sizes()
-        self._check_spectrum()
-        if self.d.n + self.h.n >= m:
-            return _pooled_eigendecompose(self.grid, self._centered)
-        return _gram_eigendecompose(self.grid, np.vstack(self._centered))
-
-    def _check_spectrum(self) -> None:
-        """Reject a pooled operator whose trace is no larger than centering roundoff.
-
-        Centering N curves of quadrature mean square S leaves errors of about
-        N eps sqrt(S) in each curve, so a trace (the total variance) at or
-        below (N eps)^2 S is noise: the curves are constant within each group
-        up to rounding.
-        """
-        n = self.d.n + self.h.n
-        weights = self.grid.weights
-        trace = sum(np.einsum("ij,ij->j", x, x) @ weights for x in self._centered) / n
-        # S is the trace plus the group means' share of the raw mean square
-        mean_square = trace + sum(
-            s.n * (mean.values**2 @ weights) for s, mean in zip((self.d, self.h), self._means)
-        ) / n
-        if trace <= (n * np.finfo(float).eps) ** 2 * mean_square:
-            raise DegenerateOperatorError("operator has an all-zero spectrum")
+        """The pooled covariance operator's eigenpairs; see ``pooled_eigensystem``."""
+        grid = self.grid  # grids are checked before sample sizes
+        if self.d.n < 2 or self.h.n < 2:
+            raise InsufficientSampleError("both groups need at least two curves")
+        return pooled_eigensystem(grid, self._centered, tuple(mean.values for mean in self._means))
 
 
 def _check_direction_scale(diff_norm: float, ctx: FitContext) -> None:

@@ -4,7 +4,20 @@ import json
 import numpy as np
 import pytest
 
+from funcroc import FuncrocError, NumericalDegeneracyError
 from funcroc.cli import main
+from funcroc.harness import FITTERS
+
+
+def _error_classes(base=FuncrocError):
+    """``base`` and every class below it, parents before children."""
+    classes = [base]
+    for child in base.__subclasses__():
+        classes.extend(_error_classes(child))
+    return classes
+
+
+ERROR_CLASSES = _error_classes()
 
 
 @pytest.fixture
@@ -133,3 +146,24 @@ class TestRocCommand:
                      "--out", str(tmp_path / "out.csv")])
         assert code == 3
         assert "error" in capsys.readouterr().err
+
+
+class TestExitCodes:
+    def test_the_table_holds_both_kinds_of_error(self):
+        assert {NumericalDegeneracyError, FuncrocError} <= set(ERROR_CLASSES)
+        assert len(ERROR_CLASSES) == len(set(ERROR_CLASSES)) >= 12
+
+    @pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+    def test_each_library_error_maps_to_its_exit_code(
+        self, error, curve_file, tmp_path, monkeypatch, capsys
+    ):
+        exc = error("injected failure")
+
+        def failing(ctx, config):
+            raise exc
+
+        monkeypatch.setitem(FITTERS, "max", failing)
+        code = main(["roc", "--input", str(curve_file), "--index", "max",
+                     "--out", str(tmp_path / "roc.csv")])
+        assert code == (3 if issubclass(error, NumericalDegeneracyError) else 2)
+        assert capsys.readouterr().err == f"error: {exc}\n"

@@ -189,7 +189,7 @@ class TestEigendecompose:
         # reference: the symmetrized eigh, then one sign decision per column
         sqrt_w = np.sqrt(s.grid.weights)
         symmetrized = sqrt_w[:, None] * kernel.matrix * sqrt_w[None, :]
-        values, vectors = scipy.linalg.eigh((symmetrized + symmetrized.T) / 2.0)
+        values, vectors = scipy.linalg.eigh((symmetrized + symmetrized.T) / 2.0, driver="evd")
         functions = vectors[:, np.argsort(values)[::-1]] / sqrt_w[:, None]
         for ell in range(count):
             column = functions[:, ell]

@@ -217,6 +217,21 @@ class TestAnalyze:
             assert len(sequences) == 1
             assert len(sequences[0]) == 101
 
+    def test_file_config_study_is_the_analysis_of_the_ingested_file(self, tmp_path):
+        from funcroc import generate_scenario
+
+        d, h = generate_scenario(small_scenario())
+        path = tmp_path / "curves.csv"
+        write_curve_file(path, d.grid.points, [("D", row) for row in d.values]
+                         + [("H", row) for row in h.values])
+        config = RunConfig(scenario=path, reps=1, penalty_lambda=0.5, keep_roc=True)
+        expected = analyze(*ingest_curves(path), config)
+        report = run_study(config)
+        assert report.replications == 1 and set(report.per_index) == set(config.indexes)
+        assert dataclasses.replace(report, elapsed_seconds=0.0) == dataclasses.replace(
+            expected, elapsed_seconds=0.0
+        )
+
     def test_roc_export_labels_rows_with_the_report_p_grid(self):
         from funcroc import generate_scenario
 

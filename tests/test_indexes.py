@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from funcroc import (
+    FITTERS,
+    INDEX_NAMES,
     Curve,
     DegenerateDirectionError,
     DegenerateOperatorError,
@@ -17,7 +19,10 @@ from funcroc import (
     PenaltySpec,
     ProcessSpec,
     QuadraticIndex,
+    RunConfig,
     ScenarioSpec,
+    SingularSystemError,
+    analyze,
     apply_index,
     auc,
     choose_dimension,
@@ -31,6 +36,7 @@ from funcroc import (
     inner_product,
     make_uniform_grid,
     norm,
+    pooled_eigensystem,
     project_scores,
     quadratic_population,
     sample_covariance,
@@ -210,6 +216,17 @@ class TestRoundingNoiseSpectrum:
             with pytest.raises(DegenerateOperatorError, match="all-zero spectrum"):
                 fit(FitContext(d, h))
 
+    @pytest.mark.parametrize("n", [3, 12])  # N < m (Gram form) and N >= m
+    def test_pooled_eigensystem_rejects_noise_before_the_eigensolve(self, n):
+        grid = make_uniform_grid(20)
+        shape = np.sin(np.pi * grid.points)
+        noise = np.full((n, 20), 1e-17)
+        with pytest.raises(DegenerateOperatorError, match="all-zero spectrum"):
+            pooled_eigensystem(grid, (noise, -noise), (2.0 * shape, shape))
+        # the floor is relative: the same spread around means of its own size is signal
+        basis = pooled_eigensystem(grid, (noise, -noise), (1e-17 * shape, 0.0 * shape))
+        assert basis.total_variance > 0.0
+
     @pytest.mark.parametrize("n", [8, 30])
     @pytest.mark.parametrize("scale", [1e-20, 1e20])
     def test_rescaled_curves_fit_to_the_same_aucs(self, n, scale):
@@ -354,6 +371,26 @@ class TestFitOptimalLinear:
         d, h = generate_scenario(spec)
         with pytest.raises(ValueError):
             fit_optimal_linear(FitContext(d, h), penalty=PenaltySpec(lam=0.1, matrix=np.eye(2)))
+
+    def test_indefinite_penalized_system_is_singular_and_isolated(self, monkeypatch):
+        spec = ScenarioSpec(name="P1", n_d=40, n_h=40, seed=15, rho=1.0, grid_size=40)
+        d, h = generate_scenario(spec)
+        k = choose_dimension(FitContext(d, h).basis, 0.95)
+        # these Brownian scores have variances below 1, so G - I is negative definite
+        penalty = PenaltySpec(lam=1.0, matrix=-np.eye(k))
+        with pytest.raises(SingularSystemError, match="projected covariance system is singular"):
+            fit_optimal_linear(FitContext(d, h), penalty=penalty)
+        monkeypatch.setitem(
+            FITTERS, "linear", lambda ctx, config: fit_optimal_linear(ctx, penalty=penalty)
+        )
+        report = analyze(d, h, RunConfig(scenario="curves.csv", reps=1))
+        assert report.per_index["linear"]["n_ok"] == 0
+        assert report.per_index["linear"]["error"].startswith(
+            "SingularSystemError: projected covariance system is singular"
+        )
+        for name in INDEX_NAMES:
+            if name != "linear":
+                assert report.per_index[name]["n_ok"] == 1, name
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf, -0.1])
     def test_penalty_weight_must_be_finite_and_nonnegative(self, lam):

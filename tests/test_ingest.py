@@ -3,9 +3,9 @@
 The corpus pins, file by file, what ``ingest_curves`` returns or raises:
 the parsed arrays, or the exact error message and line.  Invalid UTF-8
 and a field over csv's size limit raise ``CurveParseError`` naming the
-first such byte or line; every other outcome is the one the earlier
-whole-file parser gave, so streaming the file changed no accepted value,
-no message and no line number.
+first such byte or line, and a leading byte-order mark is skipped; every
+other outcome is the one the earlier whole-file parser gave, so streaming
+the file changed no accepted value, no message and no line number.
 """
 
 import random
@@ -30,6 +30,10 @@ ACCEPTED = {
         b'label, 0.5 ,"1.0"\nD," 1.5 ",1_000\n"H",\t2\t,"3"\n d ,-0.0,+.5\n',
         ([[1.5, 1000.0], [-0.0, 0.5]], [[2.0, 3.0]]),
     ),
+    # a spreadsheet "CSV UTF-8" export: the mark is skipped
+    "leading-byte-order-mark": (
+        b"\xef\xbb\xbflabel,0.5,1.0\nD,1,2\nH,3,4\n", ([[1.0, 2.0]], [[3.0, 4.0]])
+    ),
     "sum-overflows-but-every-cell-is-finite": (
         b"label,0.5,1.0\nD,1e308,1e308\nH,-1e308,-1e308\nH,1e308,-1e308\n",
         ([[1e308, 1e308]], [[-1e308, -1e308], [1e308, -1e308]]),
@@ -40,9 +44,6 @@ ACCEPTED = {
 REJECTED = {
     "empty-file": (b"", "file is empty", 1),
     "blank-lines-only": (b"\n\r\n\n", "file is empty", 1),
-    "leading-byte-order-mark": (
-        "﻿label,0.5,1.0\nD,1,2\nH,3,4\n".encode("utf-8"), HEADER_ERROR, 1
-    ),
     "header-after-blank-lines": (b"\n\ntime,0.5,1.0\nD,1,2\n", HEADER_ERROR, 3),
     "one-grid-point": (b"label,0.5\nD,1\nH,2\n", HEADER_ERROR, 1),
     "unsorted-grid": (
@@ -93,6 +94,11 @@ REJECTED = {
     ),
     "invalid-utf8-after-crlf-and-cr": (
         b"label,0.5,1.0\r\nD,1,2\rH,\x80,4\r\n", "invalid UTF-8 at byte offset 23", 3
+    ),
+    "byte-order-mark-then-invalid-utf8": (
+        b"\xef\xbb\xbf" + HEADER.encode() + b"\nD,1,2\nH,3,\xff4\n",
+        "invalid UTF-8 at byte offset 27",
+        3,
     ),
     "bad-row-before-invalid-utf8": (
         HEADER.encode() + b"\nD,1\nH,3,\xff\n", "expected 3 cells, found 2", 2

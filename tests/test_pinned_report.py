@@ -98,13 +98,17 @@ def _count_calls(monkeypatch, name):
 
 
 def test_one_draw_decomposes_the_pooled_covariance_once(monkeypatch):
-    # 25 + 25 curves on 20 points: the pooled basis comes from the cross products
-    pooled = _count_calls(monkeypatch, "_pooled_eigendecompose")
+    # 25 + 25 curves on 20 points solve the pooled kernel, 20 + 20 on 100 its Gram form
+    pooled = _count_calls(monkeypatch, "pooled_eigensystem")
     kernels = [_count_calls(monkeypatch, name)
                for name in ("sample_covariance", "combine_covariances", "eigendecompose")]
-    result = run_replication(CONFIGS["P1-25+25-m20-lambda0.5"], 0)
-    assert set(result.auc) == {"max", "min", "integral", "meandiff", "linear", "quad"}
-    assert len(pooled) == 1
+    wide = RunConfig(scenario=ScenarioSpec(name="D20", n_d=20, n_h=20, seed=9, grid_size=100),
+                     reps=1, penalty_lambda=0.5)
+    for config in (CONFIGS["P1-25+25-m20-lambda0.5"], wide):
+        pooled.clear()
+        result = run_replication(config, 0)
+        assert set(result.auc) == {"max", "min", "integral", "meandiff", "linear", "quad"}
+        assert len(pooled) == 1
     assert kernels == [[], [], []]
 
 
