@@ -4,6 +4,10 @@ Three subcommands: ``simulate`` runs a Monte Carlo study of a catalog
 scenario, ``analyze`` evaluates all indexes on a curve file, and ``roc``
 writes the sampled ROC curve of one index fitted on a curve file.
 
+Each option stores under the name of the ``ScenarioSpec`` or ``RunConfig``
+field it sets, and an option left out is not stored at all, so the
+dataclass default applies: study defaults are declared there, not here.
+
 Exit codes: 0 on success, 2 on configuration or parse errors, 3 on
 numerical degeneracy.
 """
@@ -13,8 +17,9 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import fields
 
-from .errors import CurveParseError, FuncrocError, NumericalDegeneracyError
+from .errors import FuncrocError, NumericalDegeneracyError
 from .harness import (
     FITTERS,
     INDEX_NAMES,
@@ -38,138 +43,105 @@ def _parse_indexes(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
+# Every option, declared once.  ``dest`` is the field the option sets and
+# ``metavar`` the name the flag itself gives.  Each subcommand lists its
+# options in its own order; argparse parent parsers would put theirs first.
+_OPTIONS = {
+    "--scenario": dict(dest="name", required=True, choices=SCENARIO_NAMES),
+    "--rho": dict(type=float, help="covariance ratio (P0/P1 only)"),
+    "--process": dict(choices=("brownian", "expvar"), help="base process for P0/P1"),
+    "--nd": dict(dest="n_d", metavar="ND", type=int, required=True, help="diseased sample size"),
+    "--nh": dict(dest="n_h", metavar="NH", type=int, required=True, help="healthy sample size"),
+    "--reps": dict(type=int),
+    "--seed": dict(type=int, required=True),
+    "--grid-size": dict(type=int),
+    "--input": dict(dest="scenario", metavar="INPUT", required=True, help="curve file"),
+    "--index": dict(required=True, choices=INDEX_NAMES),
+    "--indexes": dict(type=_parse_indexes, help="comma-separated index names"),
+    "--var-fraction": dict(type=float),
+    "--lambda": dict(dest="penalty_lambda", type=float),
+    "--ridge": dict(type=float),
+    "--flip": dict(dest="flip_orientation", action="store_true",
+                   help="report 1-AUC with swapped groups when AUC < 0.5"),
+    "--p-grid-size": dict(type=int),
+    "--export-roc": dict(help="write per-index ROC samples to this CSV"),
+    "--out": dict(help="write the output here (.json selects a JSON report)"),
+}
+_FIT_OPTIONS = ("--indexes", "--var-fraction", "--lambda", "--ridge", "--flip")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="funcroc",
-        description="ROC analysis of functional biomarkers",
-    )
+    parser = argparse.ArgumentParser(prog="funcroc",
+                                     description="ROC analysis of functional biomarkers")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run a Monte Carlo study of a catalog scenario")
-    sim.add_argument("--scenario", required=True, choices=SCENARIO_NAMES)
-    sim.add_argument("--rho", type=float, default=None,
-                     help="covariance ratio (P0/P1 only)")
-    sim.add_argument("--process", choices=("brownian", "expvar"), default=None,
-                     help="base process for P0/P1")
-    sim.add_argument("--nd", type=int, required=True, help="diseased sample size")
-    sim.add_argument("--nh", type=int, required=True, help="healthy sample size")
-    sim.add_argument("--reps", type=int, default=200)
-    sim.add_argument("--seed", type=int, required=True)
-    sim.add_argument("--grid-size", type=int, default=100)
-    sim.add_argument("--indexes", default=",".join(INDEX_NAMES))
-    sim.add_argument("--var-fraction", type=float, default=0.95)
-    sim.add_argument("--lambda", dest="penalty_lambda", type=float, default=0.0)
-    sim.add_argument("--ridge", type=float, default=0.0)
-    sim.add_argument("--flip", action="store_true",
-                     help="report 1-AUC with swapped groups when AUC < 0.5")
-    sim.add_argument("--out", default=None,
-                     help="write the report here (.json selects JSON)")
+    def command(name, run, help, *flags, required=()):
+        cmd = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        for flag in flags:
+            options = _OPTIONS[flag]
+            cmd.add_argument(flag, **dict(options, required=True) if flag in required else options)
+        cmd.set_defaults(run=run)
+        return cmd
 
-    ana = sub.add_parser("analyze", help="evaluate indexes on a curve file")
-    ana.add_argument("--input", required=True)
-    ana.add_argument("--indexes", default=",".join(INDEX_NAMES))
-    ana.add_argument("--var-fraction", type=float, default=0.95)
-    ana.add_argument("--lambda", dest="penalty_lambda", type=float, default=0.0)
-    ana.add_argument("--ridge", type=float, default=0.0)
-    ana.add_argument("--flip", action="store_true")
-    ana.add_argument("--export-roc", default=None,
-                     help="write per-index ROC samples to this CSV")
-    ana.add_argument("--out", default=None)
-
-    roc = sub.add_parser("roc", help="write one index's sampled ROC curve")
-    roc.add_argument("--input", required=True)
-    roc.add_argument("--index", required=True, choices=INDEX_NAMES)
-    roc.add_argument("--out", required=True)
-    roc.add_argument("--var-fraction", type=float, default=0.95)
-    roc.add_argument("--ridge", type=float, default=0.0)
-    roc.add_argument("--p-grid-size", type=int, default=101)
+    command("simulate", _study, "run a Monte Carlo study of a catalog scenario",
+            "--scenario", "--rho", "--process", "--nd", "--nh", "--reps", "--seed",
+            "--grid-size", *_FIT_OPTIONS, "--out")
+    command("analyze", _study, "evaluate indexes on a curve file",
+            "--input", *_FIT_OPTIONS, "--export-roc", "--out").set_defaults(reps=1)
+    command("roc", _roc, "write one index's sampled ROC curve",
+            "--input", "--index", "--out", "--var-fraction", "--ridge", "--p-grid-size",
+            required=("--out",))
     return parser
 
 
-def _cmd_simulate(args) -> int:
-    spec = ScenarioSpec(
-        name=args.scenario,
-        n_d=args.nd,
-        n_h=args.nh,
-        seed=args.seed,
-        rho=args.rho,
-        process=args.process,
-        grid_size=args.grid_size,
-    )
-    config = RunConfig(
-        scenario=spec,
-        indexes=_parse_indexes(args.indexes),
-        reps=args.reps,
-        var_fraction=args.var_fraction,
-        penalty_lambda=args.penalty_lambda,
-        ridge=args.ridge,
-        flip_orientation=args.flip,
-    )
-    report = run_study(config)
-    sys.stdout.write(emit_report(report, "table-text").decode("utf-8"))
-    if args.out:
-        write_report(report, args.out)
-    return 0
+def _fields_of(cls, values: dict) -> dict:
+    """The given options that name a field of the dataclass ``cls``."""
+    return {f.name: values[f.name] for f in fields(cls) if f.name in values}
 
 
-def _cmd_analyze(args) -> int:
-    config = RunConfig(
-        scenario=args.input,
-        indexes=_parse_indexes(args.indexes),
-        reps=1,
-        var_fraction=args.var_fraction,
-        penalty_lambda=args.penalty_lambda,
-        ridge=args.ridge,
-        flip_orientation=args.flip,
-        keep_roc=args.export_roc is not None,
-    )
-    report = run_study(config)
-    sys.stdout.write(emit_report(report, "table-text").decode("utf-8"))
-    if args.export_roc:
-        with open(args.export_roc, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["index", "p", "roc"])
-            writer.writerows(roc_export_rows(report))
-    if args.out:
-        write_report(report, args.out)
-    return 0
-
-
-def _cmd_roc(args) -> int:
-    d, h = ingest_curves(args.input)
-    config = RunConfig(
-        scenario=args.input,
-        var_fraction=args.var_fraction,
-        ridge=args.ridge,
-        p_grid_size=args.p_grid_size,
-    )
-    index = FITTERS[args.index](FitContext(d, h), config)
-    summary = roc_curve(score_sample(index, d, h), default_p_grid(config.p_grid_size))
-    with open(args.out, "w", newline="", encoding="utf-8") as handle:
+def _write_csv(path, header: list[str], rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["p", "roc"])
-        for p, value in zip(summary.p_grid, summary.roc_values):
-            writer.writerow([f"{p:.6f}", f"{value:.6f}"])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _study(values: dict) -> int:
+    """``simulate`` (a catalog scenario) and ``analyze`` (a curve file)."""
+    if "scenario" not in values:
+        values["scenario"] = ScenarioSpec(**_fields_of(ScenarioSpec, values))
+    export_roc = values.get("export_roc")
+    report = run_study(RunConfig(**_fields_of(RunConfig, values), keep_roc=export_roc is not None))
+    sys.stdout.write(emit_report(report, "table-text").decode("utf-8"))
+    if export_roc:
+        _write_csv(export_roc, ["index", "p", "roc"], roc_export_rows(report))
+    if values.get("out"):
+        write_report(report, values["out"])
+    return 0
+
+
+def _roc(values: dict) -> int:
+    d, h = ingest_curves(values["scenario"])
+    config = RunConfig(**_fields_of(RunConfig, values))
+    index = FITTERS[values["index"]](FitContext(d, h), config)
+    summary = roc_curve(score_sample(index, d, h), default_p_grid(config.p_grid_size))
+    rows = zip(summary.p_grid, summary.roc_values)
+    _write_csv(values["out"], ["p", "roc"], ([f"{p:.6f}", f"{value:.6f}"] for p, value in rows))
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors, matching our config code
         return int(exc.code or 0)
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        return _cmd_roc(args)
+        return args.run(vars(args))
     except NumericalDegeneracyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (CurveParseError, FuncrocError, ValueError, OSError) as exc:
+    except (FuncrocError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

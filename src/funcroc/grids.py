@@ -80,6 +80,8 @@ class Grid:
     def from_points(cls, points) -> "Grid":
         """Build a grid with composite-trapezoid weights for the given points."""
         points = np.asarray(points, dtype=float)
+        if points.ndim != 1 or points.size < 2:
+            raise ValueError("grid needs at least two points")
         gaps = np.diff(points)
         weights = np.empty_like(points)
         weights[0] = gaps[0] / 2.0

@@ -140,10 +140,14 @@ def youden(s: ScoreSample) -> tuple[float, float]:
     threshold is returned on ties.
     """
     ordered_d, ordered_h = s._sorted
-    candidates = np.unique(np.concatenate([ordered_d, ordered_h]))
-    gaps = _cdf(ordered_h, candidates) - _cdf(ordered_d, candidates)
+    # Only healthy scores need testing.  At a score held by diseased scores
+    # alone, F_H keeps its value at the next lower score while F_D grows, so
+    # the gap is strictly below the gap there, or below zero if no score is
+    # lower; the gap at the largest healthy score is nonnegative.  So the
+    # maximum and its smallest threshold always fall on a healthy score.
+    gaps = _cdf(ordered_h, ordered_h) - _cdf(ordered_d, ordered_h)
     best = int(np.argmax(gaps))
-    return float(gaps[best]), float(candidates[best])
+    return float(gaps[best]), float(ordered_h[best])
 
 
 def roc_curve(s: ScoreSample, p_grid: np.ndarray | None = None) -> RocSummary:

@@ -12,6 +12,7 @@ so replications are order independent.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -62,19 +63,19 @@ class ProcessSpec:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown process kind: {self.kind!r}")
         if self.kind in ("exp_variogram", "ornstein_uhlenbeck"):
-            if self.theta is None or self.theta <= 0:
+            if self.theta is None or not 0 < self.theta < math.inf:
                 raise ValueError(f"{self.kind} requires theta > 0")
         elif self.theta is not None:
             raise ValueError(f"{self.kind} takes no theta parameter")
         if self.kind == "finite_rank":
             if self.lambdas is None or len(self.lambdas) == 0:
                 raise ValueError("finite_rank requires component variances")
-            if any(lam <= 0 for lam in self.lambdas):
+            if not all(0 < lam < math.inf for lam in self.lambdas):
                 raise ValueError("component variances must be positive")
             object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
         elif self.lambdas is not None:
             raise ValueError(f"{self.kind} takes no component variances")
-        if self.scale <= 0:
+        if not 0 < self.scale < math.inf:
             raise ValueError("scale must be positive")
         if not math.isfinite(self.mean_amplitude):
             raise ValueError("mean amplitude must be finite")
@@ -210,14 +211,17 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.name not in SCENARIO_NAMES:
             raise ValueError(f"unknown scenario: {self.name!r}")
+        for name in ("n_d", "n_h", "grid_size", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer")
+            object.__setattr__(self, name, int(value))
         if self.n_d < 1 or self.n_h < 1:
             raise ValueError("sample sizes must be positive")
         if self.grid_size < 2:
             raise ValueError("grid size must be at least 2")
-        if not isinstance(self.seed, int):
-            raise ValueError("seed must be an integer")
         if self.name in _PROP_NAMES:
-            if self.rho is None or self.rho <= 0:
+            if self.rho is None or not 0 < self.rho < math.inf:
                 raise ValueError(f"{self.name} requires rho > 0")
             if self.name == "P0" and self.rho == 1.0:
                 raise ValueError(

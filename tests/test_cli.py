@@ -6,7 +6,8 @@ import pytest
 
 from funcroc import FuncrocError, NumericalDegeneracyError
 from funcroc.cli import main
-from funcroc.harness import FITTERS
+from funcroc.harness import FITTERS, RunConfig, _config_echo
+from funcroc.simulation import ScenarioSpec
 
 
 def _error_classes(base=FuncrocError):
@@ -85,6 +86,22 @@ class TestSimulateCommand:
         assert code == 2
         assert "at least one index" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rho", ["nan", "inf"])
+    def test_non_finite_rho_exits_with_two(self, rho, capsys):
+        code = main(["simulate", "--scenario", "P1", "--rho", rho, "--nd", "10", "--nh", "10",
+                     "--reps", "1", "--seed", "7"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: P1 requires rho > 0\n"
+
+    def test_omitted_options_take_the_dataclass_defaults(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = main(["simulate", "--scenario", "C20", "--nd", "5", "--nh", "6", "--seed", "2",
+                     "--out", str(out)])
+        assert code == 0
+        capsys.readouterr()
+        expected = _config_echo(RunConfig(scenario=ScenarioSpec("C20", n_d=5, n_h=6, seed=2)))
+        assert json.loads(out.read_text())["config"] == expected
+
     def test_usage_error_exits_with_two(self, capsys):
         code = main(["simulate", "--scenario", "NOPE", "--nd", "5", "--nh", "5",
                      "--seed", "1"])
@@ -108,6 +125,14 @@ class TestAnalyzeCommand:
         for name, _, _ in rows[1:]:
             by_index[name] = by_index.get(name, 0) + 1
         assert by_index == {"max": 101, "integral": 101}
+
+    def test_omitted_options_take_the_dataclass_defaults(self, curve_file, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--input", str(curve_file), "--out", str(out)]) == 0
+        capsys.readouterr()
+        # an analysis is one pass, so it echoes reps 1 in place of the study default
+        expected = _config_echo(RunConfig(scenario=str(curve_file), reps=1))
+        assert json.loads(out.read_text())["config"] == expected
 
     def test_missing_file_exits_with_two(self, tmp_path):
         code = main(["analyze", "--input", str(tmp_path / "nothing.csv")])
@@ -136,6 +161,15 @@ class TestRocCommand:
         values = np.array([[float(a), float(b)] for a, b in rows[1:]])
         assert values[0, 0] == 0.0 and values[-1, 0] == 1.0
         assert np.all(np.diff(values[:, 1]) >= 0)
+
+    def test_default_probability_grid_has_101_points(self, curve_file, tmp_path):
+        out = tmp_path / "roc.csv"
+        assert main(["roc", "--input", str(curve_file), "--index", "quad", "--out", str(out)]) == 0
+        with open(out, newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == ["p", "roc"]
+        assert len(rows) == 102
+        assert rows[1][0] == "0.000000" and rows[51][0] == "0.500000" and rows[-1][0] == "1.000000"
 
     def test_degenerate_direction_exits_with_three(self, tmp_path, capsys):
         # identical groups leave the mean-difference rule undefined

@@ -44,6 +44,11 @@ class TestGridValidation:
         with pytest.raises(ValueError):
             Grid.from_points([0.1, 0.3, 0.2])
 
+    @pytest.mark.parametrize("points", [[], [0.5], [[0.2, 0.4], [0.6, 0.8]]])
+    def test_from_points_rejects_fewer_than_two_points_or_a_matrix(self, points):
+        with pytest.raises(ValueError, match="grid needs at least two points"):
+            Grid.from_points(points)
+
     def test_rejects_points_outside_unit_interval(self):
         with pytest.raises(ValueError):
             Grid.from_points([0.5, 1.5])

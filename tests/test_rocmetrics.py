@@ -164,6 +164,22 @@ class TestYouden:
         ]
         assert value == pytest.approx(max(gaps), abs=1e-12)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_the_all_scores_candidate_rule(self, seed):
+        # the reference tests every distinct score of either group; youden
+        # reads the healthy scores only and must agree to the bit
+        rng = np.random.default_rng(900 + seed)
+        for _ in range(100):
+            n_d, n_h = rng.integers(1, 41, size=2)
+            if rng.random() < 0.5:  # tie-heavy integer scores
+                d, h = rng.integers(0, 5, n_d) * 1.0, rng.integers(0, 5, n_h) * 1.0
+            else:
+                d, h = rng.normal(0.3, 1.0, n_d), rng.normal(0.0, 1.0, n_h)
+            candidates = np.unique(np.concatenate([d, h]))
+            gaps = ecdf(h, candidates) - ecdf(d, candidates)
+            best = int(np.argmax(gaps))
+            assert youden(ScoreSample(d, h)) == (float(gaps[best]), float(candidates[best]))
+
     @pytest.mark.parametrize("seed", range(8))
     def test_value_within_unit_interval(self, seed):
         rng = np.random.default_rng(300 + seed)

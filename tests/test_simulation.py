@@ -34,6 +34,17 @@ class TestProcessSpecValidation:
         with pytest.raises(ValueError):
             ProcessSpec(kind="poisson")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameters_are_rejected(self, bad):
+        with pytest.raises(ValueError, match="requires theta > 0"):
+            ProcessSpec.exponential_variogram(theta=bad)
+        with pytest.raises(ValueError, match="requires theta > 0"):
+            ProcessSpec.ornstein_uhlenbeck(theta=bad)
+        with pytest.raises(ValueError, match="scale must be positive"):
+            ProcessSpec.brownian(scale=bad)
+        with pytest.raises(ValueError, match="component variances must be positive"):
+            ProcessSpec.finite_rank((1.0, bad))
+
 
 class TestKernelMatrix:
     def test_brownian_is_pointwise_minimum(self):
@@ -162,6 +173,26 @@ class TestScenarioSpecValidation:
     def test_process_forbidden_outside_proportional(self):
         with pytest.raises(ValueError):
             ScenarioSpec(name="D20", n_d=10, n_h=10, seed=0, process="expvar")
+
+    @pytest.mark.parametrize("rho", [np.nan, np.inf])
+    def test_non_finite_rho_rejected(self, rho):
+        with pytest.raises(ValueError, match="requires rho > 0"):
+            ScenarioSpec(name="P1", n_d=10, n_h=10, seed=0, rho=rho)
+
+    @pytest.mark.parametrize("field", ["n_d", "n_h", "grid_size", "seed"])
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    def test_integer_fields_must_be_integers(self, field, value):
+        kwargs = dict(name="D20", n_d=10, n_h=10, seed=0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ScenarioSpec(**kwargs)
+
+    def test_numpy_integers_are_stored_as_int(self):
+        spec = ScenarioSpec(name="D20", n_d=np.int64(10), n_h=np.int32(12),
+                            seed=np.int64(3), grid_size=np.uint8(20))
+        for field in ("n_d", "n_h", "seed", "grid_size"):
+            assert type(getattr(spec, field)) is int
+        assert (spec.n_d, spec.n_h, spec.seed, spec.grid_size) == (10, 12, 3, 20)
 
     def test_default_process_is_brownian(self):
         spec = ScenarioSpec(name="P1", n_d=10, n_h=10, seed=0, rho=1.0)
