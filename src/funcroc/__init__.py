@@ -79,6 +79,7 @@ from .indexes import (
     second_difference_penalty,
 )
 from .rocmetrics import (
+    RocRows,
     RocSummary,
     ScoreSample,
     auc,
@@ -87,6 +88,7 @@ from .rocmetrics import (
     equantile,
     roc_curve,
     score_sample,
+    summarize_sorted,
     youden,
 )
 from .simulation import (

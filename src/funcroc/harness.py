@@ -35,8 +35,9 @@ from .indexes import (
     fit_mean_difference,
     fit_optimal_linear,
     fit_quadratic,
+    index_scores,
 )
-from .rocmetrics import default_p_grid, roc_curve, score_sample
+from .rocmetrics import default_p_grid, summarize_sorted
 from .simulation import ScenarioSpec, generate_scenario
 
 __all__ = [
@@ -151,21 +152,42 @@ def _evaluate_indexes(
     h: FunctionalSample,
     config: RunConfig,
 ) -> None:
-    p_grid = default_p_grid(config.p_grid_size)
+    """Fit and score each index, then summarize the fitted ones in one batch.
+
+    A fit or scoring error drops that index's row and is recorded; every
+    row's summaries equal ``roc_curve(score_sample(...))`` bit for bit.
+    """
     ctx = FitContext(d, h)
+    fitted, diseased, healthy = [], [], []
     for name in config.indexes:
         try:
             index = FITTERS[name](ctx, config)
-            scores = score_sample(index, d, h)
-            summary = roc_curve(scores, p_grid)
-            if config.flip_orientation and summary.auc < 0.5:
-                summary = roc_curve(scores.swapped(), p_grid)
-            result.auc[name] = summary.auc
-            result.youden[name] = summary.youden
-            if config.keep_roc:
-                result.roc_values[name] = summary.roc_values
+            scores = index_scores(index, d), index_scores(index, h)
         except FuncrocError as exc:
             result.errors[name] = f"{type(exc).__name__}: {exc}"
+            continue
+        for group, values in zip(("diseased", "healthy"), scores):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{group} scores must be finite")
+        fitted.append(name)
+        diseased.append(scores[0])
+        healthy.append(scores[1])
+    if not fitted:
+        return
+
+    p_grid = default_p_grid(config.p_grid_size)
+    diseased, healthy = np.sort(diseased, axis=1), np.sort(healthy, axis=1)
+    rows = summarize_sorted(diseased, healthy, p_grid)
+    flip = rows.auc < 0.5
+    if config.flip_orientation and flip.any():
+        # the flipped rows' swapped groups are already sorted
+        swapped = summarize_sorted(healthy[flip], diseased[flip], p_grid)
+        rows.auc[flip], rows.youden[flip] = swapped.auc, swapped.youden
+        rows.roc_values[flip] = swapped.roc_values
+    result.auc.update(zip(fitted, rows.auc.tolist()))
+    result.youden.update(zip(fitted, rows.youden.tolist()))
+    if config.keep_roc:
+        result.roc_values.update(zip(fitted, rows.roc_values))
 
 
 def run_replication(config: RunConfig, replication_id: int) -> ReplicationResult:
@@ -431,7 +453,9 @@ def emit_report(report: StudyReport, format: str = "table-text") -> bytes:
     lines.append(f"replications: {report.replications}")
     lines.append(f"seed: {report.seed if report.seed is not None else '--'}")
     lines.append("")
-    lines.append(f"{'index':<10}{'mean_auc':>10}{'sd_auc':>10}{'mean_youden':>13}{'ok':>6}")
+    lines.append(
+        f"{'index':<10}{'mean_auc':>10}{'sd_auc':>10}{'mean_youden':>13}{'ok':>6}{'failed':>8}"
+    )
     for name in INDEX_NAMES:
         if name not in report.per_index:
             continue
@@ -445,6 +469,7 @@ def emit_report(report: StudyReport, format: str = "table-text") -> bytes:
             f"{_format_cell(entry['sd_auc']):>10}"
             f"{_format_cell(entry['mean_youden']):>13}"
             f"{entry['n_ok']:>6}"
+            f"{entry.get('n_failed', 0):>8}"
         )
     lines.append("")
     lines.append(f"elapsed_seconds: {report.elapsed_seconds:.3f}")

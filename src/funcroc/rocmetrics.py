@@ -3,7 +3,9 @@
 All three are plug-in estimators built from the empirical distribution and
 quantile functions of the scores, so they depend on the data only through
 ranks: any strictly increasing transformation of the scores leaves them
-unchanged.  Each group is sorted once per ``ScoreSample``.
+unchanged.  ``summarize_sorted`` computes all three for k rows of sorted
+scores at once; ``roc_curve``, ``auc`` and ``youden`` are its one-row calls
+on a ``ScoreSample``, which sorts each group once.
 """
 
 from __future__ import annotations
@@ -19,12 +21,14 @@ from .indexes import DiscriminantIndex, index_scores
 __all__ = [
     "ScoreSample",
     "RocSummary",
+    "RocRows",
     "ecdf",
     "equantile",
     "roc_curve",
     "auc",
     "youden",
     "score_sample",
+    "summarize_sorted",
     "default_p_grid",
 ]
 
@@ -75,17 +79,21 @@ class RocSummary:
     youden_threshold: float
 
 
-def _cdf(ordered: np.ndarray, t):
-    """(1/n) #{i : y_i <= t} for ascending scores, elementwise in t."""
-    return np.searchsorted(ordered, t, side="right") / ordered.size
+@dataclass(frozen=True)
+class RocRows:
+    """ROC values (k, P) and the k AUCs, Youden values and thresholds of k
+    score rows; see ``summarize_sorted``."""
+
+    auc: np.ndarray
+    youden: np.ndarray
+    youden_threshold: np.ndarray
+    roc_values: np.ndarray
 
 
-def _quantile(ordered: np.ndarray, p):
-    """The ceil(n p)-th order statistic of ascending scores, elementwise in p."""
-    n = ordered.size
+def _ranks(n: int, p):
+    """ceil(n p), clipped to 1..n, elementwise in p."""
     # subtract a hair before ceil so n*p landing on an integer is not bumped up
-    ranks = np.clip(np.ceil(n * np.asarray(p) - 1e-9).astype(int), 1, n)
-    return ordered[ranks - 1]
+    return np.clip(np.ceil(n * np.asarray(p) - 1e-9).astype(int), 1, n)
 
 
 def ecdf(sample, t):
@@ -96,7 +104,7 @@ def ecdf(sample, t):
     values = np.asarray(sample, dtype=float)
     if values.size == 0:
         raise ValueError("sample must be nonempty")
-    result = _cdf(np.sort(values), t)
+    result = np.searchsorted(np.sort(values), t, side="right") / values.size
     return float(result) if np.isscalar(t) else result
 
 
@@ -110,7 +118,7 @@ def equantile(sample, p: float) -> float:
         raise ValueError("sample must be nonempty")
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
-    return float(_quantile(np.sort(values), p))
+    return float(np.sort(values)[_ranks(values.size, p) - 1])
 
 
 def default_p_grid(size: int = 101) -> np.ndarray:
@@ -120,6 +128,62 @@ def default_p_grid(size: int = 101) -> np.ndarray:
     return np.linspace(0.0, 1.0, size)
 
 
+_NO_P = np.empty(0)  # summaries without ROC values
+
+
+def summarize_sorted(
+    diseased: np.ndarray, healthy: np.ndarray, p_grid: np.ndarray
+) -> RocRows:
+    """ROC values, AUC and Youden index of k score rows at once.
+
+    ``diseased`` (k, n_D) and ``healthy`` (k, n_H) hold each row's group
+    scores in ascending order, and ``p_grid`` is a valid probability grid
+    (see ``roc_curve``); neither is checked.  Row r gives, bit for bit, what
+    ``roc_curve`` gives for the scores of row r.  All three summaries are
+    read off one count per healthy score y: the number c(y) of diseased
+    scores at or below y.
+    """
+    k, n_d = diseased.shape
+    n_h = healthy.shape[1]
+    # c(y) = #{diseased <= y} and #{healthy <= y}, row by row
+    below_d = np.array([d.searchsorted(h, side="right") for d, h in zip(diseased, healthy)])
+    below_h = np.array([h.searchsorted(h, side="right") for h in healthy])
+
+    # A pair has a strictly larger diseased score exactly when c(y) misses it,
+    # so the double-sum count is n_D n_H - sum c(y), an exact integer.
+    pairs = n_d * n_h
+    auc_values = (pairs - below_d.sum(axis=1)) / pairs
+
+    # Youden: F_H(c) - F_D(c), maximized over the healthy scores only.  At a
+    # score held by diseased scores alone, F_H keeps its value at the next
+    # lower score while F_D grows, so the gap is strictly below the gap there,
+    # or below zero if no score is lower; the gap at the largest healthy score
+    # is nonnegative.  So the maximum and its smallest threshold always fall
+    # on a healthy score, and argmax takes the first, smallest, one.
+    gaps = below_h / n_h - below_d / n_d
+    best = np.argmax(gaps, axis=1)
+    rows = np.arange(k)
+
+    # ROC: 1 - F_D at the healthy score of rank ceil(n_H (1 - p)), which c gives.
+    endpoints = np.where(p_grid < 1.0, 0.0, 1.0)  # the endpoint convention
+    values = np.repeat(endpoints[None, :], k, axis=0)
+    interior = (p_grid > 0.0) & (p_grid < 1.0)
+    ranks = _ranks(n_h, 1.0 - p_grid[interior])
+    values[:, interior] = 1.0 - below_d[:, ranks - 1] / n_d
+    return RocRows(
+        auc=auc_values,
+        youden=gaps[rows, best],
+        youden_threshold=healthy[rows, best],
+        roc_values=values,
+    )
+
+
+def _summarize(s: ScoreSample, p_grid: np.ndarray) -> RocRows:
+    """The one-row summary of a score sample, from its sorted groups."""
+    ordered_d, ordered_h = s._sorted
+    return summarize_sorted(ordered_d[None, :], ordered_h[None, :], p_grid)
+
+
 def auc(s: ScoreSample) -> float:
     """Empirical AUC: the proportion of (diseased, healthy) pairs with a
     strictly larger diseased score.
@@ -127,8 +191,7 @@ def auc(s: ScoreSample) -> float:
     Computed through sorted ranks in O((n_D + n_H) log) time; the result is
     exactly the double-sum proportion, with ties contributing zero.
     """
-    below = np.searchsorted(s._sorted[1], s.diseased, side="left")
-    return float(below.sum() / (s.diseased.size * s.healthy.size))
+    return float(_summarize(s, _NO_P).auc[0])
 
 
 def youden(s: ScoreSample) -> tuple[float, float]:
@@ -139,15 +202,8 @@ def youden(s: ScoreSample) -> tuple[float, float]:
     supremum over p in (0, 1) of ROC(p) - p.  The smallest achieving
     threshold is returned on ties.
     """
-    ordered_d, ordered_h = s._sorted
-    # Only healthy scores need testing.  At a score held by diseased scores
-    # alone, F_H keeps its value at the next lower score while F_D grows, so
-    # the gap is strictly below the gap there, or below zero if no score is
-    # lower; the gap at the largest healthy score is nonnegative.  So the
-    # maximum and its smallest threshold always fall on a healthy score.
-    gaps = _cdf(ordered_h, ordered_h) - _cdf(ordered_d, ordered_h)
-    best = int(np.argmax(gaps))
-    return float(gaps[best]), float(ordered_h[best])
+    rows = _summarize(s, _NO_P)
+    return float(rows.youden[0]), float(rows.youden_threshold[0])
 
 
 def roc_curve(s: ScoreSample, p_grid: np.ndarray | None = None) -> RocSummary:
@@ -163,18 +219,13 @@ def roc_curve(s: ScoreSample, p_grid: np.ndarray | None = None) -> RocSummary:
     if not np.all((p_grid >= 0.0) & (p_grid <= 1.0)) or np.any(np.diff(p_grid) <= 0):
         raise ValueError("p_grid must be increasing within [0, 1]")
 
-    ordered_d, ordered_h = s._sorted
-    values = np.where(p_grid < 1.0, 0.0, 1.0)  # the endpoint convention
-    interior = (p_grid > 0.0) & (p_grid < 1.0)
-    values[interior] = 1.0 - _cdf(ordered_d, _quantile(ordered_h, 1.0 - p_grid[interior]))
-
-    youden_value, youden_threshold = youden(s)
+    rows = _summarize(s, p_grid)
     return RocSummary(
         p_grid=p_grid,
-        roc_values=values,
-        auc=auc(s),
-        youden=youden_value,
-        youden_threshold=youden_threshold,
+        roc_values=rows.roc_values[0],
+        auc=float(rows.auc[0]),
+        youden=float(rows.youden[0]),
+        youden_threshold=float(rows.youden_threshold[0]),
     )
 
 

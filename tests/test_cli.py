@@ -102,6 +102,17 @@ class TestSimulateCommand:
         expected = _config_echo(RunConfig(scenario=ScenarioSpec("C20", n_d=5, n_h=6, seed=2)))
         assert json.loads(out.read_text())["config"] == expected
 
+    def test_table_counts_failed_replications(self, capsys):
+        # quad fits on one of the two draws; the other indexes fit on both
+        code = main(["simulate", "--scenario", "C20", "--nd", "2", "--nh", "2", "--seed", "1",
+                     "--reps", "2", "--grid-size", "2"])
+        assert code == 0
+        rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()
+                if line.split()[:1] in (["index"], ["max"], ["quad"])}
+        assert rows["index"][-2:] == ["ok", "failed"]
+        assert rows["quad"][-2:] == ["1", "1"]
+        assert rows["max"][-2:] == ["2", "0"]
+
     def test_usage_error_exits_with_two(self, capsys):
         code = main(["simulate", "--scenario", "NOPE", "--nd", "5", "--nh", "5",
                      "--seed", "1"])

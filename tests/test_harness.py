@@ -7,18 +7,29 @@ import numpy as np
 import pytest
 
 from funcroc import (
+    FITTERS,
+    INDEX_NAMES,
+    Curve,
     CurveParseError,
+    FitContext,
+    FuncrocError,
+    FunctionalSample,
     Group,
+    LinearIndex,
     ProcessSpec,
     RunConfig,
     ScenarioSpec,
     analyze,
+    default_p_grid,
     emit_report,
+    generate_scenario,
     ingest_curves,
     make_uniform_grid,
+    roc_curve,
     run_replication,
     run_study,
     sample_gaussian,
+    score_sample,
 )
 from funcroc.harness import roc_export_rows
 
@@ -119,6 +130,70 @@ class TestRunReplication:
         )
         assert plain.auc["max"] < 0.5
         assert flipped.auc["max"] == pytest.approx(1.0 - plain.auc["max"], abs=1e-12)
+
+
+class TestBatchedSummary:
+    """The per-draw batch against the one-index-at-a-time summary path."""
+
+    @staticmethod
+    def one_at_a_time(config, replication_id):
+        d, h = generate_scenario(config.scenario.substream(replication_id))
+        ctx = FitContext(d, h)
+        summaries, errors, flipped = {}, {}, []
+        for name in config.indexes:
+            try:
+                scores = score_sample(FITTERS[name](ctx, config), d, h)
+            except FuncrocError as exc:
+                errors[name] = f"{type(exc).__name__}: {exc}"
+                continue
+            summary = roc_curve(scores, default_p_grid(config.p_grid_size))
+            if config.flip_orientation and summary.auc < 0.5:
+                summary = roc_curve(scores.swapped(), default_p_grid(config.p_grid_size))
+                flipped.append(name)
+            summaries[name] = summary
+        return summaries, errors, flipped
+
+    @pytest.mark.parametrize("flip", [False, True])
+    @pytest.mark.parametrize("spec, indexes, fitted", [
+        # max has AUC below one half on most D20 draws, so flipping changes rows
+        (ScenarioSpec(name="D20", n_d=40, n_h=40, seed=88, grid_size=40), INDEX_NAMES, 6),
+        # quad fails on some draws and fits on others
+        (ScenarioSpec(name="P1", n_d=3, n_h=3, seed=1, rho=1.0, grid_size=15), INDEX_NAMES, None),
+        # quad always fails, so a single row is summarized
+        (ScenarioSpec(name="D20", n_d=3, n_h=50, seed=5, grid_size=30), ("quad", "max"), 1),
+    ])
+    def test_rows_equal_the_per_index_path_bit_for_bit(self, spec, indexes, fitted, flip):
+        config = RunConfig(scenario=spec, indexes=indexes, reps=4, keep_roc=True,
+                           flip_orientation=flip)
+        dropped = flipped = 0
+        for replication_id in range(4):
+            result = run_replication(config, replication_id)
+            summaries, errors, flipped_names = self.one_at_a_time(config, replication_id)
+            assert result.errors == errors
+            assert list(result.auc) == list(result.youden) == list(summaries)
+            if fitted is not None:
+                assert len(summaries) == fitted
+            dropped += len(errors)
+            flipped += len(flipped_names)
+            for name, summary in summaries.items():
+                assert result.auc[name] == summary.auc
+                assert result.youden[name] == summary.youden
+                assert np.array_equal(result.roc_values[name], summary.roc_values)
+        assert (dropped > 0) == (fitted != 6)
+        if flip and fitted == 6:
+            assert flipped > 0
+
+    def test_non_finite_scores_raise_the_score_sample_error(self, monkeypatch):
+        d, h = (FunctionalSample(s.grid, s.values * 1e300, s.group)
+                for s in generate_scenario(small_scenario()))
+        config = RunConfig(scenario="file.csv", indexes=("max", "linear"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            huge = LinearIndex(Curve(d.grid, np.full(len(d.grid), 1e300)))  # scores overflow
+            monkeypatch.setitem(FITTERS, "linear", lambda ctx, config: huge)
+            with pytest.raises(ValueError, match="^diseased scores must be finite$"):
+                analyze(d, h, config)
+            with pytest.raises(ValueError, match="^diseased scores must be finite$"):
+                score_sample(huge, d, h)
 
 
 class TestRunStudy:
