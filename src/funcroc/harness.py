@@ -299,20 +299,22 @@ def _parse_float(cell: str, line: int, column: int) -> float:
 
 
 def _parse_cells(cells: list[str], line: int) -> list[float]:
-    """The values of one row's cells, which sit in columns 2, 3, ...
-
-    ``float`` strips the same whitespace as ``str.strip``, so the bulk parse
-    gives the values the per-cell parse would.  Only a row that fails it, or
-    whose sum is not finite, is parsed cell by cell, to name the first bad
-    column; a row whose sum merely overflowed parses there unchanged.
-    """
-    try:
-        values = list(map(float, cells))
-        if math.isfinite(sum(values)):
-            return values
-    except ValueError:
-        pass
+    """The values of one row's cells, which sit in columns 2, 3, ..."""
     return [_parse_float(cell.strip(), line, column) for column, cell in enumerate(cells, start=2)]
+
+
+def _parse_header(header: list[str], line: int) -> Grid:
+    if len(header) < 3 or header[0].strip().lower() != "label":
+        raise CurveParseError(
+            "header must be 'label,t1,...,tm' with at least two grid points", line=line
+        )
+    points = [
+        _parse_float(cell.strip(), line=line, column=j + 2) for j, cell in enumerate(header[1:])
+    ]
+    try:
+        return Grid.from_points(np.asarray(points))
+    except ValueError as exc:
+        raise CurveParseError(f"bad grid in header: {exc}", line=line) from exc
 
 
 def _read_curves(handle) -> tuple[Grid, dict[str, array]] | None:
@@ -333,19 +335,7 @@ def _parse_rows(reader) -> tuple[Grid, dict[str, array]] | None:
     header = next((row for row in reader if row), None)
     if header is None:
         return None
-    header_line = reader.line_num
-    if len(header) < 3 or header[0].strip().lower() != "label":
-        raise CurveParseError(
-            "header must be 'label,t1,...,tm' with at least two grid points", line=header_line
-        )
-    points = [
-        _parse_float(cell.strip(), line=header_line, column=j + 2)
-        for j, cell in enumerate(header[1:])
-    ]
-    try:
-        grid = Grid.from_points(np.asarray(points))
-    except ValueError as exc:
-        raise CurveParseError(f"bad grid in header: {exc}", line=header_line) from exc
+    grid = _parse_header(header, reader.line_num)
 
     width = len(grid) + 1
     groups = {"D": array("d"), "H": array("d")}
@@ -360,6 +350,60 @@ def _parse_rows(reader) -> tuple[Grid, dict[str, array]] | None:
         if values is None:
             raise CurveParseError(f"unknown group label {row[0]!r}", line=reader.line_num)
         values.extend(_parse_cells(row[1:], reader.line_num))
+    return grid, groups
+
+
+# Characters of lines per bulk chunk.  A chunk's lines, value texts and
+# parsed values are held at once, so the chunk size bounds the extra memory;
+# larger chunks parse no faster.
+_BULK_CHUNK = 1 << 16
+
+
+def _read_bulk(handle) -> tuple[Grid, dict[str, array]] | None:
+    """``_read_curves``'s result, with each chunk's values parsed by ``np.loadtxt``.
+
+    Returns None for any file on which the row parser could give another
+    result: a first line that is not a valid header, a quote (csv syntax), a
+    line over csv's field size limit, a label other than ``D`` or ``H``, or
+    a chunk whose values are not one finite number per grid point on every
+    nonblank line.  ``loadtxt`` strips a cell of the whitespace ``str.strip``
+    strips and converts the ASCII rest with ``PyOS_string_to_double``, as
+    ``float`` does; what it refuses instead (underscores, non-ASCII digits)
+    goes to the row parser, so every value kept is the row parser's to the
+    bit.  A decoding error propagates, to be located from the file's bytes.
+    """
+    limit = csv.field_size_limit()
+    header = handle.readline().rstrip("\r\n")
+    if not header or '"' in header or len(header) > limit:
+        return None
+    try:
+        grid = _parse_header(header.split(","), line=1)
+    except CurveParseError:  # the row parser names it (csv itself rejects a NUL before 3.11)
+        return None
+    groups = {"D": array("d"), "H": array("d")}
+    while lines := handle.readlines(_BULK_CHUNK):
+        diseased, rests = [], []
+        for line in lines:
+            if line in ("\n", "\r\n", "\r"):  # csv reads these as blank rows
+                continue
+            label, _, rest = line.partition(",")
+            label = label.strip().upper()
+            if '"' in line or len(line) > limit or label not in ("D", "H"):
+                return None
+            diseased.append(label == "D")
+            rests.append(rest)
+        if not rests:  # loadtxt warns on empty input
+            continue
+        try:
+            values = np.loadtxt(rests, delimiter=",", comments=None, quotechar=None,
+                                dtype=float, ndmin=2)
+        except ValueError:
+            return None
+        if values.shape != (len(rests), len(grid)) or not np.isfinite(values).all():
+            return None
+        mask = np.array(diseased)
+        groups["D"].frombytes(values[mask].tobytes())
+        groups["H"].frombytes(values[~mask].tobytes())
     return grid, groups
 
 
@@ -396,14 +440,19 @@ def ingest_curves(path) -> tuple[FunctionalSample, FunctionalSample]:
     Format: a header ``label,t1,...,tm`` giving the grid abscissae, then one
     row per subject holding a group label (``D`` or ``H``) followed by m
     values.  Both groups must be present; all rows share the header grid.
-    A leading UTF-8 byte-order mark is skipped.  The file is read in one
-    streaming pass, and the first error in file order is raised as
-    ``CurveParseError``.
+    A leading UTF-8 byte-order mark is skipped.  The file is streamed in
+    chunks whose values ``np.loadtxt`` parses in bulk; a file the bulk pass
+    cannot read exactly as the csv row parser would (quotes, malformed or
+    unusual cells) is read again by the row parser, which raises the first
+    error in file order as ``CurveParseError``.
     """
     path = Path(path)
     try:
         with open(path, encoding="utf-8-sig", newline="") as handle:
-            parsed = _read_curves(handle)
+            parsed = _read_bulk(handle)
+        if parsed is None:
+            with open(path, encoding="utf-8-sig", newline="") as handle:
+                parsed = _read_curves(handle)
     except OSError as exc:
         raise CurveParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -1,4 +1,4 @@
-"""Curve-file ingestion: a malformed-file corpus, a seeded fuzz and a round trip.
+"""Curve-file ingestion: a malformed-file corpus, a seeded fuzz, a round trip and the two routes.
 
 The corpus pins, file by file, what ``ingest_curves`` returns or raises:
 the parsed arrays, or the exact error message and line.  Invalid UTF-8
@@ -6,6 +6,11 @@ and a field over csv's size limit raise ``CurveParseError`` naming the
 first such byte or line, and a leading byte-order mark is skipped; every
 other outcome is the one the earlier whole-file parser gave, so streaming
 the file changed no accepted value, no message and no line number.
+
+``ingest_curves`` tries a bulk pass (``np.loadtxt`` per chunk) before the
+csv row parser.  The differential tests require its outcome to equal the
+row parser's on every file, to the bit or to the message and line, and
+the route tests that clean files skip the row parser and others reach it.
 """
 
 import random
@@ -15,7 +20,8 @@ import pytest
 
 from funcroc import CurveParseError
 from funcroc.cli import main
-from funcroc.harness import ingest_curves
+from funcroc import harness
+from funcroc.harness import _parse_rows, _read_bulk, ingest_curves
 
 HEADER = "label,0.5,1.0"
 HEADER_ERROR = "header must be 'label,t1,...,tm' with at least two grid points"
@@ -33,6 +39,10 @@ ACCEPTED = {
     # a spreadsheet "CSV UTF-8" export: the mark is skipped
     "leading-byte-order-mark": (
         b"\xef\xbb\xbflabel,0.5,1.0\nD,1,2\nH,3,4\n", ([[1.0, 2.0]], [[3.0, 4.0]])
+    ),
+    # str.strip drops the file separator U+001C and float alone does not
+    "file-separator-padded-cell": (
+        HEADER.encode() + b"\nD,1.5\x1c,2\nH,3,4\n", ([[1.5, 2.0]], [[3.0, 4.0]])
     ),
     "sum-overflows-but-every-cell-is-finite": (
         b"label,0.5,1.0\nD,1e308,1e308\nH,-1e308,-1e308\nH,1e308,-1e308\n",
@@ -170,7 +180,7 @@ def test_cli_exits_with_two_on_invalid_utf8(tmp_path, capsys):
 
 
 MUTATIONS = ["nan", "inf", "-inf", "1e999", "", " ", "x", "1_0", '"2.5"', "1e308", '"1\n5"',
-             "\x00", " ", "٣"]
+             "\x00", " ", "٣", "1.5\x1c", "\x85", "　"]
 
 
 def _mutated_file(rng: random.Random) -> bytes:
@@ -190,7 +200,7 @@ def _mutated_file(rng: random.Random) -> bytes:
         elif kind == 3:
             rows.insert(rng.randrange(len(rows) + 1), [])
         elif kind == 4:
-            row[0] = rng.choice(["d", " H ", "X", "label", ""])
+            row[0] = rng.choice(["d", " H ", "X", "label", "", "D\x00"])
         else:
             rows[0][1:] = rows[0][:0:-1]
     data = "".join(",".join(row) + rng.choice(["\n", "\r\n", "\r"]) for row in rows).encode()
@@ -235,3 +245,148 @@ def test_written_repr_floats_read_back_bit_for_bit_in_any_row_order(tmp_path, se
     for sample, label in ((d, "D"), (h, "H")):
         rows = [i for i in order if labels[i] == label]
         assert sample.values.tobytes() == values[rows].tobytes()
+
+
+def _outcome(path):
+    """The grid and arrays ``ingest_curves`` returns, or its error message and line."""
+    try:
+        d, h = ingest_curves(path)
+    except CurveParseError as exc:
+        return str(exc), exc.line
+    return (d.grid.points.tobytes(), d.values.shape, d.values.tobytes(),
+            h.values.shape, h.values.tobytes())
+
+
+class _Routes:
+    """Patches the bulk pass to count its results, or to refuse every file."""
+
+    def __init__(self, monkeypatch):
+        self.monkeypatch = monkeypatch
+        self.bulk = self.refused = 0
+
+    def _counting(self, handle):
+        parsed = _read_bulk(handle)
+        if parsed is None:
+            self.refused += 1
+        else:
+            self.bulk += 1
+        return parsed
+
+    def both(self, path):
+        """(``ingest_curves``'s outcome, the row parser's outcome) on one file."""
+        with self.monkeypatch.context() as patch:
+            patch.setattr(harness, "_read_bulk", self._counting)
+            got = _outcome(path)
+        with self.monkeypatch.context() as patch:
+            patch.setattr(harness, "_read_bulk", lambda handle: None)
+            return got, _outcome(path)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mutated_files_give_the_row_parsers_arrays_or_error(tmp_path, monkeypatch, seed):
+    rng = random.Random(123 + seed)
+    routes = _Routes(monkeypatch)
+    for _ in range(500):
+        data = _mutated_file(rng)
+        got, expected = routes.both(_write(tmp_path, data))
+        assert got == expected, data
+    # both routes are exercised (files that fail to decode reach neither count)
+    assert routes.bulk > 50 and routes.refused > 50
+
+
+def _big_rows(rng):
+    """A header and rows of repr floats that span several bulk chunks."""
+    return [["label"] + [str(p / 10) for p in range(1, 9)]] + _rows(rng, 8, 2_000)
+
+
+def _encode(rows, line_ending):
+    return "".join(",".join(row) + line_ending for row in rows).encode("utf-8")
+
+
+def _defect(rows, rng, kind):
+    late = rows[rng.randrange(len(rows) - 100, len(rows))]
+    if kind == "bad-cell":
+        late[3] = "x"
+    elif kind == "non-finite-cell":
+        late[3] = "-inf"
+    elif kind == "ragged-row":
+        late.pop()
+    elif kind == "unknown-label":
+        late[0] = "X"
+    elif kind == "quoted-cell":
+        late[3] = '"' + late[3] + '"'
+    elif kind == "quoted-label":
+        late[0] = '"' + late[0] + '"'
+    elif kind == "field-over-the-csv-limit":
+        late[3] = "4" * 200_000
+    elif kind == "line-over-the-csv-limit":  # every field under the limit, the line over it
+        late[1:] = [" " * 20_000 + cell for cell in late[1:]]
+    elif kind == "blank-lines":
+        rows.insert(rows.index(late), [])
+    elif kind == "space-only-line":  # csv reads a one-cell row, not a blank one
+        rows.insert(rows.index(late), [" "])
+    elif kind == "underscore-digits":
+        late[3] = "1_5"
+    return rows
+
+
+DEFECTS = ["clean", "bad-cell", "non-finite-cell", "ragged-row", "unknown-label", "quoted-cell",
+           "quoted-label", "field-over-the-csv-limit", "line-over-the-csv-limit", "blank-lines",
+           "space-only-line", "underscore-digits", "invalid-utf8"]
+
+
+@pytest.mark.parametrize("line_ending", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("kind", DEFECTS)
+def test_defect_past_the_first_bulk_chunk_gives_the_row_parsers_outcome(
+        tmp_path, monkeypatch, kind, line_ending):
+    rng = random.Random(f"{kind}{line_ending}")
+    data = _encode(_defect(_big_rows(rng), rng, kind), line_ending)
+    assert len(data) > 3 * harness._BULK_CHUNK
+    if kind == "invalid-utf8":
+        k = rng.randrange(len(data) - 5_000, len(data))
+        data = data[:k] + b"\xff" + data[k:]
+    routes = _Routes(monkeypatch)
+    got, expected = routes.both(_write(tmp_path, data))
+    assert got == expected
+    if kind in ("clean", "blank-lines"):
+        assert routes.bulk == 1
+    elif kind != "invalid-utf8":
+        assert routes.refused == 1
+
+
+def test_file_whose_only_quote_is_in_a_label_gives_the_row_parsers_arrays(tmp_path, monkeypatch):
+    data = HEADER.encode() + b'\n"D",1,2\nH,3,4\n'
+    got, expected = _Routes(monkeypatch).both(_write(tmp_path, data))
+    assert got == expected
+    assert got[2] == np.array([[1.0, 2.0]]).tobytes()
+
+
+def test_clean_repr_float_file_never_reaches_the_row_parser(tmp_path, monkeypatch):
+    def refuse(reader):
+        raise AssertionError("the row parser ran on a clean file")
+
+    monkeypatch.setattr(harness, "_parse_rows", refuse)
+    rng = random.Random(7)
+    rows = _big_rows(rng)
+    d, h = ingest_curves(_write(tmp_path, _encode(rows, "\n")))
+    assert len(d.values) + len(h.values) == len(rows) - 1
+
+
+@pytest.mark.parametrize("data, expected", [
+    (ACCEPTED["quoted-padded-and-underscore-cells"][0],
+     ACCEPTED["quoted-padded-and-underscore-cells"][1]),
+    (HEADER.encode() + b"\nD,1_000,2\nH,3,4_5.0\n", ([[1000.0, 2.0]], [[3.0, 45.0]])),
+])
+def test_quoted_or_underscore_file_parses_through_the_row_parser(
+        tmp_path, monkeypatch, data, expected):
+    calls = []
+
+    def counting(reader):
+        calls.append(reader)
+        return _parse_rows(reader)
+
+    monkeypatch.setattr(harness, "_parse_rows", counting)
+    d, h = ingest_curves(_write(tmp_path, data))
+    assert len(calls) == 1
+    assert d.values.tobytes() == np.array(expected[0]).tobytes()
+    assert h.values.tobytes() == np.array(expected[1]).tobytes()
