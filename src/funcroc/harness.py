@@ -11,13 +11,13 @@ is fixed by replication id, so results do not depend on scheduling.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import numbers
 import time
 from array import array
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Callable
 
@@ -317,40 +317,23 @@ def _parse_header(header: list[str], line: int) -> Grid:
         raise CurveParseError(f"bad grid in header: {exc}", line=line) from exc
 
 
-def _read_curves(handle) -> tuple[Grid, dict[str, array]] | None:
-    """Parse the header and the data rows of a CSV text stream, in file order.
+def _parse_rows(reader, line: int, grid: Grid, groups: dict[str, array]) -> None:
+    """Append each data row's values to its group's array, in file order.
 
-    Returns the grid and the row-major values of each group label, or None
-    when the stream holds no nonblank row.  Raises ``CurveParseError`` at the
-    first bad line; line numbers count blank lines too.
+    ``reader`` is a csv reader whose first line is line ``line + 1`` of the
+    file.  Raises ``CurveParseError`` at the first bad row.
     """
-    reader = csv.reader(handle)
-    try:
-        return _parse_rows(reader)
-    except csv.Error as exc:  # e.g. a field over csv's size limit
-        raise CurveParseError(f"malformed CSV: {exc}", line=reader.line_num) from exc
-
-
-def _parse_rows(reader) -> tuple[Grid, dict[str, array]] | None:
-    header = next((row for row in reader if row), None)
-    if header is None:
-        return None
-    grid = _parse_header(header, reader.line_num)
-
     width = len(grid) + 1
-    groups = {"D": array("d"), "H": array("d")}
     for row in reader:
         if not row:
             continue
+        here = line + reader.line_num
         if len(row) != width:
-            raise CurveParseError(
-                f"expected {width} cells, found {len(row)}", line=reader.line_num
-            )
+            raise CurveParseError(f"expected {width} cells, found {len(row)}", line=here)
         values = groups.get(row[0].strip().upper())
         if values is None:
-            raise CurveParseError(f"unknown group label {row[0]!r}", line=reader.line_num)
-        values.extend(_parse_cells(row[1:], reader.line_num))
-    return grid, groups
+            raise CurveParseError(f"unknown group label {row[0]!r}", line=here)
+        values.extend(_parse_cells(row[1:], here))
 
 
 # Characters of lines per bulk chunk.  A chunk's lines, value texts and
@@ -359,79 +342,67 @@ def _parse_rows(reader) -> tuple[Grid, dict[str, array]] | None:
 _BULK_CHUNK = 1 << 16
 
 
-def _read_bulk(handle) -> tuple[Grid, dict[str, array]] | None:
-    """``_read_curves``'s result, with each chunk's values parsed by ``np.loadtxt``.
+def _read_bulk(lines: list[str], m: int, groups: dict[str, array]) -> bool:
+    """Append one chunk's values, parsed by ``np.loadtxt``, to ``groups``.
 
-    Returns None for any file on which the row parser could give another
-    result: a first line that is not a valid header, a quote (csv syntax), a
-    line over csv's field size limit, a label other than ``D`` or ``H``, or
-    a chunk whose values are not one finite number per grid point on every
-    nonblank line.  ``loadtxt`` strips a cell of the whitespace ``str.strip``
-    strips and converts the ASCII rest with ``PyOS_string_to_double``, as
-    ``float`` does; what it refuses instead (underscores, non-ASCII digits)
-    goes to the row parser, so every value kept is the row parser's to the
-    bit.  A decoding error propagates, to be located from the file's bytes.
+    Returns False, and leaves ``groups`` as they were, for any chunk the row
+    parser could read otherwise: a quote (csv syntax), a line over csv's
+    field size limit, a label other than ``D`` or ``H``, or values that are
+    not one finite number per grid point on every nonblank line.
+    ``loadtxt`` strips a cell of the whitespace ``str.strip`` strips and
+    converts the ASCII rest with ``PyOS_string_to_double``, as ``float``
+    does; what it refuses instead (underscores, non-ASCII digits) goes to
+    the row parser, so every value kept is the row parser's to the bit.  A
+    line holding an invalid byte, a lone surrogate, is always refused: as a
+    label it is not ``D`` or ``H``, and ``loadtxt`` cannot parse it as a cell.
     """
     limit = csv.field_size_limit()
-    header = handle.readline().rstrip("\r\n")
-    if not header or '"' in header or len(header) > limit:
-        return None
-    try:
-        grid = _parse_header(header.split(","), line=1)
-    except CurveParseError:  # the row parser names it (csv itself rejects a NUL before 3.11)
-        return None
-    groups = {"D": array("d"), "H": array("d")}
-    while lines := handle.readlines(_BULK_CHUNK):
-        diseased, rests = [], []
-        for line in lines:
-            if line in ("\n", "\r\n", "\r"):  # csv reads these as blank rows
-                continue
-            label, _, rest = line.partition(",")
-            label = label.strip().upper()
-            if '"' in line or len(line) > limit or label not in ("D", "H"):
-                return None
-            diseased.append(label == "D")
-            rests.append(rest)
-        if not rests:  # loadtxt warns on empty input
+    diseased, rests = [], []
+    for line in lines:
+        if line in ("\n", "\r\n", "\r"):  # csv reads these as blank rows
             continue
-        try:
-            values = np.loadtxt(rests, delimiter=",", comments=None, quotechar=None,
-                                dtype=float, ndmin=2)
-        except ValueError:
-            return None
-        if values.shape != (len(rests), len(grid)) or not np.isfinite(values).all():
-            return None
-        mask = np.array(diseased)
-        groups["D"].frombytes(values[mask].tobytes())
-        groups["H"].frombytes(values[~mask].tobytes())
-    return grid, groups
+        label, _, rest = line.partition(",")
+        label = label.strip().upper()
+        if '"' in line or len(line) > limit or label not in ("D", "H"):
+            return False
+        diseased.append(label == "D")
+        rests.append(rest)
+    if not rests:  # loadtxt warns on empty input
+        return True
+    try:
+        values = np.loadtxt(rests, delimiter=",", comments=None, quotechar=None,
+                            dtype=float, ndmin=2)
+    except ValueError:
+        return False
+    if values.shape != (len(rests), m) or not np.isfinite(values).all():
+        return False
+    mask = np.array(diseased)
+    groups["D"].frombytes(values[mask].tobytes())
+    groups["H"].frombytes(values[~mask].tobytes())
+    return True
 
 
-def _decoding_error(path: Path) -> CurveParseError:
-    """The first error in file order of a file that is not valid UTF-8.
+def _checked(lines, path: Path, first: int):
+    """Yield ``lines``, the first being line ``first`` of the file at ``path``.
 
-    The streaming decoder works in chunks, so the offset it reports is
-    relative to a chunk and the rows before the bad byte in that chunk are
-    still unread.  Decode the raw bytes again to find the first invalid
-    byte, counted from the file's first byte (a byte-order mark is three),
-    and read the complete lines before it, whose errors come first.
+    The file is decoded with ``surrogateescape``, so an invalid byte arrives
+    as a lone surrogate, which strict UTF-8 cannot encode; the first line
+    holding one raises ``CurveParseError``.  Only then are the file's bytes
+    read again, to name the byte's offset from the file's first byte (a
+    byte-order mark is three).
     """
-    raw = path.read_bytes()
-    try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        offset = exc.start
-    else:  # the file changed after it was streamed
-        return CurveParseError(f"{path} is not valid UTF-8")
-    before = raw[:offset]
-    complete = before[: max(before.rfind(b"\n"), before.rfind(b"\r")) + 1]
-    try:
-        _read_curves(io.StringIO(complete.decode("utf-8-sig"), newline=""))
-    except CurveParseError as error:
-        return error
-    # csv counts a CRLF pair as one line ending
-    line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
-    return CurveParseError(f"invalid UTF-8 at byte offset {offset}", line=line)
+    for line, text in enumerate(lines, start=first):
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            try:
+                path.read_bytes().decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CurveParseError(
+                    f"invalid UTF-8 at byte offset {exc.start}", line=line
+                ) from None
+            raise CurveParseError(f"{path} changed while it was read", line=line) from None
+        yield text
 
 
 def ingest_curves(path) -> tuple[FunctionalSample, FunctionalSample]:
@@ -440,27 +411,35 @@ def ingest_curves(path) -> tuple[FunctionalSample, FunctionalSample]:
     Format: a header ``label,t1,...,tm`` giving the grid abscissae, then one
     row per subject holding a group label (``D`` or ``H``) followed by m
     values.  Both groups must be present; all rows share the header grid.
-    A leading UTF-8 byte-order mark is skipped.  The file is streamed in
-    chunks whose values ``np.loadtxt`` parses in bulk; a file the bulk pass
+    A leading UTF-8 byte-order mark is skipped.  The file is read once: a
+    csv reader reads the header, and the rest comes in chunks whose values
+    ``np.loadtxt`` parses in bulk.  From the first chunk the bulk pass
     cannot read exactly as the csv row parser would (quotes, malformed or
-    unusual cells) is read again by the row parser, which raises the first
-    error in file order as ``CurveParseError``.
+    unusual cells, invalid UTF-8), the row parser reads to the end of the
+    file and raises the first error in file order as ``CurveParseError``.
     """
     path = Path(path)
+    line = 0  # lines read before the current csv reader's first line
     try:
-        with open(path, encoding="utf-8-sig", newline="") as handle:
-            parsed = _read_bulk(handle)
-        if parsed is None:
-            with open(path, encoding="utf-8-sig", newline="") as handle:
-                parsed = _read_curves(handle)
+        with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as handle:
+            reader = csv.reader(_checked(handle, path, 1))
+            header = next((row for row in reader if row), None)
+            if header is None:
+                raise CurveParseError("file is empty", line=1)
+            grid = _parse_header(header, reader.line_num)
+            groups = {"D": array("d"), "H": array("d")}
+            line = reader.line_num
+            while lines := handle.readlines(_BULK_CHUNK):
+                if not _read_bulk(lines, len(grid), groups):
+                    reader = csv.reader(_checked(chain(lines, handle), path, line + 1))
+                    _parse_rows(reader, line, grid, groups)
+                    break
+                line += len(lines)
     except OSError as exc:
         raise CurveParseError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise _decoding_error(path) from exc
-    if parsed is None:
-        raise CurveParseError("file is empty", line=1)
+    except csv.Error as exc:  # e.g. a field over csv's size limit
+        raise CurveParseError(f"malformed CSV: {exc}", line=line + reader.line_num) from exc
 
-    grid, groups = parsed
     for label in ("D", "H"):
         if not groups[label]:
             raise CurveParseError(f"no rows labeled {label!r} found")
@@ -481,15 +460,9 @@ def emit_report(report: StudyReport, format: str = "table-text") -> bytes:
     renders JSON that parses back to the same values.
     """
     if format == "machine-readable":
-        payload = {
-            "config": report.config,
-            "per_index": report.per_index,
-            "seed": report.seed,
-            "elapsed_seconds": report.elapsed_seconds,
-            "replications": report.replications,
-        }
-        if report.roc_samples:
-            payload["roc_samples"] = report.roc_samples
+        payload = dict(vars(report))  # asdict would copy every ROC value
+        if not report.roc_samples:
+            del payload["roc_samples"]
         return json.dumps(payload, indent=2, sort_keys=True).encode("utf-8")
     if format != "table-text":
         raise ValueError(f"unknown report format: {format!r}")

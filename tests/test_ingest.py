@@ -3,16 +3,21 @@
 The corpus pins, file by file, what ``ingest_curves`` returns or raises:
 the parsed arrays, or the exact error message and line.  Invalid UTF-8
 and a field over csv's size limit raise ``CurveParseError`` naming the
-first such byte or line, and a leading byte-order mark is skipped; every
-other outcome is the one the earlier whole-file parser gave, so streaming
-the file changed no accepted value, no message and no line number.
+first such byte or line, in file order even inside a quoted cell that
+spans lines, and a leading byte-order mark is skipped; every other
+outcome is the one the earlier whole-file parser gave, so streaming the
+file changed no accepted value, no message and no line number.
 
-``ingest_curves`` tries a bulk pass (``np.loadtxt`` per chunk) before the
-csv row parser.  The differential tests require its outcome to equal the
-row parser's on every file, to the bit or to the message and line, and
-the route tests that clean files skip the row parser and others reach it.
+``ingest_curves`` reads a file once.  A csv reader reads the header, then
+a bulk pass (``np.loadtxt`` per chunk) reads the data lines until a chunk
+it refuses, from whose first line the csv row parser reads to the end.
+The differential tests require the outcome to equal the row parser's
+alone (every chunk refused) on every file, to the bit or to the message
+and line; the route tests check that clean files skip the row parser and
+that it sees only the lines from the refused chunk on.
 """
 
+import io
 import random
 
 import numpy as np
@@ -21,7 +26,7 @@ import pytest
 from funcroc import CurveParseError
 from funcroc.cli import main
 from funcroc import harness
-from funcroc.harness import _parse_rows, _read_bulk, ingest_curves
+from funcroc.harness import _parse_cells, _parse_rows, _read_bulk, ingest_curves
 
 HEADER = "label,0.5,1.0"
 HEADER_ERROR = "header must be 'label,t1,...,tm' with at least two grid points"
@@ -114,6 +119,9 @@ REJECTED = {
         HEADER.encode() + b"\nD,1\nH,3,\xff\n", "expected 3 cells, found 2", 2
     ),
     "bad-header-before-invalid-utf8": (b"time,0.5,1.0\nD,\xff,2\n", HEADER_ERROR, 1),
+    "invalid-utf8-in-the-header": (
+        b"label,0.5,\xff1.0\nD,1,2\nH,3,4\n", "invalid UTF-8 at byte offset 10", 1
+    ),
     "field-over-the-csv-size-limit": (
         HEADER.encode() + b"\nD,1,2\nH,3," + b"4" * 200_000 + b"\n",
         "malformed CSV: field larger than field limit (131072)",
@@ -121,6 +129,10 @@ REJECTED = {
     ),
     "invalid-utf8-before-a-bad-row": (
         HEADER.encode() + b"\nD,\xff,2\nH,3\n", "invalid UTF-8 at byte offset 16", 2
+    ),
+    # the record starts on line 2; the invalid byte is on its second line
+    "invalid-utf8-in-a-quoted-cell-spanning-lines": (
+        HEADER.encode() + b'\nD,"1\n5\xff",2\nH,3,4\n', "invalid UTF-8 at byte offset 20", 3
     ),
 }
 
@@ -258,19 +270,23 @@ def _outcome(path):
 
 
 class _Routes:
-    """Patches the bulk pass to count its results, or to refuse every file."""
+    """Patches the per-chunk bulk pass to count its results, or to refuse every chunk.
+
+    The header is always read by csv, so a bulk pass that refuses every
+    chunk leaves the csv row parser alone.
+    """
 
     def __init__(self, monkeypatch):
         self.monkeypatch = monkeypatch
         self.bulk = self.refused = 0
 
-    def _counting(self, handle):
-        parsed = _read_bulk(handle)
-        if parsed is None:
-            self.refused += 1
-        else:
+    def _counting(self, lines, m, groups):
+        accepted = _read_bulk(lines, m, groups)
+        if accepted:
             self.bulk += 1
-        return parsed
+        else:
+            self.refused += 1
+        return accepted
 
     def both(self, path):
         """(``ingest_curves``'s outcome, the row parser's outcome) on one file."""
@@ -278,7 +294,7 @@ class _Routes:
             patch.setattr(harness, "_read_bulk", self._counting)
             got = _outcome(path)
         with self.monkeypatch.context() as patch:
-            patch.setattr(harness, "_read_bulk", lambda handle: None)
+            patch.setattr(harness, "_read_bulk", lambda lines, m, groups: False)
             return got, _outcome(path)
 
 
@@ -290,7 +306,7 @@ def test_mutated_files_give_the_row_parsers_arrays_or_error(tmp_path, monkeypatc
         data = _mutated_file(rng)
         got, expected = routes.both(_write(tmp_path, data))
         assert got == expected, data
-    # both routes are exercised (files that fail to decode reach neither count)
+    # both routes are exercised (files that end at the header reach neither count)
     assert routes.bulk > 50 and routes.refused > 50
 
 
@@ -348,10 +364,8 @@ def test_defect_past_the_first_bulk_chunk_gives_the_row_parsers_outcome(
     routes = _Routes(monkeypatch)
     got, expected = routes.both(_write(tmp_path, data))
     assert got == expected
-    if kind in ("clean", "blank-lines"):
-        assert routes.bulk == 1
-    elif kind != "invalid-utf8":
-        assert routes.refused == 1
+    # the row parser reads on from the first refused chunk, so no second one is refused
+    assert routes.refused == (0 if kind in ("clean", "blank-lines") else 1)
 
 
 def test_file_whose_only_quote_is_in_a_label_gives_the_row_parsers_arrays(tmp_path, monkeypatch):
@@ -362,7 +376,7 @@ def test_file_whose_only_quote_is_in_a_label_gives_the_row_parsers_arrays(tmp_pa
 
 
 def test_clean_repr_float_file_never_reaches_the_row_parser(tmp_path, monkeypatch):
-    def refuse(reader):
+    def refuse(*args):
         raise AssertionError("the row parser ran on a clean file")
 
     monkeypatch.setattr(harness, "_parse_rows", refuse)
@@ -370,6 +384,27 @@ def test_clean_repr_float_file_never_reaches_the_row_parser(tmp_path, monkeypatc
     rows = _big_rows(rng)
     d, h = ingest_curves(_write(tmp_path, _encode(rows, "\n")))
     assert len(d.values) + len(h.values) == len(rows) - 1
+
+
+def test_file_refused_in_its_last_chunk_is_parsed_once(tmp_path, monkeypatch):
+    rows = _big_rows(random.Random(11))
+    rows[-1][3] = "1_5"  # float reads it, loadtxt does not
+    text = _encode(rows, "\n").decode("utf-8")
+    handle = io.StringIO(text, newline="")
+    handle.readline()
+    chunks = list(iter(lambda: handle.readlines(harness._BULK_CHUNK), []))
+    assert len(chunks) > 3
+    parsed = []
+
+    def counting(cells, line):
+        parsed.append(line)
+        return _parse_cells(cells, line)
+
+    monkeypatch.setattr(harness, "_parse_cells", counting)
+    d, h = ingest_curves(_write(tmp_path, text.encode("utf-8")))
+    assert len(d.values) + len(h.values) == len(rows) - 1
+    first = len(rows) - len(chunks[-1]) + 1
+    assert parsed == list(range(first, len(rows) + 1))
 
 
 @pytest.mark.parametrize("data, expected", [
@@ -381,9 +416,9 @@ def test_quoted_or_underscore_file_parses_through_the_row_parser(
         tmp_path, monkeypatch, data, expected):
     calls = []
 
-    def counting(reader):
-        calls.append(reader)
-        return _parse_rows(reader)
+    def counting(*args):
+        calls.append(args)
+        return _parse_rows(*args)
 
     monkeypatch.setattr(harness, "_parse_rows", counting)
     d, h = ingest_curves(_write(tmp_path, data))
