@@ -6,6 +6,9 @@ curve, the AUC, and the AUC-maximizing direction all have explicit
 expressions through the standard normal distribution.  These serve as
 oracles for the empirical estimators and as finite-rank stand-ins for the
 functional theory.
+
+scipy is imported inside the oracles that need it, so importing funcroc,
+running studies and analyzing curve files load no scipy module.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.special import ndtr, ndtri
 
 from .errors import DegenerateDirectionError, RangeViolationError
 from .estimation import spd_inverse, symmetric_matrix
@@ -54,7 +55,7 @@ class GaussianPair:
             sigma = getattr(self, name)
             if np.shape(sigma) != (k, k):
                 raise ValueError(f"{name} must be {k} x {k}")
-            sigma = symmetric_matrix(sigma, f"{name} must be symmetric")
+            sigma = symmetric_matrix(sigma, name)
             spd_inverse(sigma, ValueError(f"{name} must be positive definite"))
             object.__setattr__(self, name, sigma)
         if not 0.0 < self.pi_d < 1.0:
@@ -88,6 +89,8 @@ def auc_of_direction(g: GaussianPair, beta) -> float:
     Equals Phi(beta' (mu_D - mu_H) / sqrt(beta' (Sigma_D + Sigma_H) beta));
     invariant to positive rescaling of beta.
     """
+    from scipy.special import ndtr
+
     beta = _check_beta(g, beta)
     separation = float(beta @ g.mean_diff)
     spread = float(beta @ (g.sigma_d + g.sigma_h) @ beta)
@@ -107,6 +110,8 @@ def optimal_auc_direction(g: GaussianPair) -> np.ndarray:
     Proportional to (Sigma_D + Sigma_H)^{-1} (mu_D - mu_H); undefined when
     the means coincide, in which case every direction has AUC 1/2.
     """
+    import scipy.linalg
+
     _check_distinct_means(g, "equal means make every projection an AUC-1/2 coin flip")
     direction = scipy.linalg.solve(g.sigma_d + g.sigma_h, g.mean_diff, assume_a="pos")
     return direction / np.linalg.norm(direction)
@@ -117,6 +122,8 @@ def binormal_roc(g: GaussianPair, beta, p):
 
     ``p`` may be a scalar in (0, 1) or an array of such values.
     """
+    from scipy.special import ndtr, ndtri
+
     beta = _check_beta(g, beta)
     p_arr = np.asarray(p, dtype=float)
     if np.any(p_arr <= 0.0) or np.any(p_arr >= 1.0):
@@ -136,6 +143,8 @@ def youden_direction(g: GaussianPair) -> np.ndarray:
     AUC-optimal direction in that case.  The optimal threshold along the
     returned direction is the midpoint of the projected means.
     """
+    import scipy.linalg
+
     scale = max(1.0, float(np.abs(g.sigma_d).max()), float(np.abs(g.sigma_h).max()))
     if np.abs(g.sigma_d - g.sigma_h).max() > 1e-10 * scale:
         raise ValueError("youden_direction requires equal covariance matrices")

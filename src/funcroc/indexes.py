@@ -18,7 +18,6 @@ from functools import cached_property
 from typing import Union
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateDirectionError,
@@ -104,7 +103,7 @@ class QuadraticIndex:
             raise ValueError("lambda_mat must be k x k")
         if alpha.shape != (self.k,):
             raise ValueError("alpha_vec must have length k")
-        lam = symmetric_matrix(self.lambda_mat, "lambda_mat must be symmetric")
+        lam = symmetric_matrix(self.lambda_mat, "lambda_mat")
         alpha.setflags(write=False)
         object.__setattr__(self, "lambda_mat", lam)
         object.__setattr__(self, "alpha_vec", alpha)
@@ -133,7 +132,7 @@ class PenaltySpec:
             shape = np.shape(self.matrix)
             if len(shape) != 2 or shape[0] != shape[1]:
                 raise ValueError("penalty matrix must be square")
-            matrix = symmetric_matrix(self.matrix, "penalty matrix must be symmetric")
+            matrix = symmetric_matrix(self.matrix, "penalty matrix")
             object.__setattr__(self, "matrix", matrix)
 
 
@@ -293,19 +292,19 @@ def fit_optimal_linear(
         gram = gram + penalty.lam * pen
 
     try:
-        factor = scipy.linalg.cho_factor(gram)
-        coefficients = scipy.linalg.cho_solve(factor, delta)
-    except scipy.linalg.LinAlgError as exc:
+        factor = np.linalg.cholesky(gram)
+        coefficients = np.linalg.solve(factor.T, np.linalg.solve(factor, delta))
+    except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
             "projected covariance system is singular; increase the penalty "
             "weight or lower the variance fraction"
         ) from exc
 
     beta_values = phi @ coefficients
-    beta = Curve(grid, beta_values)
-    length = norm(beta)
-    if length == 0.0:
-        raise DegenerateDirectionError("optimal direction collapsed to zero")
+    # the quadrature norm of ``grids.norm``, also for the non-finite values a Curve rejects
+    length = float(np.sqrt(np.dot(beta_values * beta_values, grid.weights)))
+    if not 0.0 < length < np.inf:  # NaN fails too
+        raise DegenerateDirectionError("optimal direction collapsed to zero or overflowed")
     beta_values = beta_values / length
     if float(np.dot(grid.weights * beta_values, diff.values)) < 0.0:
         beta_values = -beta_values
@@ -377,6 +376,6 @@ def quadratic_population(
     for name, sigma in (("sigma_d", sigma_d), ("sigma_h", sigma_h)):
         if np.shape(sigma) != (k, k):
             raise ValueError(f"{name} must be k x k")
-        sigma = symmetric_matrix(sigma, f"{name} must be symmetric")
+        sigma = symmetric_matrix(sigma, name)
         inverses.append(spd_inverse(sigma, ValueError(f"{name} must be positive definite")))
     return _quadratic_coefficients(*inverses, mu_d, mu_h)

@@ -29,6 +29,16 @@ def random_pair(rng, k=4, equal_cov=False, pi_d=0.5, equal_means=False):
     return GaussianPair(mu_d, mu_h, sigma_d, sigma_h, pi_d=pi_d)
 
 
+class TestGaussianPair:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("which", ["sigma_d", "sigma_h"])
+    def test_non_finite_covariance_rejected(self, which, bad):
+        sigmas = {"sigma_d": np.eye(2), "sigma_h": np.eye(2)}
+        sigmas[which][1, 1] = bad
+        with pytest.raises(ValueError, match=f"^{which} must be finite$"):
+            GaussianPair(np.ones(2), np.zeros(2), **sigmas)
+
+
 class TestAucOfDirection:
     def test_equal_means_give_coin_flip_for_every_direction(self):
         rng = np.random.default_rng(0)

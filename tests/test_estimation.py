@@ -21,6 +21,7 @@ from funcroc import (
     sample_gaussian,
     sample_mean,
 )
+from funcroc.estimation import spd_inverse
 
 BROWNIAN_TOP_EIGENVALUE = 4.0 / np.pi**2  # analytic leading variance of min(s, t)
 
@@ -206,6 +207,13 @@ class TestEigendecompose:
         with pytest.raises(InvalidKernelError):
             CovarianceKernel(grid, matrix)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_kernel_is_rejected(self, bad):
+        matrix = np.eye(5)
+        matrix[2, 2] = bad
+        with pytest.raises(ValueError, match="^kernel matrix must be finite$"):
+            CovarianceKernel(make_uniform_grid(5), matrix)
+
     def test_count_must_fit_grid(self):
         grid = make_uniform_grid(5)
         kernel = CovarianceKernel(grid, np.eye(5))
@@ -219,6 +227,32 @@ class TestEigendecompose:
         rebuilt = (eig.eigenfunctions * eig.eigenvalues) @ eig.eigenfunctions.T
         scale = np.abs(kernel.matrix).max()
         assert np.abs(rebuilt - kernel.matrix).max() < 1e-6 * scale
+
+
+class TestSpdInverse:
+    def test_matches_the_general_inverse(self):
+        a = np.random.default_rng(4).standard_normal((6, 6))
+        matrix = a @ a.T + 6.0 * np.eye(6)
+        inverse = spd_inverse(matrix, ValueError("unused"))
+        assert np.allclose(inverse @ matrix, np.eye(6), atol=1e-12)
+        assert np.allclose(inverse, np.linalg.inv(matrix), rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises_the_callers_error(self, bad):
+        matrix = np.eye(3)
+        matrix[1, 1] = bad
+        with pytest.raises(InsufficientSampleError, match="^caller$"):
+            spd_inverse(matrix, InsufficientSampleError("caller"))
+
+    def test_not_positive_definite_raises_the_callers_error(self):
+        with pytest.raises(InsufficientSampleError, match="^caller$"):
+            spd_inverse(np.array([[1.0, 2.0], [2.0, 1.0]]), InsufficientSampleError("caller"))
+
+    def test_overflowing_inverse_raises_the_callers_error(self):
+        # positive definite with a subnormal spectrum: the inverse is beyond the float range
+        with np.errstate(over="ignore"):
+            with pytest.raises(InsufficientSampleError, match="^caller$"):
+                spd_inverse(np.diag([1e-320, 1.0]), InsufficientSampleError("caller"))
 
 
 class TestChooseDimension:

@@ -318,6 +318,23 @@ class TestAnalyze:
         assert len(rows) == 11
         assert [p for _, p, _ in rows] == pytest.approx(np.linspace(0.0, 1.0, 11))
 
+    @pytest.mark.parametrize("scale", [1e-155, 1e-160])
+    def test_tiny_curves_end_in_typed_fit_failures(self, scale):
+        # the linear direction's norm and the score-covariance inverses overflow;
+        # both fits must fail typed so the other indexes are still reported
+        d, h = generate_scenario(
+            ScenarioSpec(name="P1", n_d=30, n_h=30, seed=3, rho=1.0, grid_size=20).substream(0)
+        )
+        config = RunConfig(scenario="file.csv")
+        unscaled = analyze(d, h, config).per_index
+        with np.errstate(over="ignore"):
+            scaled = analyze(*(FunctionalSample(s.grid, s.values * scale, s.group)
+                               for s in (d, h)), config).per_index
+        for name in ("max", "min", "integral", "meandiff"):
+            assert scaled[name]["mean_auc"] == unscaled[name]["mean_auc"], name
+        assert scaled["linear"]["error"].startswith("DegenerateDirectionError: ")
+        assert scaled["quad"]["error"].startswith("SingularCovarianceError: ")
+
 
 class TestIngestCurves:
     def test_toy_file_groups_and_grid(self, tmp_path):

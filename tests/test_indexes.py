@@ -91,6 +91,14 @@ class TestApplyIndex:
         scores = project_scores(s, basis, 3)
         assert np.allclose(index_scores(idx, s), 2.0 * scores @ alpha)
 
+    def test_non_finite_lambda_mat_is_rejected(self):
+        s = sample_gaussian(ProcessSpec.brownian(), make_uniform_grid(20), 10,
+                            np.random.default_rng(2))
+        basis = eigendecompose(sample_covariance(s), 2)
+        lambda_mat = np.array([[1.0, 0.0], [0.0, np.nan]])
+        with pytest.raises(ValueError, match="^lambda_mat must be finite$"):
+            QuadraticIndex(basis=basis, k=2, lambda_mat=lambda_mat, alpha_vec=np.zeros(2))
+
 
 class TestFitContext:
     def test_construction_does_no_work_and_cannot_fail(self):
@@ -397,6 +405,20 @@ class TestFitOptimalLinear:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             PenaltySpec(lam=lam)
 
+    def test_non_finite_penalty_matrix_is_rejected(self):
+        with pytest.raises(ValueError, match="^penalty matrix must be finite$"):
+            PenaltySpec(lam=1.0, matrix=[[np.nan, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("scale", [1e-155, 1e-160])
+    def test_overflowing_direction_norm_is_degenerate(self, scale):
+        # the direction's coefficients grow like 1/scale and its squared norm overflows
+        spec = ScenarioSpec(name="P1", n_d=30, n_h=30, seed=3, rho=1.0, grid_size=20)
+        d, h = (FunctionalSample(s.grid, s.values * scale, s.group)
+                for s in generate_scenario(spec))
+        with np.errstate(over="ignore"):
+            with pytest.raises(DegenerateDirectionError, match="collapsed to zero or overflowed"):
+                fit_optimal_linear(FitContext(d, h))
+
     def test_second_difference_penalty_is_psd(self):
         spec = ScenarioSpec(name="P1", n_d=40, n_h=40, seed=16, rho=1.0, grid_size=40)
         d, h = generate_scenario(spec)
@@ -487,7 +509,7 @@ class TestFitQuadratic:
 
     @pytest.mark.parametrize("ridge", [np.nan, np.inf, -1e-6])
     def test_ridge_must_be_finite_and_nonnegative(self, ridge):
-        # scipy's own non-finite check raises a bare ValueError with another message
+        # without this check a non-finite ridge ends as a SingularCovarianceError
         spec = ScenarioSpec(name="P1", n_d=30, n_h=30, seed=3, rho=1.0, grid_size=20)
         d, h = generate_scenario(spec)
         with pytest.raises(ValueError, match="ridge must be finite and nonnegative"):
@@ -519,6 +541,14 @@ class TestQuadraticPopulation:
             quadratic_population(
                 np.zeros(2), np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2)
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("which", ["sigma_d", "sigma_h"])
+    def test_non_finite_covariance_rejected(self, which, bad):
+        sigmas = {"sigma_d": np.eye(2), "sigma_h": np.eye(2)}
+        sigmas[which][0, 0] = bad
+        with pytest.raises(ValueError, match=f"^{which} must be finite$"):
+            quadratic_population(np.zeros(2), np.zeros(2), **sigmas)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_projected_decomposition_identity(self, seed):

@@ -1,0 +1,72 @@
+"""Studies, analyses and the CLI run on numpy alone; scipy serves only the oracles."""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Runs in a fresh interpreter, so no other test's imports leak into sys.modules.
+SCRIPT = textwrap.dedent("""
+    import json
+    import math
+    import sys
+
+    import numpy as np
+
+    import funcroc
+    import funcroc.cli
+    from funcroc import INDEX_NAMES, RunConfig, ScenarioSpec, generate_scenario, run_study
+
+    def scipy_modules():
+        return sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+
+    out = {"after_import": scipy_modules(), "n_ok": {}, "exit_codes": []}
+    # N >= m (the m x m pooled kernel) and N < m (the N x N Gram form)
+    for spec in (ScenarioSpec(name="P1", n_d=30, n_h=30, seed=1, rho=1.0, grid_size=20),
+                 ScenarioSpec(name="C20", n_d=15, n_h=15, seed=1, grid_size=60)):
+        report = run_study(RunConfig(scenario=spec, indexes=INDEX_NAMES, reps=3))
+        out["n_ok"][spec.name] = {name: report.per_index[name]["n_ok"] for name in INDEX_NAMES}
+
+    workdir = sys.argv[1]
+    d, h = generate_scenario(ScenarioSpec(name="C20", n_d=20, n_h=25, seed=2, grid_size=15))
+    with open(f"{workdir}/curves.csv", "w", encoding="utf-8") as handle:
+        handle.write("label," + ",".join(map(repr, d.grid.points.tolist())) + "\\n")
+        for label, sample in (("D", d), ("H", h)):
+            for row in sample.values.tolist():
+                handle.write(label + "," + ",".join(map(repr, row)) + "\\n")
+    for argv in (["analyze", "--input", f"{workdir}/curves.csv", "--lambda", "0.5",
+                  "--export-roc", f"{workdir}/roc_samples.csv", "--out", f"{workdir}/report.json"],
+                 ["roc", "--input", f"{workdir}/curves.csv", "--index", "quad",
+                  "--out", f"{workdir}/roc.csv"]):
+        out["exit_codes"].append(funcroc.cli.main(argv))
+    out["after_runs"] = scipy_modules()
+
+    from funcroc import GaussianPair, auc_of_direction
+
+    pair = GaussianPair(np.ones(2), np.zeros(2), np.eye(2), np.eye(2))
+    out["oracle_auc"] = auc_of_direction(pair, [1.0, 0.0])
+    # separation 1 over spread sqrt(2): Phi(1/sqrt(2)) = (1 + erf(1/2)) / 2
+    out["expected_auc"] = 0.5 * (1.0 + math.erf(0.5))
+    print(json.dumps(out))
+""")
+
+
+def test_studies_analyses_and_cli_load_no_scipy_module(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    out = json.loads(done.stdout.splitlines()[-1])
+    assert out["after_import"] == []
+    assert out["after_runs"] == []
+    assert out["exit_codes"] == [0, 0]
+    # every fitter ran, so each eigensolve and Cholesky route was exercised
+    for scenario, n_ok in out["n_ok"].items():
+        assert all(count > 0 for count in n_ok.values()), (scenario, n_ok)
+    assert out["oracle_auc"] == pytest.approx(out["expected_auc"], rel=1e-14)
