@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DegenerateDirectionError, RangeViolationError
 from .estimation import spd_inverse, symmetric_matrix
+from .grids import frozen_finite
 
 __all__ = [
     "GaussianPair",
@@ -46,8 +47,8 @@ class GaussianPair:
     pi_d: float = 0.5
 
     def __post_init__(self):
-        mu_d = np.array(self.mu_d, dtype=float, copy=True)
-        mu_h = np.array(self.mu_h, dtype=float, copy=True)
+        mu_d = frozen_finite(self.mu_d, "mu_d")
+        mu_h = frozen_finite(self.mu_h, "mu_h")
         if mu_d.ndim != 1 or mu_h.shape != mu_d.shape:
             raise ValueError("mean vectors must be 1-d and of equal length")
         k = mu_d.size
@@ -60,8 +61,6 @@ class GaussianPair:
             object.__setattr__(self, name, sigma)
         if not 0.0 < self.pi_d < 1.0:
             raise ValueError("pi_d must lie in (0, 1)")
-        mu_d.setflags(write=False)
-        mu_h.setflags(write=False)
         object.__setattr__(self, "mu_d", mu_d)
         object.__setattr__(self, "mu_h", mu_h)
 
@@ -75,7 +74,7 @@ class GaussianPair:
 
 
 def _check_beta(g: GaussianPair, beta) -> np.ndarray:
-    beta = np.asarray(beta, dtype=float)
+    beta = frozen_finite(beta, "beta")
     if beta.shape != (g.dim,):
         raise ValueError("beta must match the model dimension")
     if not np.any(beta != 0.0):
@@ -125,7 +124,7 @@ def binormal_roc(g: GaussianPair, beta, p):
     from scipy.special import ndtr, ndtri
 
     beta = _check_beta(g, beta)
-    p_arr = np.asarray(p, dtype=float)
+    p_arr = frozen_finite(p, "p")
     if np.any(p_arr <= 0.0) or np.any(p_arr >= 1.0):
         raise ValueError("p must lie strictly inside (0, 1)")
     z_p = ndtri(1.0 - p_arr)
@@ -197,8 +196,8 @@ def eigenbasis_optimal_direction(mu_diff, eigenvalues, pi_d: float) -> np.ndarra
     difference coordinates.  A zero eigenvalue puts the mean difference
     outside the operator range, so the inverse does not exist there.
     """
-    mu_diff = np.asarray(mu_diff, dtype=float)
-    eigenvalues = np.asarray(eigenvalues, dtype=float)
+    mu_diff = frozen_finite(mu_diff, "mu_diff")
+    eigenvalues = frozen_finite(eigenvalues, "eigenvalues")
     if mu_diff.shape != eigenvalues.shape or mu_diff.ndim != 1:
         raise ValueError("mu_diff and eigenvalues must be vectors of equal length")
     if not 0.0 < pi_d < 1.0:

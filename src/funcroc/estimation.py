@@ -19,7 +19,7 @@ from .errors import (
     InsufficientSampleError,
     InvalidKernelError,
 )
-from .grids import Curve, FunctionalSample, Grid
+from .grids import Curve, FunctionalSample, Grid, frozen_finite
 
 __all__ = [
     "CovarianceKernel",
@@ -43,13 +43,10 @@ def symmetric_matrix(value, name: str, error: type[Exception] = ValueError) -> n
     The symmetry tolerance is 1e-10 times max(1, largest entry magnitude); a
     larger asymmetry raises ``error("<name> must be symmetric")``.
     """
-    matrix = np.array(value, dtype=float, copy=True)
-    if not np.isfinite(matrix).all():
-        raise ValueError(f"{name} must be finite")
+    matrix = frozen_finite(value, name)
     scale = max(1.0, float(np.abs(matrix).max()))
     if np.abs(matrix - matrix.T).max() > _SYMMETRY_RTOL * scale:
         raise error(f"{name} must be symmetric")
-    matrix.setflags(write=False)
     return matrix
 
 
@@ -64,7 +61,8 @@ def spd_inverse(matrix: np.ndarray, error: Exception) -> np.ndarray:
             factor_inverse = np.linalg.inv(np.linalg.cholesky(matrix))
         except np.linalg.LinAlgError as exc:
             raise error from exc
-        inverse = factor_inverse.T @ factor_inverse
+        with np.errstate(over="ignore"):  # an overflowing inverse raises ``error`` below
+            inverse = factor_inverse.T @ factor_inverse
         if np.isfinite(inverse).all():
             return inverse
     raise error

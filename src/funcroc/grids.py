@@ -26,8 +26,14 @@ __all__ = [
 ]
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    out = np.array(values, dtype=dtype, copy=True)
+def frozen_finite(values, what: str) -> np.ndarray:
+    """Read-only float copy of ``values``.
+
+    A NaN or infinite entry raises ``ValueError("<what> must be finite")``.
+    """
+    out = np.array(values, dtype=float, copy=True)
+    if not np.isfinite(out).all():
+        raise ValueError(f"{what} must be finite")
     out.setflags(write=False)
     return out
 
@@ -56,14 +62,12 @@ class Grid:
     weights: np.ndarray
 
     def __post_init__(self):
-        points = _frozen_array(self.points)
-        weights = _frozen_array(self.weights)
+        points = frozen_finite(self.points, "grid points and weights")
+        weights = frozen_finite(self.weights, "grid points and weights")
         if points.ndim != 1 or points.size < 2:
             raise ValueError("grid needs at least two points")
         if weights.shape != points.shape:
             raise ValueError("points and weights must have equal length")
-        if not (np.all(np.isfinite(points)) and np.all(np.isfinite(weights))):
-            raise ValueError("grid points and weights must be finite")
         if np.any(np.diff(points) <= 0):
             raise ValueError("grid points must be strictly increasing")
         if points[0] < 0.0 or points[-1] > 1.0:
@@ -119,11 +123,9 @@ class Curve:
     values: np.ndarray
 
     def __post_init__(self):
-        values = _frozen_array(self.values)
+        values = frozen_finite(self.values, "curve values")
         if values.shape != (len(self.grid),):
             raise ValueError("curve values must match the grid length")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("curve values must be finite")
         object.__setattr__(self, "values", values)
 
 
@@ -139,14 +141,11 @@ class FunctionalSample:
     group: Group
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float, copy=True)
+        values = frozen_finite(self.values, "sample values")
         if values.ndim != 2 or values.shape[0] < 1:
             raise ValueError("a sample needs at least one curve")
         if values.shape[1] != len(self.grid):
             raise ValueError("sample columns must match the grid length")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("sample values must be finite")
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     @property

@@ -308,11 +308,8 @@ def _parse_header(header: list[str], line: int) -> Grid:
         raise CurveParseError(
             "header must be 'label,t1,...,tm' with at least two grid points", line=line
         )
-    points = [
-        _parse_float(cell.strip(), line=line, column=j + 2) for j, cell in enumerate(header[1:])
-    ]
     try:
-        return Grid.from_points(np.asarray(points))
+        return Grid.from_points(_parse_cells(header[1:], line))
     except ValueError as exc:
         raise CurveParseError(f"bad grid in header: {exc}", line=line) from exc
 

@@ -19,6 +19,7 @@ from typing import Union
 
 import numpy as np
 
+from .binormal import GaussianPair
 from .errors import (
     DegenerateDirectionError,
     GridMismatchError,
@@ -35,7 +36,7 @@ from .estimation import (
     spd_inverse,
     symmetric_matrix,
 )
-from .grids import Curve, FunctionalSample, Grid, Group, norm
+from .grids import Curve, FunctionalSample, Grid, Group, frozen_finite, norm
 
 __all__ = [
     "MaxIndex",
@@ -98,13 +99,12 @@ class QuadraticIndex:
     def __post_init__(self):
         if not 1 <= self.k <= self.basis.count:
             raise ValueError("k must lie between 1 and the basis count")
-        alpha = np.array(self.alpha_vec, dtype=float, copy=True)
+        alpha = frozen_finite(self.alpha_vec, "alpha_vec")
         if np.shape(self.lambda_mat) != (self.k, self.k):
             raise ValueError("lambda_mat must be k x k")
         if alpha.shape != (self.k,):
             raise ValueError("alpha_vec must have length k")
         lam = symmetric_matrix(self.lambda_mat, "lambda_mat")
-        alpha.setflags(write=False)
         object.__setattr__(self, "lambda_mat", lam)
         object.__setattr__(self, "alpha_vec", alpha)
 
@@ -301,8 +301,10 @@ def fit_optimal_linear(
         ) from exc
 
     beta_values = phi @ coefficients
-    # the quadrature norm of ``grids.norm``, also for the non-finite values a Curve rejects
-    length = float(np.sqrt(np.dot(beta_values * beta_values, grid.weights)))
+    # the quadrature norm of ``grids.norm``, also for the non-finite values a Curve rejects;
+    # an overflow to inf is raised as DegenerateDirectionError below
+    with np.errstate(over="ignore"):
+        length = float(np.sqrt(np.dot(beta_values * beta_values, grid.weights)))
     if not 0.0 < length < np.inf:  # NaN fails too
         raise DegenerateDirectionError("optimal direction collapsed to zero or overflowed")
     beta_values = beta_values / length
@@ -366,16 +368,8 @@ def quadratic_population(
     Returns (L, a) with L = inv(Sigma_D) - inv(Sigma_H) and
     a = inv(Sigma_D) mu_D - inv(Sigma_H) mu_H.  For diagonal covariances
     the entries of L reduce to (lambda_H - lambda_D) / (lambda_D lambda_H).
+    Moments that ``GaussianPair`` rejects raise its ``ValueError``.
     """
-    mu_d = np.asarray(mu_d, dtype=float)
-    mu_h = np.asarray(mu_h, dtype=float)
-    k = mu_d.size
-    if mu_h.shape != (k,):
-        raise ValueError("mean vectors must have equal length")
-    inverses = []
-    for name, sigma in (("sigma_d", sigma_d), ("sigma_h", sigma_h)):
-        if np.shape(sigma) != (k, k):
-            raise ValueError(f"{name} must be k x k")
-        sigma = symmetric_matrix(sigma, name)
-        inverses.append(spd_inverse(sigma, ValueError(f"{name} must be positive definite")))
-    return _quadratic_coefficients(*inverses, mu_d, mu_h)
+    g = GaussianPair(mu_d, mu_h, sigma_d, sigma_h)
+    inverses = (spd_inverse(sigma, ValueError) for sigma in (g.sigma_d, g.sigma_h))
+    return _quadratic_coefficients(*inverses, g.mu_d, g.mu_h)

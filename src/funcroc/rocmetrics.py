@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import FunctionalSample
+from .grids import FunctionalSample, frozen_finite
 from .indexes import DiscriminantIndex, index_scores
 
 __all__ = [
@@ -42,12 +42,9 @@ class ScoreSample:
 
     def __post_init__(self):
         for name in ("diseased", "healthy"):
-            values = np.array(getattr(self, name), dtype=float, copy=True)
+            values = frozen_finite(getattr(self, name), f"{name} scores")
             if values.ndim != 1 or values.size == 0:
                 raise ValueError(f"{name} scores must form a nonempty vector")
-            if not np.all(np.isfinite(values)):
-                raise ValueError(f"{name} scores must be finite")
-            values.setflags(write=False)
             object.__setattr__(self, name, values)
 
     def swapped(self) -> "ScoreSample":
@@ -101,10 +98,10 @@ def ecdf(sample, t):
 
     ``t`` may be a scalar or an array; the return type matches.
     """
-    values = np.asarray(sample, dtype=float)
+    values = frozen_finite(sample, "sample")
     if values.size == 0:
         raise ValueError("sample must be nonempty")
-    result = np.searchsorted(np.sort(values), t, side="right") / values.size
+    result = np.searchsorted(np.sort(values), frozen_finite(t, "t"), side="right") / values.size
     return float(result) if np.isscalar(t) else result
 
 
@@ -113,7 +110,7 @@ def equantile(sample, p: float) -> float:
 
     Returns the ceil(n p)-th order statistic.
     """
-    values = np.asarray(sample, dtype=float)
+    values = frozen_finite(sample, "sample")
     if values.size == 0:
         raise ValueError("sample must be nonempty")
     if not 0.0 < p <= 1.0:

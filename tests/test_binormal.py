@@ -38,6 +38,35 @@ class TestGaussianPair:
         with pytest.raises(ValueError, match=f"^{which} must be finite$"):
             GaussianPair(np.ones(2), np.zeros(2), **sigmas)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("which", ["mu_d", "mu_h"])
+    def test_non_finite_mean_rejected(self, which, bad):
+        means = {"mu_d": np.ones(2), "mu_h": np.zeros(2)}
+        means[which][1] = bad
+        with pytest.raises(ValueError, match=f"^{which} must be finite$"):
+            GaussianPair(**means, sigma_d=np.eye(2), sigma_h=np.eye(2))
+
+
+UNIT_PAIR = GaussianPair(np.ones(2), np.zeros(2), np.eye(2), np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "call, which",
+    [
+        (lambda: auc_of_direction(UNIT_PAIR, [np.nan, 1.0]), "beta"),
+        (lambda: pooled_correlation_identity(UNIT_PAIR, [np.nan, 1.0]), "beta"),
+        (lambda: binormal_roc(UNIT_PAIR, [1.0, 0.0], np.nan), "p"),
+        (lambda: binormal_roc(UNIT_PAIR, [1.0, 0.0], [0.5, np.nan]), "p"),
+        (lambda: eigenbasis_optimal_direction([1.0, np.nan], [1.0, np.nan], 0.5), "mu_diff"),
+        (lambda: eigenbasis_optimal_direction([1.0, 0.5], [1.0, np.inf], 0.5), "eigenvalues"),
+    ],
+    ids=["auc-beta", "identity-beta", "roc-p", "roc-p-array", "eigen-mu_diff",
+         "eigen-eigenvalues"],
+)
+def test_oracles_reject_non_finite_input(call, which):
+    with pytest.raises(ValueError, match=f"^{which} must be finite$"):
+        call()
+
 
 class TestAucOfDirection:
     def test_equal_means_give_coin_flip_for_every_direction(self):

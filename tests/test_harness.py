@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -334,6 +335,19 @@ class TestAnalyze:
             assert scaled[name]["mean_auc"] == unscaled[name]["mean_auc"], name
         assert scaled["linear"]["error"].startswith("DegenerateDirectionError: ")
         assert scaled["quad"]["error"].startswith("SingularCovarianceError: ")
+
+    @pytest.mark.parametrize("scale", [1e-155, 1e-160])
+    def test_tiny_curves_fail_without_runtime_warnings(self, scale):
+        # the overflows behind both typed failures are expected, so nothing is printed
+        d, h = generate_scenario(
+            ScenarioSpec(name="P1", n_d=30, n_h=30, seed=3, rho=1.0, grid_size=20).substream(0)
+        )
+        scaled = [FunctionalSample(s.grid, s.values * scale, s.group) for s in (d, h)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = analyze(*scaled, RunConfig(scenario="file.csv"))
+        assert report.per_index["linear"]["error"].startswith("DegenerateDirectionError: ")
+        assert report.per_index["quad"]["error"].startswith("SingularCovarianceError: ")
 
 
 class TestIngestCurves:

@@ -99,6 +99,14 @@ class TestApplyIndex:
         with pytest.raises(ValueError, match="^lambda_mat must be finite$"):
             QuadraticIndex(basis=basis, k=2, lambda_mat=lambda_mat, alpha_vec=np.zeros(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_alpha_vec_is_rejected(self, bad):
+        s = sample_gaussian(ProcessSpec.brownian(), make_uniform_grid(20), 10,
+                            np.random.default_rng(2))
+        basis = eigendecompose(sample_covariance(s), 2)
+        with pytest.raises(ValueError, match="^alpha_vec must be finite$"):
+            QuadraticIndex(basis=basis, k=2, lambda_mat=np.eye(2), alpha_vec=[0.0, bad])
+
 
 class TestFitContext:
     def test_construction_does_no_work_and_cannot_fail(self):
@@ -549,6 +557,14 @@ class TestQuadraticPopulation:
         sigmas[which][0, 0] = bad
         with pytest.raises(ValueError, match=f"^{which} must be finite$"):
             quadratic_population(np.zeros(2), np.zeros(2), **sigmas)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("which", ["mu_d", "mu_h"])
+    def test_non_finite_mean_rejected(self, which, bad):
+        means = {"mu_d": np.zeros(2), "mu_h": np.zeros(2)}
+        means[which][1] = bad
+        with pytest.raises(ValueError, match=f"^{which} must be finite$"):
+            quadratic_population(**means, sigma_d=np.eye(2), sigma_h=np.eye(2))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_projected_decomposition_identity(self, seed):

@@ -404,7 +404,8 @@ def test_file_refused_in_its_last_chunk_is_parsed_once(tmp_path, monkeypatch):
     d, h = ingest_curves(_write(tmp_path, text.encode("utf-8")))
     assert len(d.values) + len(h.values) == len(rows) - 1
     first = len(rows) - len(chunks[-1]) + 1
-    assert parsed == list(range(first, len(rows) + 1))
+    # the header (line 1) once, then each line of the refused chunk once
+    assert parsed == [1] + list(range(first, len(rows) + 1))
 
 
 @pytest.mark.parametrize("data, expected", [

@@ -49,6 +49,15 @@ class TestEcdf:
         with pytest.raises(ValueError):
             ecdf([], 1.0)
 
+    @pytest.mark.parametrize(
+        "sample, t, which",
+        [([np.nan, 1.0, 2.0], 1.5, "sample"), ([0.0, 1.0], np.nan, "t"),
+         ([0.0, 1.0], [0.5, np.inf], "t")],
+    )
+    def test_non_finite_input_rejected(self, sample, t, which):
+        with pytest.raises(ValueError, match=f"^{which} must be finite$"):
+            ecdf(sample, t)
+
 
 class TestEquantile:
     def test_median_of_four(self):
@@ -64,6 +73,11 @@ class TestEquantile:
     def test_invalid_p_rejected(self, p):
         with pytest.raises(ValueError):
             equantile([1, 2], p)
+
+    @pytest.mark.parametrize("sample", [[np.nan, 1.0, 2.0], [1.0, np.inf]])
+    def test_non_finite_sample_rejected(self, sample):
+        with pytest.raises(ValueError, match="^sample must be finite$"):
+            equantile(sample, 1.0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_is_generalized_inverse_of_ecdf(self, seed):
