@@ -95,13 +95,19 @@ class EigenSystem:
     fractions refer to the whole decomposition even when only the leading
     part is retained.  It is the sum of the full clipped spectrum when the
     m x m kernel was decomposed, and the operator's trace when the pairs
-    come from the N x N Gram form of N < m centered curves.
+    come from the N x N Gram form of N < m centered curves.  A NaN or
+    infinite entry in any of the three raises ``ValueError``.
     """
 
     grid: Grid
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray
     total_variance: float
+
+    def __post_init__(self):
+        for name in ("eigenvalues", "eigenfunctions", "total_variance"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
 
     @property
     def count(self) -> int:

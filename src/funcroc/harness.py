@@ -4,16 +4,21 @@ A study runs independent replications of one scenario: each replication
 draws a fresh sample pair from its own random substream, fits the
 requested discriminant indexes on that draw, scores the same draw, and
 records AUC and Youden summaries.  Index failures inside a replication are
-isolated so one singular fit cannot poison the study.  Aggregation order
-is fixed by replication id, so results do not depend on scheduling.
+isolated so one singular fit cannot poison the study.  When BLAS runs on one
+thread, a study's replications are spread over the CPUs in contiguous blocks
+of ids, one thread per block.  Aggregation order is fixed by replication id,
+so results do not depend on scheduling or on the number of threads.
 """
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import json
 import math
 import numbers
+import os
+import threading
 import time
 from array import array
 from dataclasses import asdict, dataclass, field
@@ -265,16 +270,80 @@ def _aggregate(
     )
 
 
+def _worker_count(reps: int) -> int:
+    """Threads to run ``reps`` replications on: one per usable CPU, if BLAS is pinned.
+
+    BLAS counts as pinned to one thread when ``OPENBLAS_NUM_THREADS`` is 1,
+    or it is unset and ``OMP_NUM_THREADS`` is 1.  Otherwise a study runs
+    serially: a multithreaded BLAS already spreads each solve over the
+    cores, and replication threads competing with its threads made a study
+    slower than running it serially.
+    """
+    blas_threads = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
+    if blas_threads != "1":
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return min(reps, cpus)
+
+
+def _run_replications(config: RunConfig, workers: int) -> list[ReplicationResult]:
+    """Every replication of a study, in id order, run as ``workers`` blocks of ids.
+
+    The ids are cut into contiguous blocks.  The calling thread runs the
+    first and one helper thread each later block, in a copy of the caller's
+    context, so numpy's error state carries over.  A block stops once a
+    lower block has failed.  Every helper is joined before this returns or
+    raises, and the exception raised is the lowest failing id's, as in a
+    serial run.
+    """
+    bounds = [config.reps * block // workers for block in range(workers + 1)]
+    outcomes: list[list[ReplicationResult] | BaseException] = [[] for _ in range(workers)]
+    failed = [False] * workers
+
+    def run_block(block: int) -> None:
+        try:
+            for rep in range(bounds[block], bounds[block + 1]):
+                if any(failed[:block]):
+                    return
+                outcomes[block].append(run_replication(config, rep))
+        except BaseException as exc:  # re-raised by the caller below
+            failed[block] = True
+            outcomes[block] = exc
+
+    helpers = []
+    try:
+        for block in range(1, workers):
+            helper = threading.Thread(target=contextvars.copy_context().run,
+                                      args=(run_block, block))
+            helper.start()
+            helpers.append(helper)
+        run_block(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    results = []
+    for outcome in outcomes:
+        if isinstance(outcome, BaseException):
+            raise outcome
+        results += outcome
+    return results
+
+
 def run_study(config: RunConfig) -> StudyReport:
     """Run all replications of a config and aggregate their summaries.
 
-    File-backed configs delegate to a single ``analyze`` pass.
+    The replications run on ``_worker_count(config.reps)`` threads; the
+    report is the same for any number.  File-backed configs delegate to a
+    single ``analyze`` pass.
     """
     if not isinstance(config.scenario, ScenarioSpec):
         d, h = ingest_curves(config.scenario)
         return analyze(d, h, config)
     start = time.perf_counter()
-    results = [run_replication(config, rep) for rep in range(config.reps)]
+    results = _run_replications(config, _worker_count(config.reps))
     return _aggregate(config, results, time.perf_counter() - start)
 
 

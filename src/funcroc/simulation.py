@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,6 +39,7 @@ _KINDS = ("brownian", "exp_variogram", "ornstein_uhlenbeck", "finite_rank")
 _SEED_MASK = (1 << 64) - 1
 _FACTOR_CACHE_SIZE = 16
 _factor_cache: dict[tuple, np.ndarray] = {}
+_factor_lock = threading.Lock()
 
 
 def sine_eigenfunction(ell: int, t: np.ndarray) -> np.ndarray:
@@ -147,16 +149,19 @@ def _cholesky_factor(spec: ProcessSpec, grid: Grid) -> np.ndarray:
 
     Factors are cached by (spec, grid points), so study replications that
     redraw the same processes factor each kernel once.  The cache holds at
-    most ``_FACTOR_CACHE_SIZE`` factors and drops the oldest first.
+    most ``_FACTOR_CACHE_SIZE`` factors and drops the oldest first.  The
+    lookup, the factorization and the eviction happen under one lock, so
+    threads that miss on the same kernel at once factor it once.
     """
     key = (spec, grid.points.tobytes())
-    factor = _factor_cache.get(key)
-    if factor is None:
-        factor = _jittered_cholesky(kernel_matrix(spec, grid).matrix)
-        factor.setflags(write=False)
-        if len(_factor_cache) >= _FACTOR_CACHE_SIZE:
-            del _factor_cache[next(iter(_factor_cache))]
-        _factor_cache[key] = factor
+    with _factor_lock:
+        factor = _factor_cache.get(key)
+        if factor is None:
+            factor = _jittered_cholesky(kernel_matrix(spec, grid).matrix)
+            factor.setflags(write=False)
+            if len(_factor_cache) >= _FACTOR_CACHE_SIZE:
+                del _factor_cache[next(iter(_factor_cache))]
+            _factor_cache[key] = factor
     return factor
 
 

@@ -255,6 +255,30 @@ class TestSpdInverse:
                 spd_inverse(np.diag([1e-320, 1.0]), InsufficientSampleError("caller"))
 
 
+class TestEigenSystem:
+    @staticmethod
+    def parts(m=4, count=2):
+        grid = make_uniform_grid(m)
+        return dict(grid=grid, eigenvalues=np.array([1.0, 0.5]),
+                    eigenfunctions=np.eye(m)[:, :count], total_variance=2.0)
+
+    def test_finite_parts_are_accepted(self):
+        system = EigenSystem(**self.parts())
+        assert system.count == 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["eigenvalues", "eigenfunctions", "total_variance"])
+    def test_non_finite_parts_are_rejected(self, name, bad):
+        parts = self.parts()
+        if name == "total_variance":
+            parts[name] = bad
+        else:
+            parts[name] = parts[name].copy()
+            parts[name][-1, ...] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            EigenSystem(**parts)
+
+
 class TestChooseDimension:
     def make_system(self, eigenvalues):
         eigenvalues = np.asarray(eigenvalues, dtype=float)

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -32,6 +34,7 @@ from funcroc import (
     sample_gaussian,
     score_sample,
 )
+from funcroc import harness
 from funcroc.harness import roc_export_rows
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -252,6 +255,134 @@ class TestRunStudy:
         spread_large = mean_spread(800)
         ratio = spread_small / spread_large
         assert 2.0 <= ratio <= 8.0
+
+
+class TestParallelReplications:
+    @pytest.fixture
+    def four_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        return monkeypatch
+
+    @pytest.mark.parametrize("openblas, omp, workers", [
+        (None, None, 1),
+        ("1", None, 4),
+        ("2", None, 1),
+        (None, "1", 4),
+        (None, "2", 1),
+        ("2", "1", 1),  # OpenBLAS reads its own variable first
+        ("1", "4", 4),
+    ])
+    def test_threads_only_when_blas_is_pinned(self, four_cpus, openblas, omp, workers):
+        for name, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+            if value is not None:
+                four_cpus.setenv(name, value)
+        assert harness._worker_count(200) == workers
+
+    def test_threads_follow_the_affinity_size_and_reps(self, four_cpus):
+        four_cpus.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert [harness._worker_count(reps) for reps in (1, 3, 4, 5)] == [1, 3, 4, 4]
+        four_cpus.setattr(os, "sched_getaffinity", lambda pid: {2})
+        assert harness._worker_count(200) == 1
+
+    def test_cpu_count_serves_where_affinity_is_missing(self, four_cpus):
+        four_cpus.setenv("OPENBLAS_NUM_THREADS", "1")
+        four_cpus.delattr(os, "sched_getaffinity")
+        four_cpus.setattr(os, "cpu_count", lambda: 6)
+        assert harness._worker_count(200) == 6
+        four_cpus.setattr(os, "cpu_count", lambda: None)
+        assert harness._worker_count(200) == 1
+
+    @staticmethod
+    def record_threads(monkeypatch):
+        """Replace run_replication with one that records (id, thread) pairs.
+
+        Thread objects, unlike thread ids, are not reused once a thread ends.
+        """
+        ran = []
+        original = harness.run_replication
+
+        def recording(config, replication_id):
+            ran.append((replication_id, threading.current_thread()))
+            return original(config, replication_id)
+
+        monkeypatch.setattr(harness, "run_replication", recording)
+        return ran
+
+    def test_caller_runs_the_first_block_and_helpers_the_rest(self, monkeypatch):
+        monkeypatch.setattr(harness, "_worker_count", lambda reps: 3)
+        ran = self.record_threads(monkeypatch)
+        config = RunConfig(scenario=small_scenario(), indexes=("max",), reps=7)
+        report = run_study(config)
+        assert report.replications == 7
+        threads = dict(ran)
+        assert sorted(threads) == list(range(7))
+        blocks = [{threads[rep] for rep in block} for block in ((0, 1), (2, 3), (4, 5, 6))]
+        assert blocks[0] == {threading.current_thread()}
+        assert all(len(block) == 1 for block in blocks)
+        assert len(set.union(*blocks)) == 3
+
+    def test_helpers_inherit_the_callers_numpy_error_state(self, monkeypatch):
+        monkeypatch.setattr(harness, "_worker_count", lambda reps: 2)
+        states = []
+        original = harness.run_replication
+
+        def recording(config, replication_id):
+            states.append(np.geterr()["over"])
+            return original(config, replication_id)
+
+        monkeypatch.setattr(harness, "run_replication", recording)
+        with np.errstate(over="ignore"):
+            run_study(RunConfig(scenario=small_scenario(), indexes=("max",), reps=4))
+        assert states == ["ignore"] * 4
+
+    @pytest.mark.parametrize("failing, raised", [
+        ({7}, 7),        # only in the last helper's block
+        ({4, 6}, 4),     # in both helpers' blocks
+        ({1, 5, 8}, 1),  # in every block, the caller's too
+        ({3, 4}, 3),     # twice in one helper's block
+    ])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_lowest_failing_replication_raises_after_every_helper_ends(
+        self, monkeypatch, workers, failing, raised
+    ):
+        monkeypatch.setattr(harness, "_worker_count", lambda reps: workers)
+        original = harness.run_replication
+
+        def failing_replication(config, replication_id):
+            if replication_id in failing:
+                raise ValueError(f"replication {replication_id} failed")
+            return original(config, replication_id)
+
+        monkeypatch.setattr(harness, "run_replication", failing_replication)
+        config = RunConfig(scenario=small_scenario(), indexes=("max",), reps=9)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match=f"^replication {raised} failed$"):
+            run_study(config)
+        assert threading.active_count() == before
+
+    def test_blocks_above_a_failure_stop_early(self, monkeypatch):
+        monkeypatch.setattr(harness, "_worker_count", lambda reps: 2)
+        original = harness.run_replication
+        first_failed = threading.Event()
+        ran = []
+
+        def replication(config, replication_id):
+            ran.append(replication_id)
+            if replication_id == 0:
+                first_failed.set()
+                raise ValueError("replication 0 failed")
+            if replication_id == 3:  # the helper's first id waits for that failure
+                assert first_failed.wait(timeout=30)
+                time.sleep(0.05)
+            return original(config, replication_id)
+
+        monkeypatch.setattr(harness, "run_replication", replication)
+        config = RunConfig(scenario=small_scenario(), indexes=("max",), reps=6)
+        with pytest.raises(ValueError, match="^replication 0 failed$"):
+            run_study(config)
+        assert sorted(ran) == [0, 3]
 
 
 class TestAnalyze:

@@ -8,7 +8,9 @@ strings must match exactly.  The counting tests check that one draw
 shares a single pair of group means and a single pooled eigensystem among
 its fitted indexes, that a draw with fewer curves than grid points builds
 no grid-sized covariance at all, and that a study factors each process
-kernel once.
+kernel once, also when threads miss the factor cache at the same time.
+Machine-readable reports must not depend on how many threads ran a
+study's replications.
 
 Regenerate the fixture (only when a change of numbers is intended) with
 ``OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_pinned_report.py``.
@@ -17,6 +19,8 @@ Regenerate the fixture (only when a change of numbers is intended) with
 import dataclasses
 import json
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +33,7 @@ from funcroc import (
     emit_report,
     estimation,
     generate_scenario,
+    harness,
     indexes,
     make_uniform_grid,
     run_replication,
@@ -173,6 +178,111 @@ def test_study_factors_each_process_kernel_once(monkeypatch):
         simulation._factor_cache.clear()
         fresh_d, fresh_h = generate_scenario(spec.substream(r))
         assert np.array_equal(d.values, fresh_d.values) and np.array_equal(h.values, fresh_h.values)
+
+
+def test_concurrent_cold_misses_factor_each_kernel_once(monkeypatch):
+    monkeypatch.setattr(simulation, "_factor_cache", {})
+    kernels = []
+    original = simulation.kernel_matrix
+
+    def slow_counting(spec, grid):
+        kernels.append(spec)
+        time.sleep(0.05)  # both threads miss before either stores the factor
+        return original(spec, grid)
+
+    monkeypatch.setattr(simulation, "kernel_matrix", slow_counting)
+    spec, grid = ProcessSpec.brownian(), make_uniform_grid(30)
+    start = threading.Barrier(2)
+    factors = []
+
+    def draw():
+        start.wait(timeout=10)
+        factors.append(simulation._cholesky_factor(spec, grid))
+
+    threads = [threading.Thread(target=draw) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert kernels == [spec]
+    assert len(factors) == 2 and factors[0] is factors[1]
+
+
+class _YieldingCache(dict):
+    """A factor cache that hands the interpreter to another thread mid-update."""
+
+    def __len__(self):
+        time.sleep(0)
+        return super().__len__()
+
+    def __delitem__(self, key):
+        time.sleep(0)
+        super().__delitem__(key)
+
+
+def test_factor_cache_survives_concurrent_evictions(monkeypatch):
+    # more threads than cores and more kernels than cache slots, so every
+    # lookup misses and evicts; without the lock two threads delete one key
+    monkeypatch.setattr(simulation, "_factor_cache", _YieldingCache())
+    grid = make_uniform_grid(4)
+    specs = [ProcessSpec.brownian(scale=1.0 + i)
+             for i in range(2 * simulation._FACTOR_CACHE_SIZE)]
+    errors, sizes = [], []
+
+    def churn():
+        try:
+            for _ in range(5):
+                for spec in specs:
+                    simulation._cholesky_factor(spec, grid)
+                    sizes.append(dict.__len__(simulation._factor_cache))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=churn) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert max(sizes) == simulation._FACTOR_CACHE_SIZE
+
+
+PARALLEL_CONFIGS = {
+    **{label: dataclasses.replace(config, keep_roc=True) for label, config in CONFIGS.items()},
+    "D20-40+40-m40-flip": RunConfig(
+        scenario=ScenarioSpec(name="D20", n_d=40, n_h=40, seed=88, grid_size=40),
+        reps=5, keep_roc=True, flip_orientation=True,
+    ),
+    # fewer replications than threads
+    "P1-25+25-m20-reps2": RunConfig(scenario=P1_BALANCED, reps=2, keep_roc=True),
+    "P1-25+25-m20-reps1": RunConfig(scenario=P1_BALANCED, reps=1, keep_roc=True),
+    # replications not divisible by 2 or 3
+    "C20-20+20-m20-reps7": RunConfig(
+        scenario=ScenarioSpec(name="C20", n_d=20, n_h=20, seed=6, grid_size=20),
+        reps=7, keep_roc=True, penalty_lambda=0.5,
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PARALLEL_CONFIGS))
+def test_reports_do_not_depend_on_the_thread_count(monkeypatch, label):
+    config = PARALLEL_CONFIGS[label]
+    reports = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(harness, "_worker_count", lambda reps, workers=workers: workers)
+        reports[workers] = _report_bytes(config)
+    assert reports[2] == reports[1]
+    assert reports[3] == reports[1]
+    if label == "P1-3+3-m15":
+        quad = json.loads(reports[1])["per_index"]["quad"]
+        assert (quad["n_ok"], quad["n_failed"]) == (1, 2)
 
 
 def test_factor_cache_is_bounded(monkeypatch):
