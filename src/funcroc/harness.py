@@ -12,7 +12,6 @@ so results do not depend on scheduling or on the number of threads.
 
 from __future__ import annotations
 
-import contextvars
 import csv
 import json
 import math
@@ -270,6 +269,11 @@ def _aggregate(
     )
 
 
+# The most CPUs a study's speed-up and memory cost were measured on; more
+# threads are not started until a larger host has been measured.
+_MEASURED_CPUS = 2
+
+
 def _worker_count(reps: int) -> int:
     """Threads to run ``reps`` replications on: one per usable CPU, if BLAS is pinned.
 
@@ -277,7 +281,8 @@ def _worker_count(reps: int) -> int:
     or it is unset and ``OMP_NUM_THREADS`` is 1.  Otherwise a study runs
     serially: a multithreaded BLAS already spreads each solve over the
     cores, and replication threads competing with its threads made a study
-    slower than running it serially.
+    slower than running it serially.  The count is capped at
+    ``_MEASURED_CPUS``.
     """
     blas_threads = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
     if blas_threads != "1":
@@ -286,46 +291,49 @@ def _worker_count(reps: int) -> int:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
         cpus = os.cpu_count() or 1
-    return min(reps, cpus)
+    return min(reps, cpus, _MEASURED_CPUS)
 
 
 def _run_replications(config: RunConfig, workers: int) -> list[ReplicationResult]:
     """Every replication of a study, in id order, run as ``workers`` blocks of ids.
 
     The ids are cut into contiguous blocks.  The calling thread runs the
-    first and one helper thread each later block, in a copy of the caller's
-    context, so numpy's error state carries over.  A block stops once a
-    lower block has failed.  Every helper is joined before this returns or
-    raises, and the exception raised is the lowest failing id's, as in a
-    serial run.
+    first and one helper thread each later block, under the caller's numpy
+    error state.  Every helper is joined before this returns or raises, and
+    the exception raised is the lowest failing id's, as in a serial run.
+    If the caller itself stops (an error in its block, or Ctrl-C), the
+    helpers stop after their current replication.
     """
     bounds = [config.reps * block // workers for block in range(workers + 1)]
     outcomes: list[list[ReplicationResult] | BaseException] = [[] for _ in range(workers)]
-    failed = [False] * workers
+    errors = dict(np.geterr(), call=np.geterrcall())
+    stop = threading.Event()
 
     def run_block(block: int) -> None:
         try:
-            for rep in range(bounds[block], bounds[block + 1]):
-                if any(failed[:block]):
-                    return
-                outcomes[block].append(run_replication(config, rep))
+            with np.errstate(**errors):
+                for rep in range(bounds[block], bounds[block + 1]):
+                    if stop.is_set():
+                        return
+                    outcomes[block].append(run_replication(config, rep))
         except BaseException as exc:  # re-raised by the caller below
-            failed[block] = True
             outcomes[block] = exc
 
     helpers = []
     try:
         for block in range(1, workers):
-            helper = threading.Thread(target=contextvars.copy_context().run,
-                                      args=(run_block, block))
+            helper = threading.Thread(target=run_block, args=(block,))
             helper.start()
             helpers.append(helper)
-        run_block(0)
-    finally:
+        results = [run_replication(config, rep) for rep in range(bounds[0], bounds[1])]
         for helper in helpers:
             helper.join()
-    results = []
-    for outcome in outcomes:
+    except BaseException:
+        stop.set()
+        for helper in helpers:
+            helper.join()
+        raise
+    for outcome in outcomes[1:]:
         if isinstance(outcome, BaseException):
             raise outcome
         results += outcome

@@ -267,12 +267,12 @@ class TestParallelReplications:
 
     @pytest.mark.parametrize("openblas, omp, workers", [
         (None, None, 1),
-        ("1", None, 4),
+        ("1", None, 2),
         ("2", None, 1),
-        (None, "1", 4),
+        (None, "1", 2),
         (None, "2", 1),
         ("2", "1", 1),  # OpenBLAS reads its own variable first
-        ("1", "4", 4),
+        ("1", "4", 2),
     ])
     def test_threads_only_when_blas_is_pinned(self, four_cpus, openblas, omp, workers):
         for name, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
@@ -280,8 +280,10 @@ class TestParallelReplications:
                 four_cpus.setenv(name, value)
         assert harness._worker_count(200) == workers
 
-    def test_threads_follow_the_affinity_size_and_reps(self, four_cpus):
+    def test_threads_follow_the_affinity_size_and_reps_up_to_the_cap(self, four_cpus):
         four_cpus.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert [harness._worker_count(reps) for reps in (1, 2, 3, 200)] == [1, 2, 2, 2]
+        four_cpus.setattr(harness, "_MEASURED_CPUS", 8)
         assert [harness._worker_count(reps) for reps in (1, 3, 4, 5)] == [1, 3, 4, 4]
         four_cpus.setattr(os, "sched_getaffinity", lambda pid: {2})
         assert harness._worker_count(200) == 1
@@ -290,7 +292,7 @@ class TestParallelReplications:
         four_cpus.setenv("OPENBLAS_NUM_THREADS", "1")
         four_cpus.delattr(os, "sched_getaffinity")
         four_cpus.setattr(os, "cpu_count", lambda: 6)
-        assert harness._worker_count(200) == 6
+        assert harness._worker_count(200) == 2
         four_cpus.setattr(os, "cpu_count", lambda: None)
         assert harness._worker_count(200) == 1
 
@@ -362,27 +364,35 @@ class TestParallelReplications:
             run_study(config)
         assert threading.active_count() == before
 
-    def test_blocks_above_a_failure_stop_early(self, monkeypatch):
+    def test_an_interrupt_while_joining_stops_the_helpers(self, monkeypatch):
         monkeypatch.setattr(harness, "_worker_count", lambda reps: 2)
-        original = harness.run_replication
-        first_failed = threading.Event()
+        original_replication = harness.run_replication
+        original_join = threading.Thread.join
+        joins = []
+        released = threading.Event()
         ran = []
 
         def replication(config, replication_id):
             ran.append(replication_id)
-            if replication_id == 0:
-                first_failed.set()
-                raise ValueError("replication 0 failed")
-            if replication_id == 3:  # the helper's first id waits for that failure
-                assert first_failed.wait(timeout=30)
-                time.sleep(0.05)
-            return original(config, replication_id)
+            if replication_id == 3:  # the helper's first id waits for the second join
+                assert released.wait(timeout=30)
+            return original_replication(config, replication_id)
+
+        def join(thread, timeout=None):
+            joins.append(thread)
+            if len(joins) == 1:
+                raise KeyboardInterrupt
+            released.set()
+            return original_join(thread, timeout)
 
         monkeypatch.setattr(harness, "run_replication", replication)
+        monkeypatch.setattr(threading.Thread, "join", join)
         config = RunConfig(scenario=small_scenario(), indexes=("max",), reps=6)
-        with pytest.raises(ValueError, match="^replication 0 failed$"):
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
             run_study(config)
-        assert sorted(ran) == [0, 3]
+        assert threading.active_count() == before
+        assert sorted(ran) == [0, 1, 2, 3]
 
 
 class TestAnalyze:
