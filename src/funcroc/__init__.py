@@ -68,7 +68,6 @@ from .indexes import (
     LinearIndex,
     MaxIndex,
     MinIndex,
-    PenaltySpec,
     QuadraticIndex,
     apply_index,
     fit_mean_difference,

@@ -20,7 +20,7 @@ import os
 import threading
 import time
 from array import array
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
 from pathlib import Path
 from typing import Callable
@@ -35,7 +35,6 @@ from .indexes import (
     IntegralIndex,
     MaxIndex,
     MinIndex,
-    PenaltySpec,
     fit_mean_difference,
     fit_optimal_linear,
     fit_quadratic,
@@ -58,14 +57,13 @@ __all__ = [
 ]
 
 # Each index name maps to the rule that builds it from one draw's context.
-# A zero penalty weight fits the unpenalized linear rule.
 FITTERS: dict[str, Callable[[FitContext, RunConfig], DiscriminantIndex]] = {
     "max": lambda ctx, config: MaxIndex(),
     "min": lambda ctx, config: MinIndex(),
     "integral": lambda ctx, config: IntegralIndex(),
     "meandiff": lambda ctx, config: fit_mean_difference(ctx),
     "linear": lambda ctx, config: fit_optimal_linear(
-        ctx, var_fraction=config.var_fraction, penalty=PenaltySpec(lam=config.penalty_lambda)
+        ctx, var_fraction=config.var_fraction, penalty_lambda=config.penalty_lambda
     ),
     "quad": lambda ctx, config: fit_quadratic(
         ctx, var_fraction=config.var_fraction, ridge=config.ridge
@@ -100,12 +98,23 @@ class RunConfig:
             raise ValueError(f"unknown index names: {', '.join(unknown)}")
         if not indexes:
             raise ValueError("at least one index is required")
+        repeated = dict.fromkeys(name for name in indexes if indexes.count(name) > 1)
+        if repeated:
+            raise ValueError(f"duplicate index names: {', '.join(repeated)}")
         object.__setattr__(self, "indexes", indexes)
-        for name in ("reps", "p_grid_size"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer")
-            object.__setattr__(self, name, int(value))
+        # settings are stored as plain Python values, so the report echoes them as JSON
+        for names, kind, cast, what in (
+            (("reps", "p_grid_size"), numbers.Integral, int, "an integer"),
+            (("var_fraction", "penalty_lambda", "ridge"), numbers.Real, float, "a real number"),
+        ):
+            for name in names:
+                value = getattr(self, name)
+                if not isinstance(value, kind) or isinstance(value, bool):
+                    raise ValueError(f"{name} must be {what}")
+                object.__setattr__(self, name, cast(value))
+        if not isinstance(self.flip_orientation, (bool, np.bool_)):
+            raise ValueError("flip_orientation must be a bool")
+        object.__setattr__(self, "flip_orientation", bool(self.flip_orientation))
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
         if not 0.0 < self.var_fraction <= 1.0:
@@ -137,9 +146,11 @@ class StudyReport:
     """Aggregated study output.
 
     ``per_index`` maps each requested index name to mean/SD of the AUC, the
-    mean Youden index and the number of successful replications; an index
-    whose every replication failed carries an ``error`` entry instead of
-    numbers.
+    mean Youden index, the number of successful replications (``n_ok``) and,
+    when some but not all failed, the number of failed ones (``n_failed``);
+    an index whose every replication failed carries an ``error`` entry
+    instead of numbers.  ``config`` echoes every ``RunConfig`` field but
+    ``keep_roc``.
     """
 
     config: dict
@@ -209,21 +220,13 @@ def run_replication(config: RunConfig, replication_id: int) -> ReplicationResult
 
 
 def _config_echo(config: RunConfig) -> dict:
+    """Every ``RunConfig`` field but ``keep_roc``, as JSON-ready values."""
+    echo = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "keep_roc"}
     scenario = config.scenario
-    if isinstance(scenario, ScenarioSpec):
-        scenario_echo = asdict(scenario)
-    else:
-        scenario_echo = {"input": str(scenario)}
-    return {
-        "scenario": scenario_echo,
-        "indexes": list(config.indexes),
-        "reps": config.reps,
-        "var_fraction": config.var_fraction,
-        "penalty_lambda": config.penalty_lambda,
-        "ridge": config.ridge,
-        "flip_orientation": config.flip_orientation,
-        "p_grid_size": config.p_grid_size,
-    }
+    echo["scenario"] = (asdict(scenario) if isinstance(scenario, ScenarioSpec)
+                        else {"input": str(scenario)})
+    echo["indexes"] = list(config.indexes)
+    return echo
 
 
 def _aggregate(

@@ -45,7 +45,6 @@ __all__ = [
     "LinearIndex",
     "QuadraticIndex",
     "DiscriminantIndex",
-    "PenaltySpec",
     "FitContext",
     "apply_index",
     "index_scores",
@@ -110,30 +109,6 @@ class QuadraticIndex:
 
 
 DiscriminantIndex = Union[MaxIndex, MinIndex, IntegralIndex, LinearIndex, QuadraticIndex]
-
-
-@dataclass(frozen=True)
-class PenaltySpec:
-    """Roughness penalty for the optimal linear fit.
-
-    ``lam`` is the finite, nonnegative penalty weight.  ``matrix``, when
-    given, is the penalty Gram matrix in basis coordinates and must match
-    the dimension chosen at fit time; when omitted, a second-difference
-    curvature Gram matrix of the basis functions is built during fitting.
-    """
-
-    lam: float
-    matrix: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.lam < np.inf:  # NaN fails too
-            raise ValueError("penalty weight must be finite and nonnegative")
-        if self.matrix is not None:
-            shape = np.shape(self.matrix)
-            if len(shape) != 2 or shape[0] != shape[1]:
-                raise ValueError("penalty matrix must be square")
-            matrix = symmetric_matrix(self.matrix, "penalty matrix")
-            object.__setattr__(self, "matrix", matrix)
 
 
 def index_scores(idx: DiscriminantIndex, s: FunctionalSample) -> np.ndarray:
@@ -239,32 +214,28 @@ def second_difference_penalty(basis: EigenSystem, k: int) -> np.ndarray:
 
 def fit_optimal_linear(
     ctx: FitContext,
-    mode: str = "average",
     var_fraction: float = 0.95,
-    penalty: PenaltySpec | None = None,
+    penalty_lambda: float = 0.0,
 ) -> LinearIndex:
     """Linear index maximizing the projected mean separation over noise.
 
     The search space is the span of the leading eigenfunctions of the
-    pooled covariance operator, with the dimension chosen as the smallest
-    one explaining ``var_fraction`` of the pooled variability.  ``mode``
-    selects the covariance entering the denominator of the criterion:
-    ``"pooled"`` (sample-size weighted, appropriate when equal group
-    covariances are assumed) or ``"average"`` (unweighted mean of the two
-    group covariances, safer when they may differ).  In the pooled case the
-    coordinate system diagonalizes the denominator and the solution reduces
-    to eigenvalue-rescaled mean-difference coordinates.
+    pooled covariance operator, with the dimension k chosen as the smallest
+    one explaining ``var_fraction`` of the pooled variability.  The
+    denominator of the criterion is the unweighted mean of the two group
+    covariances, (Gamma_D + Gamma_H) / 2, which stays valid when they differ.
 
-    The closed-form maximizer solves (G + lam * P) b = delta in basis
-    coordinates, where delta holds the projected mean differences and G the
-    projected denominator covariance.  G comes from the centered group
-    coordinates A_g = (X_g - mean_g) W Phi_k, as (A_D'A_D / n_D + A_H'A_H / n_H) / 2
-    or (A_D'A_D + A_H'A_H) / N, so no m x m covariance is formed.
+    The closed-form maximizer solves (G + penalty_lambda * P) b = delta in
+    basis coordinates, where delta holds the projected mean differences, P is
+    ``second_difference_penalty(basis, k)`` and G the projected denominator
+    covariance.  G comes from the centered group coordinates
+    A_g = (X_g - mean_g) W Phi_k, as (A_D'A_D / n_D + A_H'A_H / n_H) / 2, so
+    no m x m covariance is formed.
     The returned direction has unit quadrature norm and nonnegative inner
     product with the mean difference.
     """
-    if mode not in ("pooled", "average"):
-        raise ValueError(f"unknown mode: {mode!r}")
+    if not 0.0 <= penalty_lambda < np.inf:  # NaN fails too
+        raise ValueError("penalty weight must be finite and nonnegative")
     diff = ctx.mean_diff
     basis = ctx.basis
     k = choose_dimension(basis, var_fraction)
@@ -276,20 +247,10 @@ def fit_optimal_linear(
     _check_direction_scale(float(np.linalg.norm(delta)), ctx)
 
     a_d, a_h = (centered @ weighted_phi for centered in ctx._centered)
-    if mode == "pooled":
-        gram = (a_d.T @ a_d + a_h.T @ a_h) / (ctx.d.n + ctx.h.n)
-    else:
-        gram = (a_d.T @ a_d / ctx.d.n + a_h.T @ a_h / ctx.h.n) / 2.0
+    gram = (a_d.T @ a_d / ctx.d.n + a_h.T @ a_h / ctx.h.n) / 2.0
     gram = (gram + gram.T) / 2.0
-    if penalty is not None and penalty.lam > 0.0:
-        pen = penalty.matrix
-        if pen is None:
-            pen = second_difference_penalty(basis, k)
-        elif pen.shape != (k, k):
-            raise ValueError(
-                f"penalty matrix has shape {pen.shape}, but the fit selected k={k}"
-            )
-        gram = gram + penalty.lam * pen
+    if penalty_lambda > 0.0:
+        gram = gram + penalty_lambda * second_difference_penalty(basis, k)
 
     try:
         factor = np.linalg.cholesky(gram)

@@ -47,18 +47,6 @@ class ScoreSample:
                 raise ValueError(f"{name} scores must form a nonempty vector")
             object.__setattr__(self, name, values)
 
-    def swapped(self) -> "ScoreSample":
-        """Scores with the group roles interchanged.
-
-        Shares this sample's validated read-only arrays, and its sorted
-        groups once they exist, so nothing is copied or sorted again.
-        """
-        other = object.__new__(ScoreSample)
-        other.__dict__.update(diseased=self.healthy, healthy=self.diseased)
-        if "_sorted" in self.__dict__:
-            other.__dict__["_sorted"] = self._sorted[::-1]
-        return other
-
     @cached_property
     def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
         """Diseased and healthy scores in ascending order."""

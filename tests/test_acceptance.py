@@ -282,7 +282,7 @@ def test_criterion_09_metric_property_suite():
     for _ in range(10):
         pooled = rng.permutation(np.arange(50, dtype=float))
         s = ScoreSample(pooled[:23], pooled[23:])
-        swap_ok &= auc(s) + auc(s.swapped()) == 1.0
+        swap_ok &= auc(s) + auc(ScoreSample(s.healthy, s.diseased)) == 1.0
 
     # exhaustive double-sum equivalence over a 4-value alphabet
     alphabet = (0.0, 1.0, 2.5, 4.0)

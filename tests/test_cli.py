@@ -67,6 +67,14 @@ class TestSimulateCommand:
         ])
         assert code == 2
 
+    def test_repeated_index_exits_with_two(self, capsys):
+        code = main([
+            "simulate", "--scenario", "P1", "--rho", "1", "--nd", "10", "--nh", "10",
+            "--reps", "2", "--seed", "7", "--indexes", "max,max",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: duplicate index names: max\n"
+
     @pytest.mark.parametrize("flag,value", [
         ("--lambda", "nan"), ("--lambda", "inf"), ("--ridge", "nan"), ("--ridge", "inf"),
     ])

@@ -22,6 +22,7 @@ from funcroc import (
     ProcessSpec,
     RunConfig,
     ScenarioSpec,
+    ScoreSample,
     analyze,
     default_p_grid,
     emit_report,
@@ -96,6 +97,46 @@ class TestRunConfigValidation:
         assert report.replications == 3
         assert json.loads(emit_report(report, "machine-readable"))["config"]["reps"] == 3
 
+    @pytest.mark.parametrize("names,repeated", [
+        (("max", "max"), "max"), (("quad", "max", "linear", "max", "quad"), "quad, max"),
+    ])
+    def test_repeated_index_names_are_rejected(self, names, repeated):
+        with pytest.raises(ValueError, match=f"^duplicate index names: {repeated}$"):
+            RunConfig(scenario=small_scenario(), indexes=names)
+
+    @pytest.mark.parametrize("field", ["var_fraction", "penalty_lambda", "ridge"])
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), "0.5", None])
+    def test_settings_must_be_real_numbers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a real number$"):
+            RunConfig(scenario=small_scenario(), **{field: value})
+
+    @pytest.mark.parametrize("field", ["var_fraction", "penalty_lambda", "ridge"])
+    @pytest.mark.parametrize("value", [np.float32(0.25), np.float64(0.25), 1, np.int64(1)])
+    def test_numpy_and_integer_settings_are_stored_as_floats(self, field, value):
+        config = RunConfig(scenario=small_scenario(), indexes=("max", "linear"), reps=2,
+                           **{field: value})
+        assert type(getattr(config, field)) is float
+        assert getattr(config, field) == float(value)
+        echo = json.loads(emit_report(run_study(config), "machine-readable"))["config"]
+        assert echo[field] == float(value)
+
+    @pytest.mark.parametrize("value", [1, 0, 1.0, "yes", None])
+    def test_flip_orientation_must_be_a_bool(self, value):
+        with pytest.raises(ValueError, match="^flip_orientation must be a bool$"):
+            RunConfig(scenario=small_scenario(), flip_orientation=value)
+
+    def test_numpy_bool_flip_orientation_is_stored_as_bool(self):
+        config = RunConfig(scenario=small_scenario(), indexes=("max",), reps=2,
+                           flip_orientation=np.bool_(True))
+        assert config.flip_orientation is True
+        echo = json.loads(emit_report(run_study(config), "machine-readable"))["config"]
+        assert echo["flip_orientation"] is True
+
+    def test_report_echoes_every_field_but_keep_roc(self):
+        config = RunConfig(scenario=small_scenario(), indexes=("max",), reps=2, keep_roc=True)
+        names = {f.name for f in dataclasses.fields(RunConfig)} - {"keep_roc"}
+        assert set(harness._config_echo(config)) == names
+
 
 class TestRunReplication:
     def test_deterministic_given_config_and_id(self):
@@ -152,7 +193,8 @@ class TestBatchedSummary:
                 continue
             summary = roc_curve(scores, default_p_grid(config.p_grid_size))
             if config.flip_orientation and summary.auc < 0.5:
-                summary = roc_curve(scores.swapped(), default_p_grid(config.p_grid_size))
+                flipped_scores = ScoreSample(scores.healthy, scores.diseased)
+                summary = roc_curve(flipped_scores, default_p_grid(config.p_grid_size))
                 flipped.append(name)
             summaries[name] = summary
         return summaries, errors, flipped

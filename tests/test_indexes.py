@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from funcroc import (
-    FITTERS,
     INDEX_NAMES,
     Curve,
     DegenerateDirectionError,
@@ -16,7 +15,6 @@ from funcroc import (
     LinearIndex,
     MaxIndex,
     MinIndex,
-    PenaltySpec,
     ProcessSpec,
     QuadraticIndex,
     RunConfig,
@@ -33,6 +31,7 @@ from funcroc import (
     fit_quadratic,
     generate_scenario,
     index_scores,
+    indexes,
     inner_product,
     make_uniform_grid,
     norm,
@@ -130,7 +129,7 @@ class TestFitContext:
         assert ctx.basis.count == 25
         assert ctx._centered[0] is ctx._centered[0]
         quad = fit_quadratic(ctx)
-        linear = fit_optimal_linear(ctx, penalty=PenaltySpec(lam=0.5))
+        linear = fit_optimal_linear(ctx, penalty_lambda=0.5)
         assert quad.basis is ctx.basis
         assert inner_product(linear.beta, ctx.mean_diff) > 0.0
 
@@ -325,7 +324,7 @@ class TestFitOptimalLinear:
         rng = np.random.default_rng(700 + seed)
         spec = ScenarioSpec(name="P1", n_d=80, n_h=80, seed=int(seed), rho=1.0, grid_size=60)
         d, h = generate_scenario(spec)
-        idx = fit_optimal_linear(FitContext(d, h), mode="average", var_fraction=0.95)
+        idx = fit_optimal_linear(FitContext(d, h), var_fraction=0.95)
 
         from funcroc import choose_dimension, combine_covariances
 
@@ -351,9 +350,11 @@ class TestFitOptimalLinear:
             assert objective(candidate) <= best + 1e-10
 
     def test_pooled_mode_reduces_to_eigenvalue_rescaling(self):
+        # with equal group sizes the averaged denominator is the pooled covariance,
+        # which the eigenbasis diagonalizes
         spec = ScenarioSpec(name="P1", n_d=100, n_h=100, seed=13, rho=1.0, grid_size=50)
         d, h = generate_scenario(spec)
-        idx = fit_optimal_linear(FitContext(d, h), mode="pooled", var_fraction=0.95)
+        idx = fit_optimal_linear(FitContext(d, h), var_fraction=0.95)
 
         from funcroc import choose_dimension, combine_covariances
 
@@ -372,7 +373,7 @@ class TestFitOptimalLinear:
         spec = ScenarioSpec(name="P1", n_d=80, n_h=80, seed=14, rho=1.0, grid_size=60)
         d, h = generate_scenario(spec)
         plain = fit_optimal_linear(FitContext(d, h))
-        damped = fit_optimal_linear(FitContext(d, h), penalty=PenaltySpec(lam=1e-3))
+        damped = fit_optimal_linear(FitContext(d, h), penalty_lambda=1e-3)
         grid = d.grid
 
         def roughness(values):
@@ -382,24 +383,14 @@ class TestFitOptimalLinear:
 
         assert roughness(damped.beta.values) < roughness(plain.beta.values)
 
-    def test_penalty_matrix_dimension_mismatch_raises(self):
-        spec = ScenarioSpec(name="P1", n_d=40, n_h=40, seed=15, rho=1.0, grid_size=40)
-        d, h = generate_scenario(spec)
-        with pytest.raises(ValueError):
-            fit_optimal_linear(FitContext(d, h), penalty=PenaltySpec(lam=0.1, matrix=np.eye(2)))
-
     def test_indefinite_penalized_system_is_singular_and_isolated(self, monkeypatch):
         spec = ScenarioSpec(name="P1", n_d=40, n_h=40, seed=15, rho=1.0, grid_size=40)
         d, h = generate_scenario(spec)
-        k = choose_dimension(FitContext(d, h).basis, 0.95)
         # these Brownian scores have variances below 1, so G - I is negative definite
-        penalty = PenaltySpec(lam=1.0, matrix=-np.eye(k))
+        monkeypatch.setattr(indexes, "second_difference_penalty", lambda basis, k: -np.eye(k))
         with pytest.raises(SingularSystemError, match="projected covariance system is singular"):
-            fit_optimal_linear(FitContext(d, h), penalty=penalty)
-        monkeypatch.setitem(
-            FITTERS, "linear", lambda ctx, config: fit_optimal_linear(ctx, penalty=penalty)
-        )
-        report = analyze(d, h, RunConfig(scenario="curves.csv", reps=1))
+            fit_optimal_linear(FitContext(d, h), penalty_lambda=1.0)
+        report = analyze(d, h, RunConfig(scenario="curves.csv", reps=1, penalty_lambda=1.0))
         assert report.per_index["linear"]["n_ok"] == 0
         assert report.per_index["linear"]["error"].startswith(
             "SingularSystemError: projected covariance system is singular"
@@ -410,12 +401,9 @@ class TestFitOptimalLinear:
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf, -0.1])
     def test_penalty_weight_must_be_finite_and_nonnegative(self, lam):
-        with pytest.raises(ValueError, match="finite and nonnegative"):
-            PenaltySpec(lam=lam)
-
-    def test_non_finite_penalty_matrix_is_rejected(self):
-        with pytest.raises(ValueError, match="^penalty matrix must be finite$"):
-            PenaltySpec(lam=1.0, matrix=[[np.nan, 0.0], [0.0, 1.0]])
+        spec = ScenarioSpec(name="P1", n_d=20, n_h=20, seed=15, rho=1.0, grid_size=20)
+        with pytest.raises(ValueError, match="^penalty weight must be finite and nonnegative$"):
+            fit_optimal_linear(FitContext(*generate_scenario(spec)), penalty_lambda=lam)
 
     @pytest.mark.parametrize("scale", [1e-155, 1e-160])
     def test_overflowing_direction_norm_is_degenerate(self, scale):

@@ -46,9 +46,9 @@ def test_rows_match_the_definitions_and_the_one_row_path(seed):
             assert rows.auc[r] == auc
             assert (rows.youden[r], rows.youden_threshold[r]) == (value, threshold)
             assert np.array_equal(rows.roc_values[r], roc)
-            scores = ScoreSample(d[r], h[r])
+            scores, flipped = ScoreSample(d[r], h[r]), ScoreSample(h[r], d[r])
             for got, summary in ((rows, roc_curve(scores, p_grid)),
-                                 (swapped, roc_curve(scores.swapped(), p_grid))):
+                                 (swapped, roc_curve(flipped, p_grid))):
                 assert got.auc[r] == summary.auc
                 assert got.youden[r] == summary.youden
                 assert got.youden_threshold[r] == summary.youden_threshold
