@@ -8,6 +8,7 @@ integral. Grids, curves and samples are immutable after construction.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -36,6 +37,20 @@ def frozen_finite(values, what: str) -> np.ndarray:
         raise ValueError(f"{what} must be finite")
     out.setflags(write=False)
     return out
+
+
+def store_plain(obj, names, kind: type) -> None:
+    """Store the named fields of the frozen dataclass ``obj`` as plain ints or floats.
+
+    ``kind`` is int or float; a bool or a value of another kind raises ValueError.
+    """
+    abstract, what = ((numbers.Integral, "an integer") if kind is int
+                      else (numbers.Real, "a real number"))
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, abstract) or isinstance(value, bool):
+            raise ValueError(f"{name} must be {what}")
+        object.__setattr__(obj, name, kind(value))
 
 
 class Group(Enum):

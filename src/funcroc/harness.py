@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import os
 import threading
 import time
@@ -28,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CurveParseError, FuncrocError
-from .grids import FunctionalSample, Grid, Group
+from .grids import FunctionalSample, Grid, Group, store_plain
 from .indexes import (
     DiscriminantIndex,
     FitContext,
@@ -102,16 +101,8 @@ class RunConfig:
         if repeated:
             raise ValueError(f"duplicate index names: {', '.join(repeated)}")
         object.__setattr__(self, "indexes", indexes)
-        # settings are stored as plain Python values, so the report echoes them as JSON
-        for names, kind, cast, what in (
-            (("reps", "p_grid_size"), numbers.Integral, int, "an integer"),
-            (("var_fraction", "penalty_lambda", "ridge"), numbers.Real, float, "a real number"),
-        ):
-            for name in names:
-                value = getattr(self, name)
-                if not isinstance(value, kind) or isinstance(value, bool):
-                    raise ValueError(f"{name} must be {what}")
-                object.__setattr__(self, name, cast(value))
+        store_plain(self, ("reps", "p_grid_size"), int)
+        store_plain(self, ("var_fraction", "penalty_lambda", "ridge"), float)
         if not isinstance(self.flip_orientation, (bool, np.bool_)):
             raise ValueError("flip_orientation must be a bool")
         object.__setattr__(self, "flip_orientation", bool(self.flip_orientation))

@@ -140,16 +140,17 @@ class FitContext:
     """The moments of one draw that the fitted indexes share.
 
     Holds a (diseased, healthy) sample pair and computes the group means,
-    their difference, the group-centered curves and the eigensystem of the
-    pooled covariance operator once each, on first use; the eigensystem is
-    ``pooled_eigensystem`` of the centered curves.
-    Construction does no work and cannot fail; a property whose inputs are
-    invalid raises its typed error on every access.
+    their difference, the group-centered curves, the eigensystem of the
+    pooled covariance operator (``pooled_eigensystem`` of the centered
+    curves) and the projected group moments once each, on first use.
+    Construction does no work and cannot fail; an access whose inputs are
+    invalid raises its typed error every time.
     """
 
     def __init__(self, d: FunctionalSample, h: FunctionalSample):
         self.d = d
         self.h = h
+        self._moments: dict[float, tuple] = {}
 
     @cached_property
     def grid(self) -> Grid:
@@ -180,6 +181,22 @@ class FitContext:
         if self.d.n < 2 or self.h.n < 2:
             raise InsufficientSampleError("both groups need at least two curves")
         return pooled_eigensystem(grid, self._centered, tuple(mean.values for mean in self._means))
+
+    def moments(self, var_fraction: float) -> tuple[int, tuple, tuple]:
+        """(k, (mu_D, mu_H), (S_D, S_H)): group score moments in the first k eigenfunctions.
+
+        k is ``choose_dimension(basis, var_fraction)``, mu_g the projected group
+        mean curve and S_g = A_g'A_g / n_g with A_g = (X_g - mean_g) W Phi_k, so
+        no m x m covariance is formed.  Cached per fraction; a failure is not.
+        """
+        if var_fraction not in self._moments:
+            k = choose_dimension(self.basis, var_fraction)
+            weighted_phi = self.grid.weights[:, None] * self.basis.eigenfunctions[:, :k]
+            means = tuple(mean.values @ weighted_phi for mean in self._means)
+            scores = (centered @ weighted_phi for centered in self._centered)
+            covariances = tuple(a.T @ a / s.n for a, s in zip(scores, (self.d, self.h)))
+            self._moments[var_fraction] = (k, means, covariances)
+        return self._moments[var_fraction]
 
 
 def _check_direction_scale(diff_norm: float, ctx: FitContext) -> None:
@@ -226,52 +243,41 @@ def fit_optimal_linear(
     covariances, (Gamma_D + Gamma_H) / 2, which stays valid when they differ.
 
     The closed-form maximizer solves (G + penalty_lambda * P) b = delta in
-    basis coordinates, where delta holds the projected mean differences, P is
-    ``second_difference_penalty(basis, k)`` and G the projected denominator
-    covariance.  G comes from the centered group coordinates
-    A_g = (X_g - mean_g) W Phi_k, as (A_D'A_D / n_D + A_H'A_H / n_H) / 2, so
-    no m x m covariance is formed.
+    basis coordinates, with delta = mu_D - mu_H and G = (S_D + S_H) / 2 from
+    ``FitContext.moments`` and P = ``second_difference_penalty(basis, k)``.
     The returned direction has unit quadrature norm and nonnegative inner
     product with the mean difference.
     """
     if not 0.0 <= penalty_lambda < np.inf:  # NaN fails too
         raise ValueError("penalty weight must be finite and nonnegative")
     diff = ctx.mean_diff
-    basis = ctx.basis
-    k = choose_dimension(basis, var_fraction)
-
-    grid = ctx.grid
-    phi = basis.eigenfunctions[:, :k]
-    weighted_phi = grid.weights[:, None] * phi
-    delta = weighted_phi.T @ diff.values
+    k, (mu_d, mu_h), (s_d, s_h) = ctx.moments(var_fraction)
+    delta = mu_d - mu_h
     _check_direction_scale(float(np.linalg.norm(delta)), ctx)
 
-    a_d, a_h = (centered @ weighted_phi for centered in ctx._centered)
-    gram = (a_d.T @ a_d / ctx.d.n + a_h.T @ a_h / ctx.h.n) / 2.0
+    gram = (s_d + s_h) / 2.0
     gram = (gram + gram.T) / 2.0
     if penalty_lambda > 0.0:
-        gram = gram + penalty_lambda * second_difference_penalty(basis, k)
+        gram = gram + penalty_lambda * second_difference_penalty(ctx.basis, k)
 
     try:
         factor = np.linalg.cholesky(gram)
         coefficients = np.linalg.solve(factor.T, np.linalg.solve(factor, delta))
     except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            "projected covariance system is singular; increase the penalty "
-            "weight or lower the variance fraction"
-        ) from exc
+        raise SingularSystemError("projected covariance system is singular; increase the "
+                                  "penalty weight or lower the variance fraction") from exc
 
-    beta_values = phi @ coefficients
+    beta_values = ctx.basis.eigenfunctions[:, :k] @ coefficients
     # the quadrature norm of ``grids.norm``, also for the non-finite values a Curve rejects;
     # an overflow to inf is raised as DegenerateDirectionError below
     with np.errstate(over="ignore"):
-        length = float(np.sqrt(np.dot(beta_values * beta_values, grid.weights)))
+        length = float(np.sqrt(np.dot(beta_values * beta_values, ctx.grid.weights)))
     if not 0.0 < length < np.inf:  # NaN fails too
         raise DegenerateDirectionError("optimal direction collapsed to zero or overflowed")
     beta_values = beta_values / length
-    if float(np.dot(grid.weights * beta_values, diff.values)) < 0.0:
+    if float(np.dot(ctx.grid.weights * beta_values, diff.values)) < 0.0:
         beta_values = -beta_values
-    return LinearIndex(Curve(grid, beta_values))
+    return LinearIndex(Curve(ctx.grid, beta_values))
 
 
 def _quadratic_coefficients(
@@ -289,31 +295,22 @@ def fit_quadratic(
 ) -> QuadraticIndex:
     """Gaussian quadratic discriminant in pooled eigenfunction coordinates.
 
-    Both samples are projected onto the leading eigenfunctions of the
-    pooled covariance operator; the score means and full covariance
-    matrices of each group (divisor n) define the quadratic coefficients
+    The group score means mu_g and covariances S_g (divisor n) are the
+    draw's ``FitContext.moments``; they define the quadratic coefficients
     L = inv(S_D + ridge I) - inv(S_H + ridge I) and
     a = inv(S_D + ridge I) mu_D - inv(S_H + ridge I) mu_H.
     """
     basis = ctx.basis
     if not 0.0 <= ridge < np.inf:  # NaN fails too
         raise ValueError("ridge must be finite and nonnegative")
-    k = choose_dimension(basis, var_fraction)
-    groups = ((ctx.d, "diseased"), (ctx.h, "healthy"))
-    for sample, group in groups:
+    k, means, covariances = ctx.moments(var_fraction)
+    groups = ("diseased", "healthy")
+    for sample, group in zip((ctx.d, ctx.h), groups):
         if sample.n < k + 1:
-            raise InsufficientSampleError(
-                f"{group} group has {sample.n} curves but the quadratic fit needs "
-                f"at least {k + 1}"
-            )
-
-    means, inverses = [], []
-    for sample, group in groups:
-        scores = project_scores(sample, basis, k)
-        means.append(scores.mean(axis=0))
-        centered = scores - means[-1]
-        sigma = centered.T @ centered / sample.n
-        inverses.append(spd_inverse(sigma + ridge * np.eye(k), SingularCovarianceError(group)))
+            raise InsufficientSampleError(f"{group} group has {sample.n} curves but the "
+                                          f"quadratic fit needs at least {k + 1}")
+    inverses = (spd_inverse(sigma + ridge * np.eye(k), SingularCovarianceError(group))
+                for sigma, group in zip(covariances, groups))
     lambda_mat, alpha_vec = _quadratic_coefficients(*inverses, *means)
     return QuadraticIndex(basis=basis, k=k, lambda_mat=lambda_mat, alpha_vec=alpha_vec)
 

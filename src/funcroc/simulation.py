@@ -12,7 +12,6 @@ so replications are order independent.
 from __future__ import annotations
 
 import math
-import numbers
 import threading
 from dataclasses import dataclass, replace
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import SimulationDegeneracyError
 from .estimation import CovarianceKernel
-from .grids import FunctionalSample, Grid, Group, make_uniform_grid
+from .grids import FunctionalSample, Grid, Group, make_uniform_grid, store_plain
 
 __all__ = [
     "ProcessSpec",
@@ -216,11 +215,9 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.name not in SCENARIO_NAMES:
             raise ValueError(f"unknown scenario: {self.name!r}")
-        for name in ("n_d", "n_h", "grid_size", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer")
-            object.__setattr__(self, name, int(value))
+        store_plain(self, ("n_d", "n_h", "grid_size", "seed"), int)
+        if self.rho is not None:
+            store_plain(self, ("rho",), float)
         if self.n_d < 1 or self.n_h < 1:
             raise ValueError("sample sizes must be positive")
         if self.grid_size < 2:

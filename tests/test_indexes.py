@@ -116,11 +116,16 @@ class TestFitContext:
         assert (ctx.d, ctx.h) == (d, h)
         # the basis checks the grids first, so its sample-size error needs a shared grid
         same_grid = FitContext(d, FunctionalSample(d.grid, np.zeros((3, 10)), Group.HEALTHY))
+        # each group repeats one curve, so both covariance operators vanish
+        flat = FitContext(FunctionalSample(d.grid, np.ones((3, 10)), Group.DISEASED),
+                          same_grid.h)
         for _ in range(2):
             with pytest.raises(GridMismatchError, match="different grids"):
                 ctx.mean_diff
             with pytest.raises(InsufficientSampleError, match="at least two curves"):
                 same_grid.basis
+            with pytest.raises(DegenerateOperatorError, match="all-zero spectrum"):
+                flat.moments(0.95)
 
     def test_moments_are_computed_once_and_shared(self):
         spec = ScenarioSpec(name="P1", n_d=30, n_h=30, seed=17, rho=1.0, grid_size=25)
@@ -132,6 +137,52 @@ class TestFitContext:
         linear = fit_optimal_linear(ctx, penalty_lambda=0.5)
         assert quad.basis is ctx.basis
         assert inner_product(linear.beta, ctx.mean_diff) > 0.0
+
+    def test_both_fits_share_one_dimension_choice_and_projection(self, monkeypatch):
+        calls = []
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls.append(name)
+                return function(*args)
+            return wrapper
+
+        for name in ("choose_dimension", "project_scores"):
+            monkeypatch.setattr(indexes, name, counted(name, getattr(indexes, name)))
+        spec = ScenarioSpec(name="P1", n_d=40, n_h=40, seed=5, rho=2.0, grid_size=30)
+        ctx = FitContext(*generate_scenario(spec))
+        fit_optimal_linear(ctx)
+        quad = fit_quadratic(ctx)
+        assert calls == ["choose_dimension"]
+        moments = ctx.moments(0.95)
+        assert ctx.moments(0.95) is moments and moments[0] == quad.k
+        assert calls == ["choose_dimension"]
+        wider = ctx.moments(1.0)
+        assert calls == ["choose_dimension"] * 2
+        assert wider is not moments and wider[0] > moments[0]
+        assert ctx.moments(1.0) is wider and ctx.moments(0.95) is moments
+
+    @pytest.mark.parametrize("spec", [
+        ScenarioSpec(name="P1", n_d=60, n_h=50, seed=2, rho=2.0, grid_size=40),
+        ScenarioSpec(name="D20", n_d=40, n_h=40, seed=3, grid_size=400),
+    ], ids=["full", "gram"])
+    def test_quadratic_fit_matches_the_raw_projection_moments(self, spec):
+        # S_g from the shared centered-then-projected coordinates equals the
+        # covariance of the projected raw curves, on both basis routes
+        ctx = FitContext(*generate_scenario(spec))
+        assert (ctx.d.n + ctx.h.n >= spec.grid_size) == (spec.name == "P1")
+        quad = fit_quadratic(ctx, ridge=0.0)
+        inverses, means = [], []
+        for sample in (ctx.d, ctx.h):
+            scores = project_scores(sample, ctx.basis, quad.k)
+            means.append(scores.mean(axis=0))
+            centered = scores - means[-1]
+            inverses.append(np.linalg.inv(centered.T @ centered / sample.n))
+        lambda_mat = inverses[0] - inverses[1]
+        alpha_vec = inverses[0] @ means[0] - inverses[1] @ means[1]
+        for got, want in ((quad.lambda_mat, (lambda_mat + lambda_mat.T) / 2.0),
+                          (quad.alpha_vec, alpha_vec)):
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
 class TestGramFormBasis:

@@ -1,14 +1,19 @@
+import json
+
 import numpy as np
 import pytest
 
 from funcroc import (
     Group,
     ProcessSpec,
+    RunConfig,
     ScenarioSpec,
     eigendecompose,
+    emit_report,
     generate_scenario,
     kernel_matrix,
     make_uniform_grid,
+    run_study,
     sample_covariance,
     sample_gaussian,
     sine_eigenfunction,
@@ -193,6 +198,21 @@ class TestScenarioSpecValidation:
         for field in ("n_d", "n_h", "seed", "grid_size"):
             assert type(getattr(spec, field)) is int
         assert (spec.n_d, spec.n_h, spec.seed, spec.grid_size) == (10, 12, 3, 20)
+
+    def test_numpy_rho_is_stored_as_float_and_echoed_as_json(self):
+        spec = ScenarioSpec(name="P1", n_d=5, n_h=5, seed=0, rho=np.float32(2.0), grid_size=10)
+        assert type(spec.rho) is float and spec.rho == 2.0
+        report = run_study(RunConfig(scenario=spec, indexes=("max",), reps=2))
+        echo = json.loads(emit_report(report, "machine-readable"))["config"]["scenario"]
+        assert echo["rho"] == 2.0
+
+    def test_bool_rho_is_rejected(self):
+        with pytest.raises(ValueError, match="^rho must be a real number$"):
+            ScenarioSpec(name="P1", n_d=10, n_h=10, seed=0, rho=True)
+
+    def test_string_rho_is_rejected(self):
+        with pytest.raises(ValueError, match="^rho must be a real number$"):
+            ScenarioSpec(name="P1", n_d=10, n_h=10, seed=0, rho="2")
 
     def test_default_process_is_brownian(self):
         spec = ScenarioSpec(name="P1", n_d=10, n_h=10, seed=0, rho=1.0)
