@@ -7,8 +7,8 @@ expressions through the standard normal distribution.  These serve as
 oracles for the empirical estimators and as finite-rank stand-ins for the
 functional theory.
 
-scipy is imported inside the oracles that need it, so importing funcroc,
-running studies and analyzing curve files load no scipy module.
+scipy.special is imported inside the oracles that need it, so importing
+funcroc, running studies and analyzing curve files load no scipy module.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDirectionError, RangeViolationError
-from .estimation import spd_inverse, symmetric_matrix
+from .estimation import check_mean_gap, spd_inverse, spd_solve, symmetric_matrix
 from .grids import frozen_finite
 
 __all__ = [
@@ -96,11 +96,18 @@ def auc_of_direction(g: GaussianPair, beta) -> float:
     return float(ndtr(separation / np.sqrt(spread)))
 
 
-def _check_distinct_means(g: GaussianPair, message: str) -> None:
-    """Raise when the mean gap is rounding noise relative to the means."""
-    scale = max(1.0, float(np.linalg.norm(g.mu_d)), float(np.linalg.norm(g.mu_h)))
-    if float(np.linalg.norm(g.mean_diff)) <= 1e-13 * scale:
-        raise DegenerateDirectionError(message)
+def _unit_direction(g: GaussianPair, message: str) -> np.ndarray:
+    """(Sigma_D + Sigma_H)^{-1} (mu_D - mu_H) at unit length; coinciding means
+    (``check_mean_gap``) raise ``DegenerateDirectionError(message)``."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
+        gap = np.linalg.norm(g.mean_diff)
+        check_mean_gap(gap, (np.linalg.norm(g.mu_d), np.linalg.norm(g.mu_h)), message)
+        direction = spd_solve(g.sigma_d + g.sigma_h, g.mean_diff,
+                              ValueError("Sigma_D + Sigma_H must be positive definite"))
+        length = float(np.linalg.norm(direction))
+    if not 0.0 < length < np.inf:  # NaN fails too
+        raise DegenerateDirectionError("optimal direction collapsed to zero or overflowed")
+    return direction / length
 
 
 def optimal_auc_direction(g: GaussianPair) -> np.ndarray:
@@ -109,11 +116,7 @@ def optimal_auc_direction(g: GaussianPair) -> np.ndarray:
     Proportional to (Sigma_D + Sigma_H)^{-1} (mu_D - mu_H); undefined when
     the means coincide, in which case every direction has AUC 1/2.
     """
-    import scipy.linalg
-
-    _check_distinct_means(g, "equal means make every projection an AUC-1/2 coin flip")
-    direction = scipy.linalg.solve(g.sigma_d + g.sigma_h, g.mean_diff, assume_a="pos")
-    return direction / np.linalg.norm(direction)
+    return _unit_direction(g, "equal means make every projection an AUC-1/2 coin flip")
 
 
 def binormal_roc(g: GaussianPair, beta, p):
@@ -138,19 +141,15 @@ def binormal_roc(g: GaussianPair, beta, p):
 def youden_direction(g: GaussianPair) -> np.ndarray:
     """Unit direction maximizing the Youden index under equal covariances.
 
-    Requires Sigma_D = Sigma_H within 1e-10; the result coincides with the
-    AUC-optimal direction in that case.  The optimal threshold along the
-    returned direction is the midpoint of the projected means.
+    Requires Sigma_D = Sigma_H up to 1e-10 times their largest entry
+    magnitude, a relative tolerance, so rescaling both cannot change the
+    outcome.  The result is then the AUC-optimal direction, and the optimal
+    threshold along it is the midpoint of the projected means.
     """
-    import scipy.linalg
-
-    scale = max(1.0, float(np.abs(g.sigma_d).max()), float(np.abs(g.sigma_h).max()))
+    scale = max(float(np.abs(g.sigma_d).max()), float(np.abs(g.sigma_h).max()))
     if np.abs(g.sigma_d - g.sigma_h).max() > 1e-10 * scale:
         raise ValueError("youden_direction requires equal covariance matrices")
-    _check_distinct_means(g, "equal means admit no optimal direction")
-    sigma = (g.sigma_d + g.sigma_h) / 2.0
-    direction = scipy.linalg.solve(sigma, g.mean_diff, assume_a="pos")
-    return direction / np.linalg.norm(direction)
+    return _unit_direction(g, "equal means admit no optimal direction")
 
 
 def pooled_correlation_identity(g: GaussianPair, beta) -> tuple[float, float]:

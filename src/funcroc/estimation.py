@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DegenerateDirectionError,
     DegenerateOperatorError,
     GridMismatchError,
     InsufficientSampleError,
@@ -33,21 +34,37 @@ __all__ = [
     "project_scores",
 ]
 
-_SYMMETRY_RTOL = 1e-10
-
 
 def symmetric_matrix(value, name: str, error: type[Exception] = ValueError) -> np.ndarray:
     """Read-only float copy of a square matrix, checked to be finite and symmetric.
 
     A NaN or infinite entry raises ``ValueError("<name> must be finite")``.
-    The symmetry tolerance is 1e-10 times max(1, largest entry magnitude); a
-    larger asymmetry raises ``error("<name> must be symmetric")``.
+    The symmetry tolerance is relative: an asymmetry above 1e-10 times the
+    largest entry magnitude raises ``error("<name> must be symmetric")``, so
+    rescaling the matrix cannot change the outcome.
     """
     matrix = frozen_finite(value, name)
-    scale = max(1.0, float(np.abs(matrix).max()))
-    if np.abs(matrix - matrix.T).max() > _SYMMETRY_RTOL * scale:
+    if np.abs(matrix - matrix.T).max() > 1e-10 * float(np.abs(matrix).max()):
         raise error(f"{name} must be symmetric")
     return matrix
+
+
+def check_mean_gap(gap: float, mean_norms, message: str) -> None:
+    """Raise ``DegenerateDirectionError(message)`` if the gap between two means is at
+    most 1e-13 times the larger of their ``mean_norms``: rescaling cannot change the outcome."""
+    if gap <= 1e-13 * max(mean_norms):
+        raise DegenerateDirectionError(message)
+
+
+def spd_solve(matrix: np.ndarray, rhs: np.ndarray, error: Exception) -> np.ndarray:
+    """x with ``matrix @ x = rhs`` from the Cholesky factor L: L y = rhs, then L' x = y.
+
+    Raises ``error`` if the matrix is not SPD; a non-finite matrix may give a non-finite x."""
+    try:
+        factor = np.linalg.cholesky(matrix)
+        return np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
+    except np.linalg.LinAlgError as exc:
+        raise error from exc
 
 
 def spd_inverse(matrix: np.ndarray, error: Exception) -> np.ndarray:
@@ -112,10 +129,6 @@ class EigenSystem:
     @property
     def count(self) -> int:
         return self.eigenvalues.size
-
-    def eigenfunction(self, ell: int) -> Curve:
-        """The ell-th eigenfunction as a curve."""
-        return Curve(self.grid, self.eigenfunctions[:, ell])
 
 
 def sample_mean(s: FunctionalSample) -> Curve:

@@ -29,11 +29,13 @@ from .errors import (
 )
 from .estimation import (
     EigenSystem,
+    check_mean_gap,
     choose_dimension,
     pooled_eigensystem,
     project_scores,
     sample_mean,
     spd_inverse,
+    spd_solve,
     symmetric_matrix,
 )
 from .grids import Curve, FunctionalSample, Grid, Group, frozen_finite, norm
@@ -199,19 +201,14 @@ class FitContext:
         return self._moments[var_fraction]
 
 
-def _check_direction_scale(diff_norm: float, ctx: FitContext) -> None:
-    # relative to the data's scale, so rescaling the curves cannot change the outcome
-    if diff_norm <= 1e-13 * max(norm(ctx._means[0]), norm(ctx._means[1])):
-        raise DegenerateDirectionError(
-            "group mean curves coincide; no discriminating direction exists"
-        )
+_COINCIDING_MEANS = "group mean curves coincide; no discriminating direction exists"
 
 
 def fit_mean_difference(ctx: FitContext) -> LinearIndex:
     """Linear index along the normalized difference of the group means."""
     diff = ctx.mean_diff
     length = norm(diff)
-    _check_direction_scale(length, ctx)
+    check_mean_gap(length, map(norm, ctx._means), _COINCIDING_MEANS)
     return LinearIndex(Curve(ctx.grid, diff.values / length))
 
 
@@ -253,19 +250,16 @@ def fit_optimal_linear(
     diff = ctx.mean_diff
     k, (mu_d, mu_h), (s_d, s_h) = ctx.moments(var_fraction)
     delta = mu_d - mu_h
-    _check_direction_scale(float(np.linalg.norm(delta)), ctx)
+    check_mean_gap(float(np.linalg.norm(delta)), map(norm, ctx._means), _COINCIDING_MEANS)
 
     gram = (s_d + s_h) / 2.0
     gram = (gram + gram.T) / 2.0
     if penalty_lambda > 0.0:
         gram = gram + penalty_lambda * second_difference_penalty(ctx.basis, k)
 
-    try:
-        factor = np.linalg.cholesky(gram)
-        coefficients = np.linalg.solve(factor.T, np.linalg.solve(factor, delta))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError("projected covariance system is singular; increase the "
-                                  "penalty weight or lower the variance fraction") from exc
+    coefficients = spd_solve(gram, delta, SingularSystemError(
+        "projected covariance system is singular; increase the "
+        "penalty weight or lower the variance fraction"))
 
     beta_values = ctx.basis.eigenfunctions[:, :k] @ coefficients
     # the quadrature norm of ``grids.norm``, also for the non-finite values a Curve rejects;

@@ -5,13 +5,12 @@ quantile functions of the scores, so they depend on the data only through
 ranks: any strictly increasing transformation of the scores leaves them
 unchanged.  ``summarize_sorted`` computes all three for k rows of sorted
 scores at once; ``roc_curve``, ``auc`` and ``youden`` are its one-row calls
-on a ``ScoreSample``, which sorts each group once.
+on a ``ScoreSample``; each call sorts each group once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -46,11 +45,6 @@ class ScoreSample:
             if values.ndim != 1 or values.size == 0:
                 raise ValueError(f"{name} scores must form a nonempty vector")
             object.__setattr__(self, name, values)
-
-    @cached_property
-    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
-        """Diseased and healthy scores in ascending order."""
-        return np.sort(self.diseased), np.sort(self.healthy)
 
 
 @dataclass(frozen=True)
@@ -164,9 +158,8 @@ def summarize_sorted(
 
 
 def _summarize(s: ScoreSample, p_grid: np.ndarray) -> RocRows:
-    """The one-row summary of a score sample, from its sorted groups."""
-    ordered_d, ordered_h = s._sorted
-    return summarize_sorted(ordered_d[None, :], ordered_h[None, :], p_grid)
+    """The one-row summary of a score sample; sorts each group once."""
+    return summarize_sorted(np.sort(s.diseased)[None, :], np.sort(s.healthy)[None, :], p_grid)
 
 
 def auc(s: ScoreSample) -> float:

@@ -208,6 +208,69 @@ class TestYoudenDirection:
         with pytest.raises(DegenerateDirectionError):
             youden_direction(g)
 
+
+SCALES = [1e-20, 1.0, 1e20]
+
+
+def scaled_pair(s, sigma_h_factor=1.0):
+    """Means (1, 0.5) and 0 scaled by s, covariances by s^2."""
+    sigma = np.array([[2.0, 0.5], [0.5, 1.0]])
+    return GaussianPair(s * np.array([1.0, 0.5]), np.zeros(2), s**2 * sigma,
+                        s**2 * sigma_h_factor * sigma)
+
+
+class TestDirectionsAtAnyScale:
+    # every tolerance is relative, so the data's units cannot change an answer
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_both_oracles_give_the_unscaled_direction(self, s):
+        expected = np.linalg.solve(np.array([[2.0, 0.5], [0.5, 1.0]]), [1.0, 0.5])
+        expected /= np.linalg.norm(expected)
+        g = scaled_pair(s)
+        for oracle in (optimal_auc_direction, youden_direction):
+            direction = oracle(g)
+            assert np.allclose(direction, expected, rtol=0.0, atol=1e-14), oracle.__name__
+            assert np.linalg.norm(direction) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_youden_rejects_unequal_covariances(self, s):
+        with pytest.raises(ValueError, match="requires equal covariance matrices"):
+            youden_direction(scaled_pair(s, sigma_h_factor=2.0))
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_youden_accepts_covariances_equal_up_to_rounding(self, s):
+        g = scaled_pair(s, sigma_h_factor=1.0 + 1e-13)
+        assert np.allclose(youden_direction(g), optimal_auc_direction(g), atol=1e-14)
+
+    @pytest.mark.parametrize("s", [0.0, *SCALES])
+    def test_an_exact_zero_gap_is_degenerate(self, s):
+        mean = s * np.array([1.0, 0.5])
+        g = GaussianPair(mean, mean.copy(), np.eye(2), np.eye(2))
+        with pytest.raises(DegenerateDirectionError, match="AUC-1/2 coin flip"):
+            optimal_auc_direction(g)
+        with pytest.raises(DegenerateDirectionError, match="admit no optimal direction"):
+            youden_direction(g)
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_a_gap_of_rounding_size_is_degenerate(self, s):
+        mean = s * np.array([1.0, 0.5])
+        g = GaussianPair(mean * (1.0 + 1e-15), mean, s**2 * np.eye(2), s**2 * np.eye(2))
+        with pytest.raises(DegenerateDirectionError, match="AUC-1/2 coin flip"):
+            optimal_auc_direction(g)
+
+    @pytest.mark.parametrize("mean, variance", [(1e-150, 1e300), (1e10, 1e-300)])
+    def test_a_direction_beyond_the_float_range_is_degenerate(self, mean, variance):
+        # (Sigma_D + Sigma_H)^{-1} (mu_D - mu_H) underflows to zero or overflows
+        g = GaussianPair(np.array([mean, 0.0]), np.zeros(2), variance * np.eye(2),
+                         variance * np.eye(2))
+        for oracle in (optimal_auc_direction, youden_direction):
+            with pytest.raises(DegenerateDirectionError, match="collapsed to zero or overflowed"):
+                oracle(g)
+
+    def test_all_zero_covariances_are_not_positive_definite(self):
+        with pytest.raises(ValueError, match="^sigma_d must be positive definite$"):
+            GaussianPair(np.ones(2), np.zeros(2), np.zeros((2, 2)), np.eye(2))
+
     def test_midpoint_threshold_maximizes_the_empirical_gap(self):
         rng = np.random.default_rng(11)
         g = random_pair(rng, equal_cov=True)

@@ -4,6 +4,7 @@ import scipy.linalg
 
 from funcroc import (
     CovarianceKernel,
+    DegenerateDirectionError,
     DegenerateOperatorError,
     EigenSystem,
     FunctionalSample,
@@ -21,7 +22,7 @@ from funcroc import (
     sample_gaussian,
     sample_mean,
 )
-from funcroc.estimation import spd_inverse
+from funcroc.estimation import check_mean_gap, spd_inverse, spd_solve, symmetric_matrix
 
 BROWNIAN_TOP_EIGENVALUE = 4.0 / np.pi**2  # analytic leading variance of min(s, t)
 
@@ -207,6 +208,23 @@ class TestEigendecompose:
         with pytest.raises(InvalidKernelError):
             CovarianceKernel(grid, matrix)
 
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_nonsymmetric_kernel_is_rejected_at_any_scale(self, scale):
+        # the tolerance is relative to the largest entry, so the units cannot hide an asymmetry
+        matrix = scale * np.array([[1.0, 0.5], [0.0, 1.0]])
+        with pytest.raises(InvalidKernelError, match="^kernel matrix must be symmetric$"):
+            CovarianceKernel(make_uniform_grid(2), matrix)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_rounding_asymmetry_is_accepted_at_any_scale(self, scale):
+        matrix = scale * np.array([[1.0, 0.5], [0.5 * (1.0 + 1e-12), 1.0]])
+        assert np.array_equal(CovarianceKernel(make_uniform_grid(2), matrix).matrix, matrix)
+
+    def test_all_zero_kernel_is_accepted(self):
+        kernel = CovarianceKernel(make_uniform_grid(3), np.zeros((3, 3)))
+        assert not kernel.matrix.any()
+        assert np.array_equal(symmetric_matrix(np.zeros((2, 2)), "zeros"), np.zeros((2, 2)))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_kernel_is_rejected(self, bad):
         matrix = np.eye(5)
@@ -253,6 +271,36 @@ class TestSpdInverse:
         with np.errstate(over="ignore"):
             with pytest.raises(InsufficientSampleError, match="^caller$"):
                 spd_inverse(np.diag([1e-320, 1.0]), InsufficientSampleError("caller"))
+
+
+class TestSpdSolve:
+    def test_is_the_two_solves_of_the_cholesky_factor(self):
+        a = np.random.default_rng(5).standard_normal((6, 6))
+        matrix = a @ a.T + 6.0 * np.eye(6)
+        rhs = np.arange(1.0, 7.0)
+        factor = np.linalg.cholesky(matrix)
+        expected = np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
+        assert np.array_equal(spd_solve(matrix, rhs, ValueError("unused")), expected)
+        assert np.allclose(matrix @ expected, rhs, rtol=1e-12)
+
+    def test_not_positive_definite_raises_the_callers_error(self):
+        with pytest.raises(InsufficientSampleError, match="^caller$") as raised:
+            spd_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2),
+                      InsufficientSampleError("caller"))
+        assert isinstance(raised.value.__cause__, np.linalg.LinAlgError)
+
+
+class TestCheckMeanGap:
+    @pytest.mark.parametrize("scale", [1e-200, 1e-20, 1.0, 1e20, 1e200])
+    def test_the_rule_is_relative_to_the_larger_mean(self, scale):
+        with pytest.raises(DegenerateDirectionError, match="^caller$"):
+            check_mean_gap(1e-14 * scale, (scale, 0.5 * scale), "caller")
+        check_mean_gap(1e-12 * scale, (0.5 * scale, scale), "caller")
+
+    def test_an_exact_zero_gap_always_coincides(self):
+        for norms in ((0.0, 0.0), (1.0, 1.0), (1e-300, 0.0)):
+            with pytest.raises(DegenerateDirectionError, match="^caller$"):
+                check_mean_gap(0.0, norms, "caller")
 
 
 class TestEigenSystem:

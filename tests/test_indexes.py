@@ -98,6 +98,15 @@ class TestApplyIndex:
         with pytest.raises(ValueError, match="^lambda_mat must be finite$"):
             QuadraticIndex(basis=basis, k=2, lambda_mat=lambda_mat, alpha_vec=np.zeros(2))
 
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_asymmetric_lambda_mat_is_rejected_at_any_scale(self, scale):
+        s = sample_gaussian(ProcessSpec.brownian(), make_uniform_grid(20), 10,
+                            np.random.default_rng(2))
+        basis = eigendecompose(sample_covariance(s), 2)
+        lambda_mat = scale * np.array([[1.0, 0.5], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="^lambda_mat must be symmetric$"):
+            QuadraticIndex(basis=basis, k=2, lambda_mat=lambda_mat, alpha_vec=np.zeros(2))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_alpha_vec_is_rejected(self, bad):
         s = sample_gaussian(ProcessSpec.brownian(), make_uniform_grid(20), 10,

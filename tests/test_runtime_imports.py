@@ -1,4 +1,5 @@
-"""Studies, analyses and the CLI run on numpy alone; scipy serves only the oracles."""
+"""Studies, analyses, the CLI and the direction oracles run on numpy alone; scipy serves
+only ``auc_of_direction`` and ``binormal_roc``."""
 
 import json
 import os
@@ -47,9 +48,12 @@ SCRIPT = textwrap.dedent("""
         out["exit_codes"].append(funcroc.cli.main(argv))
     out["after_runs"] = scipy_modules()
 
-    from funcroc import GaussianPair, auc_of_direction
+    from funcroc import GaussianPair, auc_of_direction, optimal_auc_direction, youden_direction
 
     pair = GaussianPair(np.ones(2), np.zeros(2), np.eye(2), np.eye(2))
+    # both direction oracles solve on numpy's Cholesky, as the linear fit does
+    out["directions"] = [optimal_auc_direction(pair).tolist(), youden_direction(pair).tolist()]
+    out["after_directions"] = scipy_modules()
     out["oracle_auc"] = auc_of_direction(pair, [1.0, 0.0])
     # separation 1 over spread sqrt(2): Phi(1/sqrt(2)) = (1 + erf(1/2)) / 2
     out["expected_auc"] = 0.5 * (1.0 + math.erf(0.5))
@@ -65,6 +69,9 @@ def test_studies_analyses_and_cli_load_no_scipy_module(tmp_path):
     out = json.loads(done.stdout.splitlines()[-1])
     assert out["after_import"] == []
     assert out["after_runs"] == []
+    assert out["after_directions"] == []
+    for direction in out["directions"]:
+        assert direction == pytest.approx([0.5**0.5, 0.5**0.5], rel=1e-15)
     assert out["exit_codes"] == [0, 0]
     # every fitter ran, so each eigensolve and Cholesky route was exercised
     for scenario, n_ok in out["n_ok"].items():
