@@ -6,15 +6,7 @@ against closed-form binormal results, and reproduce simulation studies
 with built-in Gaussian-process scenario generators.
 """
 
-from .binormal import (
-    GaussianPair,
-    auc_of_direction,
-    binormal_roc,
-    eigenbasis_optimal_direction,
-    optimal_auc_direction,
-    pooled_correlation_identity,
-    youden_direction,
-)
+from .binormal import GaussianPair, auc_of_direction, binormal_roc
 from .errors import (
     CurveParseError,
     DegenerateDirectionError,
@@ -57,6 +49,7 @@ from .harness import (
     StudyReport,
     analyze,
     emit_report,
+    evaluate,
     ingest_curves,
     run_replication,
     run_study,
@@ -69,12 +62,10 @@ from .indexes import (
     MaxIndex,
     MinIndex,
     QuadraticIndex,
-    apply_index,
     fit_mean_difference,
     fit_optimal_linear,
     fit_quadratic,
     index_scores,
-    quadratic_population,
     second_difference_penalty,
 )
 from .rocmetrics import (
@@ -83,8 +74,6 @@ from .rocmetrics import (
     ScoreSample,
     auc,
     default_p_grid,
-    ecdf,
-    equantile,
     roc_curve,
     score_sample,
     summarize_sorted,

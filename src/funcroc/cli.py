@@ -2,7 +2,9 @@
 
 Three subcommands: ``simulate`` runs a Monte Carlo study of a catalog
 scenario, ``analyze`` evaluates all indexes on a curve file, and ``roc``
-writes the sampled ROC curve of one index fitted on a curve file.
+writes the sampled ROC curve of one index fitted on a curve file.  All
+three evaluate through ``harness.evaluate``: ``roc`` is ``analyze`` of one
+index with its ROC row kept, and raises that index's fit error.
 
 Each option stores under the name of the ``ScenarioSpec`` or ``RunConfig``
 field it sets, and an option left out is not stored at all, so the
@@ -21,17 +23,16 @@ from dataclasses import fields
 
 from .errors import FuncrocError, NumericalDegeneracyError
 from .harness import (
-    FITTERS,
     INDEX_NAMES,
     RunConfig,
     emit_report,
+    evaluate,
     ingest_curves,
     roc_export_rows,
     run_study,
     write_report,
 )
-from .indexes import FitContext
-from .rocmetrics import default_p_grid, roc_curve, score_sample
+from .rocmetrics import default_p_grid
 from .simulation import SCENARIO_NAMES, ScenarioSpec
 
 EXIT_CONFIG = 2
@@ -121,11 +122,14 @@ def _study(values: dict) -> int:
 
 
 def _roc(values: dict) -> int:
+    """``roc``: one index evaluated as ``analyze`` evaluates it; a failed fit raises its error."""
     d, h = ingest_curves(values["scenario"])
-    config = RunConfig(**_fields_of(RunConfig, values))
-    index = FITTERS[values["index"]](FitContext(d, h), config)
-    summary = roc_curve(score_sample(index, d, h), default_p_grid(config.p_grid_size))
-    rows = zip(summary.p_grid, summary.roc_values)
+    name = values["index"]
+    config = RunConfig(**_fields_of(RunConfig, values), indexes=(name,), keep_roc=True)
+    result = evaluate(d, h, config)
+    if name in result.errors:
+        raise result.errors[name]
+    rows = zip(default_p_grid(config.p_grid_size), result.roc_values[name])
     _write_csv(values["out"], ["p", "roc"], ([f"{p:.6f}", f"{value:.6f}"] for p, value in rows))
     return 0
 

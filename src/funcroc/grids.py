@@ -167,10 +167,6 @@ class FunctionalSample:
     def n(self) -> int:
         return self.values.shape[0]
 
-    def curve(self, i: int) -> Curve:
-        """The i-th subject's curve."""
-        return Curve(self.grid, self.values[i])
-
 
 def make_uniform_grid(m: int) -> Grid:
     """Uniform grid of ``m`` points t_i = i/m with trapezoid weights.

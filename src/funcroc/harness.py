@@ -1,13 +1,15 @@
 """Monte Carlo study driver, curve-file ingestion and report emission.
 
 A study runs independent replications of one scenario: each replication
-draws a fresh sample pair from its own random substream, fits the
-requested discriminant indexes on that draw, scores the same draw, and
-records AUC and Youden summaries.  Index failures inside a replication are
-isolated so one singular fit cannot poison the study.  When BLAS runs on one
-thread, a study's replications are spread over the CPUs in contiguous blocks
-of ids, one thread per block.  Aggregation order is fixed by replication id,
-so results do not depend on scheduling or on the number of threads.
+draws a fresh sample pair from its own random substream and hands it to
+``evaluate``, which fits the requested discriminant indexes on that pair,
+scores the same pair, and records AUC and Youden summaries.  ``analyze``
+and the ``roc`` command evaluate a curve file's pair through the same
+function.  Index failures are isolated so one singular fit cannot poison
+the study.  When BLAS runs on one thread, a study's replications are
+spread over the CPUs in contiguous blocks of ids, one thread per block.
+Aggregation order is fixed by replication id, so results do not depend on
+scheduling or on the number of threads.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ __all__ = [
     "RunConfig",
     "ReplicationResult",
     "StudyReport",
+    "evaluate",
     "run_replication",
     "run_study",
     "ingest_curves",
@@ -123,13 +126,14 @@ class RunConfig:
 
 @dataclass
 class ReplicationResult:
-    """Per-index summaries of a single replication."""
+    """Per-index summaries of a single replication; ``errors`` holds each failed
+    index's ``FuncrocError``."""
 
-    replication_id: int
+    replication_id: int = 0
     auc: dict[str, float] = field(default_factory=dict)
     youden: dict[str, float] = field(default_factory=dict)
     roc_values: dict[str, np.ndarray] = field(default_factory=dict)
-    errors: dict[str, str] = field(default_factory=dict)
+    errors: dict[str, FuncrocError] = field(default_factory=dict)
 
 
 @dataclass
@@ -152,17 +156,30 @@ class StudyReport:
     roc_samples: dict[str, list] = field(default_factory=dict)
 
 
-def _evaluate_indexes(
-    result: ReplicationResult,
-    d: FunctionalSample,
-    h: FunctionalSample,
-    config: RunConfig,
-) -> None:
-    """Fit and score each index, then summarize the fitted ones in one batch.
+def _detached(error: FuncrocError) -> FuncrocError:
+    """``error`` with no traceback on it or anywhere in its ``__cause__``/``__context__``
+    chain, so a stored error does not keep the failing call's frames, and with them
+    the draw's curves and ``FitContext``, alive."""
+    seen, chain = set(), [error]
+    while chain:
+        link = chain.pop()
+        if link is not None and id(link) not in seen:
+            seen.add(id(link))
+            link.__traceback__ = None
+            chain += (link.__cause__, link.__context__)
+    return error
 
-    A fit or scoring error drops that index's row and is recorded; every
-    row's summaries equal ``roc_curve(score_sample(...))`` bit for bit.
+
+def evaluate(d: FunctionalSample, h: FunctionalSample, config: RunConfig) -> ReplicationResult:
+    """Fit and score each index of ``config`` on one sample pair, then summarize
+    the fitted ones in one batch.
+
+    A fit or scoring ``FuncrocError`` drops that index's row and is stored in
+    ``errors`` (see ``_detached``); every row's summaries equal
+    ``roc_curve(score_sample(...))`` bit for bit.  Studies, ``analyze`` and the
+    ``roc`` command all evaluate through here.
     """
+    result = ReplicationResult()
     ctx = FitContext(d, h)
     fitted, diseased, healthy = [], [], []
     for name in config.indexes:
@@ -170,7 +187,7 @@ def _evaluate_indexes(
             index = FITTERS[name](ctx, config)
             scores = index_scores(index, d), index_scores(index, h)
         except FuncrocError as exc:
-            result.errors[name] = f"{type(exc).__name__}: {exc}"
+            result.errors[name] = _detached(exc)
             continue
         for group, values in zip(("diseased", "healthy"), scores):
             if not np.isfinite(values).all():
@@ -179,7 +196,7 @@ def _evaluate_indexes(
         diseased.append(scores[0])
         healthy.append(scores[1])
     if not fitted:
-        return
+        return result
 
     p_grid = default_p_grid(config.p_grid_size)
     diseased, healthy = np.sort(diseased, axis=1), np.sort(healthy, axis=1)
@@ -194,6 +211,7 @@ def _evaluate_indexes(
     result.youden.update(zip(fitted, rows.youden.tolist()))
     if config.keep_roc:
         result.roc_values.update(zip(fitted, rows.roc_values))
+    return result
 
 
 def run_replication(config: RunConfig, replication_id: int) -> ReplicationResult:
@@ -204,9 +222,9 @@ def run_replication(config: RunConfig, replication_id: int) -> ReplicationResult
     """
     if not isinstance(config.scenario, ScenarioSpec):
         raise ValueError("run_replication needs a simulation scenario")
-    result = ReplicationResult(replication_id=replication_id)
     d, h = generate_scenario(config.scenario.substream(replication_id))
-    _evaluate_indexes(result, d, h, config)
+    result = evaluate(d, h, config)
+    result.replication_id = replication_id
     return result
 
 
@@ -237,7 +255,8 @@ def _aggregate(
                 "sd_auc": None,
                 "mean_youden": None,
                 "n_ok": 0,
-                "error": failures[0] if failures else "no replications",
+                "error": (f"{type(failures[0]).__name__}: {failures[0]}" if failures
+                          else "no replications"),
             }
             continue
         aucs = np.asarray(aucs)
@@ -352,9 +371,7 @@ def run_study(config: RunConfig) -> StudyReport:
 def analyze(d: FunctionalSample, h: FunctionalSample, config: RunConfig) -> StudyReport:
     """Single-pass analysis of one dataset: fit, score and summarize."""
     start = time.perf_counter()
-    result = ReplicationResult(replication_id=0)
-    _evaluate_indexes(result, d, h, config)
-    return _aggregate(config, [result], time.perf_counter() - start)
+    return _aggregate(config, [evaluate(d, h, config)], time.perf_counter() - start)
 
 
 def _parse_float(cell: str, line: int, column: int) -> float:

@@ -19,7 +19,6 @@ from typing import Union
 
 import numpy as np
 
-from .binormal import GaussianPair
 from .errors import (
     DegenerateDirectionError,
     GridMismatchError,
@@ -38,7 +37,7 @@ from .estimation import (
     spd_solve,
     symmetric_matrix,
 )
-from .grids import Curve, FunctionalSample, Grid, Group, frozen_finite, norm
+from .grids import Curve, FunctionalSample, Grid, frozen_finite, norm
 
 __all__ = [
     "MaxIndex",
@@ -48,12 +47,10 @@ __all__ = [
     "QuadraticIndex",
     "DiscriminantIndex",
     "FitContext",
-    "apply_index",
     "index_scores",
     "fit_mean_difference",
     "fit_optimal_linear",
     "fit_quadratic",
-    "quadratic_population",
     "second_difference_penalty",
 ]
 
@@ -130,12 +127,6 @@ def index_scores(idx: DiscriminantIndex, s: FunctionalSample) -> np.ndarray:
         quadratic = np.einsum("ij,jk,ik->i", scores, idx.lambda_mat, scores)
         return -quadratic + 2.0 * scores @ idx.alpha_vec
     raise TypeError(f"unknown index type: {type(idx).__name__}")
-
-
-def apply_index(idx: DiscriminantIndex, x: Curve) -> float:
-    """Evaluate an index on a single curve."""
-    holder = FunctionalSample(x.grid, x.values[None, :], group=Group.HEALTHY)
-    return float(index_scores(idx, holder)[0])
 
 
 class FitContext:
@@ -274,14 +265,6 @@ def fit_optimal_linear(
     return LinearIndex(Curve(ctx.grid, beta_values))
 
 
-def _quadratic_coefficients(
-    inv_d: np.ndarray, inv_h: np.ndarray, mu_d: np.ndarray, mu_h: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(L, a) with L = inv_D - inv_H, symmetrized, and a = inv_D mu_D - inv_H mu_H."""
-    lambda_mat = inv_d - inv_h
-    return (lambda_mat + lambda_mat.T) / 2.0, inv_d @ mu_d - inv_h @ mu_h
-
-
 def fit_quadratic(
     ctx: FitContext,
     var_fraction: float = 0.95,
@@ -303,25 +286,8 @@ def fit_quadratic(
         if sample.n < k + 1:
             raise InsufficientSampleError(f"{group} group has {sample.n} curves but the "
                                           f"quadratic fit needs at least {k + 1}")
-    inverses = (spd_inverse(sigma + ridge * np.eye(k), SingularCovarianceError(group))
-                for sigma, group in zip(covariances, groups))
-    lambda_mat, alpha_vec = _quadratic_coefficients(*inverses, *means)
-    return QuadraticIndex(basis=basis, k=k, lambda_mat=lambda_mat, alpha_vec=alpha_vec)
-
-
-def quadratic_population(
-    mu_d: np.ndarray,
-    mu_h: np.ndarray,
-    sigma_d: np.ndarray,
-    sigma_h: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Population quadratic coefficients from exact moments.
-
-    Returns (L, a) with L = inv(Sigma_D) - inv(Sigma_H) and
-    a = inv(Sigma_D) mu_D - inv(Sigma_H) mu_H.  For diagonal covariances
-    the entries of L reduce to (lambda_H - lambda_D) / (lambda_D lambda_H).
-    Moments that ``GaussianPair`` rejects raise its ``ValueError``.
-    """
-    g = GaussianPair(mu_d, mu_h, sigma_d, sigma_h)
-    inverses = (spd_inverse(sigma, ValueError) for sigma in (g.sigma_d, g.sigma_h))
-    return _quadratic_coefficients(*inverses, g.mu_d, g.mu_h)
+    inv_d, inv_h = (spd_inverse(sigma + ridge * np.eye(k), SingularCovarianceError(group))
+                    for sigma, group in zip(covariances, groups))
+    lambda_mat = inv_d - inv_h
+    return QuadraticIndex(basis=basis, k=k, lambda_mat=(lambda_mat + lambda_mat.T) / 2.0,
+                          alpha_vec=inv_d @ means[0] - inv_h @ means[1])

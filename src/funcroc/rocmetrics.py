@@ -4,8 +4,11 @@ All three are plug-in estimators built from the empirical distribution and
 quantile functions of the scores, so they depend on the data only through
 ranks: any strictly increasing transformation of the scores leaves them
 unchanged.  ``summarize_sorted`` computes all three for k rows of sorted
-scores at once; ``roc_curve``, ``auc`` and ``youden`` are its one-row calls
-on a ``ScoreSample``; each call sorts each group once.
+scores at once; studies, ``analyze`` and the ``roc`` command all summarize
+through it, in ``harness.evaluate``.  ``roc_curve``, ``auc`` and ``youden``
+are its checked one-row calls on a ``ScoreSample``; each call sorts each
+group once.  The empirical distribution and quantile functions themselves
+serve only as test references and live in the test suite.
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ __all__ = [
     "ScoreSample",
     "RocSummary",
     "RocRows",
-    "ecdf",
-    "equantile",
     "roc_curve",
     "auc",
     "youden",
@@ -69,37 +70,6 @@ class RocRows:
     roc_values: np.ndarray
 
 
-def _ranks(n: int, p):
-    """ceil(n p), clipped to 1..n, elementwise in p."""
-    # subtract a hair before ceil so n*p landing on an integer is not bumped up
-    return np.clip(np.ceil(n * np.asarray(p) - 1e-9).astype(int), 1, n)
-
-
-def ecdf(sample, t):
-    """Empirical distribution function (1/n) #{i : y_i <= t}.
-
-    ``t`` may be a scalar or an array; the return type matches.
-    """
-    values = frozen_finite(sample, "sample")
-    if values.size == 0:
-        raise ValueError("sample must be nonempty")
-    result = np.searchsorted(np.sort(values), frozen_finite(t, "t"), side="right") / values.size
-    return float(result) if np.isscalar(t) else result
-
-
-def equantile(sample, p: float) -> float:
-    """Generalized inverse of the empirical distribution at p in (0, 1].
-
-    Returns the ceil(n p)-th order statistic.
-    """
-    values = frozen_finite(sample, "sample")
-    if values.size == 0:
-        raise ValueError("sample must be nonempty")
-    if not 0.0 < p <= 1.0:
-        raise ValueError("p must lie in (0, 1]")
-    return float(np.sort(values)[_ranks(values.size, p) - 1])
-
-
 def default_p_grid(size: int = 101) -> np.ndarray:
     """Equally spaced evaluation probabilities on [0, 1]."""
     if size < 2:
@@ -143,11 +113,12 @@ def summarize_sorted(
     best = np.argmax(gaps, axis=1)
     rows = np.arange(k)
 
-    # ROC: 1 - F_D at the healthy score of rank ceil(n_H (1 - p)), which c gives.
+    # ROC: 1 - F_D at the healthy score of rank ceil(n_H (1 - p)), which c gives;
+    # a hair is subtracted before ceil so n_H (1 - p) landing on an integer is not bumped up
     endpoints = np.where(p_grid < 1.0, 0.0, 1.0)  # the endpoint convention
     values = np.repeat(endpoints[None, :], k, axis=0)
     interior = (p_grid > 0.0) & (p_grid < 1.0)
-    ranks = _ranks(n_h, 1.0 - p_grid[interior])
+    ranks = np.clip(np.ceil(n_h * (1.0 - p_grid[interior]) - 1e-9).astype(int), 1, n_h)
     values[:, interior] = 1.0 - below_d[:, ranks - 1] / n_d
     return RocRows(
         auc=auc_values,

@@ -25,14 +25,16 @@ from funcroc import (
     generate_scenario,
     kernel_matrix,
     make_uniform_grid,
+    roc_curve,
+    run_study,
+)
+from funcroc.simulation import ProcessSpec
+from reference import (
     optimal_auc_direction,
     pooled_correlation_identity,
     quadratic_population,
-    roc_curve,
-    run_study,
     youden_direction,
 )
-from funcroc.simulation import ProcessSpec
 
 SEED = 20260809
 
@@ -182,10 +184,10 @@ def test_criterion_07_algebraic_identity_suite():
         b = rng.standard_normal((4, 4))
         pair = GaussianPair(
             rng.standard_normal(4), rng.standard_normal(4),
-            a @ a.T + 4 * np.eye(4), b @ b.T + 4 * np.eye(4), pi_d=pi_d,
+            a @ a.T + 4 * np.eye(4), b @ b.T + 4 * np.eye(4),
         )
         for _ in range(10):
-            lhs, rhs = pooled_correlation_identity(pair, rng.standard_normal(4))
+            lhs, rhs = pooled_correlation_identity(pair, rng.standard_normal(4), pi_d)
             correlation_err = max(correlation_err, abs(lhs - rhs))
 
     # Youden and AUC optima coincide under equal covariances

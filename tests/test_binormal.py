@@ -9,6 +9,8 @@ from funcroc import (
     RangeViolationError,
     auc_of_direction,
     binormal_roc,
+)
+from reference import (
     eigenbasis_optimal_direction,
     optimal_auc_direction,
     pooled_correlation_identity,
@@ -16,7 +18,7 @@ from funcroc import (
 )
 
 
-def random_pair(rng, k=4, equal_cov=False, pi_d=0.5, equal_means=False):
+def random_pair(rng, k=4, equal_cov=False, equal_means=False):
     a = rng.standard_normal((k, k))
     sigma_d = a @ a.T + k * np.eye(k)
     if equal_cov:
@@ -26,7 +28,7 @@ def random_pair(rng, k=4, equal_cov=False, pi_d=0.5, equal_means=False):
         sigma_h = b @ b.T + k * np.eye(k)
     mu_d = rng.standard_normal(k)
     mu_h = mu_d.copy() if equal_means else rng.standard_normal(k)
-    return GaussianPair(mu_d, mu_h, sigma_d, sigma_h, pi_d=pi_d)
+    return GaussianPair(mu_d, mu_h, sigma_d, sigma_h)
 
 
 class TestGaussianPair:
@@ -54,7 +56,7 @@ UNIT_PAIR = GaussianPair(np.ones(2), np.zeros(2), np.eye(2), np.eye(2))
     "call, which",
     [
         (lambda: auc_of_direction(UNIT_PAIR, [np.nan, 1.0]), "beta"),
-        (lambda: pooled_correlation_identity(UNIT_PAIR, [np.nan, 1.0]), "beta"),
+        (lambda: pooled_correlation_identity(UNIT_PAIR, [np.nan, 1.0], 0.5), "beta"),
         (lambda: binormal_roc(UNIT_PAIR, [1.0, 0.0], np.nan), "p"),
         (lambda: binormal_roc(UNIT_PAIR, [1.0, 0.0], [0.5, np.nan]), "p"),
         (lambda: eigenbasis_optimal_direction([1.0, np.nan], [1.0, np.nan], 0.5), "mu_diff"),
@@ -258,6 +260,14 @@ class TestDirectionsAtAnyScale:
         with pytest.raises(DegenerateDirectionError, match="AUC-1/2 coin flip"):
             optimal_auc_direction(g)
 
+    @pytest.mark.parametrize("s", [1e-170, 1e170, 2.0**-600, 2.0**600])
+    def test_both_oracles_hold_where_the_squared_means_leave_the_float_range(self, s):
+        # |mu_D|^2 underflows to zero or overflows, yet the direction is (2, 1)/sqrt(5)
+        g = GaussianPair(s * np.array([1.0, 0.5]), np.zeros(2), np.eye(2), np.eye(2))
+        expected = np.array([2.0, 1.0]) / np.sqrt(5.0)
+        for oracle in (optimal_auc_direction, youden_direction):
+            assert np.allclose(oracle(g), expected, rtol=0.0, atol=1e-15), oracle.__name__
+
     @pytest.mark.parametrize("mean, variance", [(1e-150, 1e300), (1e10, 1e-300)])
     def test_a_direction_beyond_the_float_range_is_degenerate(self, mean, variance):
         # (Sigma_D + Sigma_H)^{-1} (mu_D - mu_H) underflows to zero or overflows
@@ -289,26 +299,26 @@ class TestDirectionsAtAnyScale:
 
 class TestPooledCorrelationIdentity:
     def test_equal_means_zero_both_sides(self):
-        g = random_pair(np.random.default_rng(12), equal_means=True, pi_d=0.3)
-        lhs, rhs = pooled_correlation_identity(g, np.ones(g.dim))
+        g = random_pair(np.random.default_rng(12), equal_means=True)
+        lhs, rhs = pooled_correlation_identity(g, np.ones(g.dim), 0.3)
         assert lhs == pytest.approx(0.0, abs=1e-12)
         assert rhs == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("pi_d", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_identity_holds_to_machine_precision(self, pi_d):
         rng = np.random.default_rng(int(pi_d * 1000))
-        g = random_pair(rng, pi_d=pi_d)
+        g = random_pair(rng)
         for _ in range(10):
             beta = rng.standard_normal(g.dim)
-            lhs, rhs = pooled_correlation_identity(g, beta)
+            lhs, rhs = pooled_correlation_identity(g, beta, pi_d)
             assert abs(lhs - rhs) <= 1e-12
 
     def test_balanced_prevalence_aligns_correlation_and_auc_maxima(self):
         # shared argmax over directions at pi_d = 1/2
         rng = np.random.default_rng(13)
-        g = random_pair(rng, pi_d=0.5, equal_cov=True)
+        g = random_pair(rng, equal_cov=True)
         candidates = rng.standard_normal((500, g.dim))
-        corr_values = [pooled_correlation_identity(g, beta)[0] for beta in candidates]
+        corr_values = [pooled_correlation_identity(g, beta, 0.5)[0] for beta in candidates]
         auc_values = [auc_of_direction(g, beta) for beta in candidates]
         assert int(np.argmax(corr_values)) == int(np.argmax(auc_values))
 

@@ -6,7 +6,7 @@ import pytest
 
 from funcroc import FuncrocError, NumericalDegeneracyError
 from funcroc.cli import main
-from funcroc.harness import FITTERS, RunConfig, _config_echo
+from funcroc.harness import FITTERS, INDEX_NAMES, RunConfig, _config_echo
 from funcroc.simulation import ScenarioSpec
 
 
@@ -189,6 +189,22 @@ class TestRocCommand:
         assert rows[0] == ["p", "roc"]
         assert len(rows) == 102
         assert rows[1][0] == "0.000000" and rows[51][0] == "0.500000" and rows[-1][0] == "1.000000"
+
+    def test_each_index_writes_its_rows_of_the_analyze_export(self, curve_file, tmp_path, capsys):
+        export = tmp_path / "export.csv"
+        assert main(["analyze", "--input", str(curve_file), "--export-roc", str(export)]) == 0
+        capsys.readouterr()
+        with open(export, newline="") as handle:
+            exported = list(csv.reader(handle))[1:]
+        for name in INDEX_NAMES:
+            out = tmp_path / f"{name}.csv"
+            assert main(["roc", "--input", str(curve_file), "--index", name, "--out", str(out)]) == 0
+            with open(out, newline="") as handle:
+                rows = list(csv.reader(handle))
+            expected = [[f"{float(p):.6f}", f"{float(value):.6f}"]
+                        for index, p, value in exported if index == name]
+            assert len(expected) == 101, name
+            assert rows == [["p", "roc"], *expected], name
 
     def test_degenerate_direction_exits_with_three(self, tmp_path, capsys):
         # identical groups leave the mean-difference rule undefined

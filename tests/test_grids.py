@@ -89,7 +89,7 @@ class TestCurveAndSample:
         grid = make_uniform_grid(3)
         sample = FunctionalSample(grid, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], Group.DISEASED)
         assert sample.n == 2
-        assert np.allclose(sample.curve(1).values, [4.0, 5.0, 6.0])
+        assert np.allclose(sample.values[1], [4.0, 5.0, 6.0])
 
 
 class TestInnerProduct:

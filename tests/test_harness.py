@@ -18,14 +18,17 @@ from funcroc import (
     FuncrocError,
     FunctionalSample,
     Group,
+    InsufficientSampleError,
     LinearIndex,
     ProcessSpec,
     RunConfig,
     ScenarioSpec,
     ScoreSample,
+    SingularCovarianceError,
     analyze,
     default_p_grid,
     emit_report,
+    evaluate,
     generate_scenario,
     ingest_curves,
     make_uniform_grid,
@@ -215,7 +218,8 @@ class TestBatchedSummary:
         for replication_id in range(4):
             result = run_replication(config, replication_id)
             summaries, errors, flipped_names = self.one_at_a_time(config, replication_id)
-            assert result.errors == errors
+            stored = {name: f"{type(exc).__name__}: {exc}" for name, exc in result.errors.items()}
+            assert stored == errors
             assert list(result.auc) == list(result.youden) == list(summaries)
             if fitted is not None:
                 assert len(summaries) == fitted
@@ -240,6 +244,57 @@ class TestBatchedSummary:
                 analyze(d, h, config)
             with pytest.raises(ValueError, match="^diseased scores must be finite$"):
                 score_sample(huge, d, h)
+
+
+def singular_pair():
+    """Diseased curves that repeat two curves, so quad's diseased covariance is singular."""
+    grid = make_uniform_grid(30)
+    rng = np.random.default_rng(23)
+    base = sample_gaussian(ProcessSpec.brownian(), grid, 40, rng, Group.DISEASED)
+    dup = FunctionalSample(grid, np.vstack([base.values[:2]] * 20), Group.DISEASED)
+    return dup, sample_gaussian(ProcessSpec.brownian(), grid, 40, rng, Group.HEALTHY)
+
+
+class TestStoredErrors:
+    """A failed fit's error is kept as the exception, without any traceback."""
+
+    @staticmethod
+    def chain(exc):
+        """``exc`` and every exception in its ``__cause__``/``__context__`` chain."""
+        links, stack = [], [exc]
+        while stack:
+            link = stack.pop()
+            if link is not None and all(link is not seen for seen in links):
+                links.append(link)
+                stack += (link.__cause__, link.__context__)
+        return links
+
+    @pytest.mark.parametrize("draw, error, message", [
+        # 3 diseased curves are too few for quad's k + 1
+        ("small", InsufficientSampleError,
+         "diseased group has 3 curves but the quadratic fit needs at least 15"),
+        # the Cholesky failure is chained as the cause
+        ("singular", SingularCovarianceError,
+         "score covariance of the diseased group is singular; "
+         "increase the ridge or reduce the dimension"),
+    ])
+    def test_the_error_keeps_no_frames_and_reports_as_before(self, draw, error, message):
+        if draw == "small":
+            spec = ScenarioSpec(name="D20", n_d=3, n_h=60, seed=77, grid_size=40)
+            config = RunConfig(scenario=spec, indexes=("quad", "max"), reps=1)
+            result = run_replication(config, 0)
+            report = run_study(config)
+        else:
+            config = RunConfig(scenario="file.csv", indexes=("quad", "max"))
+            result = evaluate(*singular_pair(), config)
+            report = analyze(*singular_pair(), config)
+            assert isinstance(result.errors["quad"].__cause__, np.linalg.LinAlgError)
+        stored = result.errors["quad"]
+        assert type(stored) is error and str(stored) == message
+        assert list(result.auc) == ["max"]
+        for link in self.chain(stored):
+            assert link.__traceback__ is None, type(link).__name__
+        assert report.per_index["quad"]["error"] == f"{error.__name__}: {message}"
 
 
 class TestRunStudy:

@@ -12,13 +12,12 @@ from funcroc import (
     MaxIndex,
     ScoreSample,
     auc,
-    ecdf,
-    equantile,
     make_uniform_grid,
     roc_curve,
     score_sample,
     youden,
 )
+from reference import ecdf, equantile
 
 
 def brute_force_auc(diseased, healthy):

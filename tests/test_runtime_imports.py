@@ -1,5 +1,5 @@
-"""Studies, analyses, the CLI and the direction oracles run on numpy alone; scipy serves
-only ``auc_of_direction`` and ``binormal_roc``."""
+"""Studies, analyses, the CLI and the test suite's direction oracles run on numpy alone;
+scipy serves only ``auc_of_direction`` and ``binormal_roc``."""
 
 import json
 import os
@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 # Runs in a fresh interpreter, so no other test's imports leak into sys.modules.
 SCRIPT = textwrap.dedent("""
@@ -48,7 +49,8 @@ SCRIPT = textwrap.dedent("""
         out["exit_codes"].append(funcroc.cli.main(argv))
     out["after_runs"] = scipy_modules()
 
-    from funcroc import GaussianPair, auc_of_direction, optimal_auc_direction, youden_direction
+    from funcroc import GaussianPair, auc_of_direction
+    from reference import optimal_auc_direction, youden_direction
 
     pair = GaussianPair(np.ones(2), np.zeros(2), np.eye(2), np.eye(2))
     # both direction oracles solve on numpy's Cholesky, as the linear fit does
@@ -63,7 +65,9 @@ SCRIPT = textwrap.dedent("""
 
 def test_studies_analyses_and_cli_load_no_scipy_module(tmp_path):
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    # the direction oracles are test references, imported from tests/reference.py
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), str(TESTS),
+                                                      env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     out = json.loads(done.stdout.splitlines()[-1])

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from funcroc import ScoreSample, default_p_grid, ecdf, equantile, roc_curve, summarize_sorted
+from funcroc import ScoreSample, default_p_grid, roc_curve, summarize_sorted
+from reference import ecdf, equantile
 
 
 def random_rows(rng):
