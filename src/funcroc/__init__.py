@@ -16,7 +16,6 @@ from .errors import (
     InsufficientSampleError,
     InvalidKernelError,
     NumericalDegeneracyError,
-    RangeViolationError,
     SimulationDegeneracyError,
     SingularCovarianceError,
     SingularSystemError,
@@ -36,7 +35,6 @@ from .grids import (
     Curve,
     FunctionalSample,
     Grid,
-    Group,
     inner_product,
     make_uniform_grid,
     norm,

@@ -57,14 +57,10 @@ class SingularCovarianceError(NumericalDegeneracyError):
     ``group`` names the offending sample ("diseased" or "healthy").
     """
 
-    def __init__(self, group: str, message: str | None = None):
+    def __init__(self, group: str):
         self.group = group
-        super().__init__(message or f"score covariance of the {group} group is "
-                                    "singular; increase the ridge or reduce the dimension")
-
-
-class RangeViolationError(NumericalDegeneracyError):
-    """An operator inverse was requested outside its range."""
+        super().__init__(f"score covariance of the {group} group is "
+                         "singular; increase the ridge or reduce the dimension")
 
 
 class SimulationDegeneracyError(NumericalDegeneracyError):

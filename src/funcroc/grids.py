@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -20,7 +19,6 @@ __all__ = [
     "Grid",
     "Curve",
     "FunctionalSample",
-    "Group",
     "make_uniform_grid",
     "inner_product",
     "norm",
@@ -51,13 +49,6 @@ def store_plain(obj, names, kind: type) -> None:
         if not isinstance(value, abstract) or isinstance(value, bool):
             raise ValueError(f"{name} must be {what}")
         object.__setattr__(obj, name, kind(value))
-
-
-class Group(Enum):
-    """Sample label for the two populations under comparison."""
-
-    DISEASED = "D"
-    HEALTHY = "H"
 
 
 @dataclass(frozen=True)
@@ -146,14 +137,15 @@ class Curve:
 
 @dataclass(frozen=True)
 class FunctionalSample:
-    """A labeled collection of curves sharing one grid.
+    """A collection of curves sharing one grid.
 
-    ``values`` has one row per subject and one column per grid point.
+    ``values`` has one row per subject and one column per grid point.  A
+    sample carries no group label: the caller's argument order says which
+    sample is diseased and which healthy.
     """
 
     grid: Grid
     values: np.ndarray
-    group: Group
 
     def __post_init__(self):
         values = frozen_finite(self.values, "sample values")

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CurveParseError, FuncrocError
-from .grids import FunctionalSample, Grid, Group, store_plain
+from .grids import FunctionalSample, Grid, store_plain
 from .indexes import (
     DiscriminantIndex,
     FitContext,
@@ -94,8 +94,12 @@ class RunConfig:
     keep_roc: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.scenario, (ScenarioSpec, str, os.PathLike)):
+            raise ValueError("scenario must be a ScenarioSpec or the path of a curve file")
+        if isinstance(self.indexes, str):
+            raise ValueError("indexes must be a sequence of index names, not one string")
         indexes = tuple(self.indexes)
-        unknown = [name for name in indexes if name not in INDEX_NAMES]
+        unknown = [str(name) for name in indexes if name not in INDEX_NAMES]
         if unknown:
             raise ValueError(f"unknown index names: {', '.join(unknown)}")
         if not indexes:
@@ -129,7 +133,6 @@ class ReplicationResult:
     """Per-index summaries of a single replication; ``errors`` holds each failed
     index's ``FuncrocError``."""
 
-    replication_id: int = 0
     auc: dict[str, float] = field(default_factory=dict)
     youden: dict[str, float] = field(default_factory=dict)
     roc_values: dict[str, np.ndarray] = field(default_factory=dict)
@@ -174,13 +177,15 @@ def evaluate(d: FunctionalSample, h: FunctionalSample, config: RunConfig) -> Rep
     """Fit and score each index of ``config`` on one sample pair, then summarize
     the fitted ones in one batch.
 
-    A fit or scoring ``FuncrocError`` drops that index's row and is stored in
+    A pair on two grids raises ``GridMismatchError``.  Otherwise a fit or
+    scoring ``FuncrocError`` drops that index's row and is stored in
     ``errors`` (see ``_detached``); every row's summaries equal
     ``roc_curve(score_sample(...))`` bit for bit.  Studies, ``analyze`` and the
     ``roc`` command all evaluate through here.
     """
     result = ReplicationResult()
     ctx = FitContext(d, h)
+    ctx.grid  # a pair on two grids is rejected whole, before any index is fitted
     fitted, diseased, healthy = [], [], []
     for name in config.indexes:
         try:
@@ -214,18 +219,16 @@ def evaluate(d: FunctionalSample, h: FunctionalSample, config: RunConfig) -> Rep
     return result
 
 
-def run_replication(config: RunConfig, replication_id: int) -> ReplicationResult:
+def run_replication(config: RunConfig, replication: int) -> ReplicationResult:
     """One scenario draw with all requested indexes fitted and scored.
 
-    Deterministic given (config, replication_id); the draw uses the
-    substream keyed by seed XOR replication_id.
+    Deterministic given (config, replication); the draw uses the
+    substream keyed by seed XOR replication.
     """
     if not isinstance(config.scenario, ScenarioSpec):
         raise ValueError("run_replication needs a simulation scenario")
-    d, h = generate_scenario(config.scenario.substream(replication_id))
-    result = evaluate(d, h, config)
-    result.replication_id = replication_id
-    return result
+    d, h = generate_scenario(config.scenario.substream(replication))
+    return evaluate(d, h, config)
 
 
 def _config_echo(config: RunConfig) -> dict:
@@ -529,8 +532,8 @@ def ingest_curves(path) -> tuple[FunctionalSample, FunctionalSample]:
         if not groups[label]:
             raise CurveParseError(f"no rows labeled {label!r} found")
     m = len(grid)
-    diseased = FunctionalSample(grid, np.frombuffer(groups["D"]).reshape(-1, m), Group.DISEASED)
-    healthy = FunctionalSample(grid, np.frombuffer(groups["H"]).reshape(-1, m), Group.HEALTHY)
+    diseased = FunctionalSample(grid, np.frombuffer(groups["D"]).reshape(-1, m))
+    healthy = FunctionalSample(grid, np.frombuffer(groups["H"]).reshape(-1, m))
     return diseased, healthy
 
 
@@ -583,11 +586,10 @@ def emit_report(report: StudyReport, format: str = "table-text") -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def write_report(report: StudyReport, path, format: str | None = None) -> None:
-    """Write a report to disk, inferring JSON from a .json suffix."""
+def write_report(report: StudyReport, path) -> None:
+    """Write a report to disk: JSON for a .json suffix, the text table otherwise."""
     path = Path(path)
-    if format is None:
-        format = "machine-readable" if path.suffix == ".json" else "table-text"
+    format = "machine-readable" if path.suffix == ".json" else "table-text"
     try:
         path.write_bytes(emit_report(report, format))
     except OSError as exc:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import SimulationDegeneracyError
 from .estimation import CovarianceKernel
-from .grids import FunctionalSample, Grid, Group, make_uniform_grid, store_plain
+from .grids import FunctionalSample, Grid, make_uniform_grid, store_plain
 
 __all__ = [
     "ProcessSpec",
@@ -50,6 +50,8 @@ def sine_eigenfunction(ell: int, t: np.ndarray) -> np.ndarray:
 class ProcessSpec:
     """One Gaussian process: covariance family, mean and overall scale.
 
+    ``kind`` is ``"brownian"``, ``"exp_variogram"`` or ``"ornstein_uhlenbeck"``
+    (both need ``theta``), or ``"finite_rank"`` (needs ``lambdas``).
     ``mean_amplitude`` a gives the mean curve a*sin(pi t) (zero mean when
     a = 0).  ``scale`` multiplies the covariance kernel.
     """
@@ -80,31 +82,6 @@ class ProcessSpec:
             raise ValueError("scale must be positive")
         if not math.isfinite(self.mean_amplitude):
             raise ValueError("mean amplitude must be finite")
-
-    @classmethod
-    def brownian(cls, scale: float = 1.0, mean_amplitude: float = 0.0) -> "ProcessSpec":
-        return cls(kind="brownian", scale=scale, mean_amplitude=mean_amplitude)
-
-    @classmethod
-    def exponential_variogram(
-        cls, theta: float = 0.2, scale: float = 1.0, mean_amplitude: float = 0.0
-    ) -> "ProcessSpec":
-        return cls(kind="exp_variogram", theta=theta, scale=scale,
-                   mean_amplitude=mean_amplitude)
-
-    @classmethod
-    def ornstein_uhlenbeck(
-        cls, theta: float = 1.0 / 3.0, scale: float = 1.0, mean_amplitude: float = 0.0
-    ) -> "ProcessSpec":
-        return cls(kind="ornstein_uhlenbeck", theta=theta, scale=scale,
-                   mean_amplitude=mean_amplitude)
-
-    @classmethod
-    def finite_rank(
-        cls, lambdas, scale: float = 1.0, mean_amplitude: float = 0.0
-    ) -> "ProcessSpec":
-        return cls(kind="finite_rank", lambdas=tuple(lambdas), scale=scale,
-                   mean_amplitude=mean_amplitude)
 
     def mean_values(self, grid: Grid) -> np.ndarray:
         return self.mean_amplitude * np.sin(np.pi * grid.points)
@@ -169,7 +146,6 @@ def sample_gaussian(
     grid: Grid,
     n: int,
     rng: np.random.Generator,
-    group: Group = Group.HEALTHY,
 ) -> FunctionalSample:
     """Draw n independent process paths on the grid.
 
@@ -192,7 +168,7 @@ def sample_gaussian(
         factor = _cholesky_factor(spec, grid)
         noise = rng.standard_normal((n, len(grid)))
         values = mean + noise @ factor.T
-    return FunctionalSample(grid, values, group)
+    return FunctionalSample(grid, values)
 
 
 @dataclass(frozen=True)
@@ -229,7 +205,7 @@ class ScenarioSpec:
                 raise ValueError(
                     "P0 with rho = 1 makes both populations identical; rejected"
                 )
-            process = self.process or "brownian"
+            process = "brownian" if self.process is None else self.process
             if process not in ("brownian", "expvar"):
                 raise ValueError("process must be 'brownian' or 'expvar'")
             object.__setattr__(self, "process", process)
@@ -239,9 +215,9 @@ class ScenarioSpec:
             if self.process is not None:
                 raise ValueError(f"{self.name} fixes its processes")
 
-    def substream(self, replication_id: int) -> "ScenarioSpec":
+    def substream(self, replication: int) -> "ScenarioSpec":
         """The same scenario keyed to an independent replication stream."""
-        return replace(self, seed=(self.seed ^ replication_id) & _SEED_MASK)
+        return replace(self, seed=(self.seed ^ replication) & _SEED_MASK)
 
 
 def _scenario_processes(spec: ScenarioSpec) -> tuple[ProcessSpec, ProcessSpec]:
@@ -250,27 +226,26 @@ def _scenario_processes(spec: ScenarioSpec) -> tuple[ProcessSpec, ProcessSpec]:
     if name in _PROP_NAMES:
         amplitude = 2.0 if name == "P1" else 0.0
         if spec.process == "brownian":
-            diseased = ProcessSpec.brownian(scale=spec.rho, mean_amplitude=amplitude)
-            healthy = ProcessSpec.brownian()
+            diseased = ProcessSpec("brownian", scale=spec.rho, mean_amplitude=amplitude)
+            healthy = ProcessSpec("brownian")
         else:
-            diseased = ProcessSpec.exponential_variogram(
-                theta=0.2, scale=spec.rho, mean_amplitude=amplitude
-            )
-            healthy = ProcessSpec.exponential_variogram(theta=0.2)
+            diseased = ProcessSpec("exp_variogram", theta=0.2, scale=spec.rho,
+                                   mean_amplitude=amplitude)
+            healthy = ProcessSpec("exp_variogram", theta=0.2)
         return diseased, healthy
     if name.startswith("C"):
         lambdas = (2.0, 0.3, 0.05) if name[1] == "1" else (0.3, 2.0, 0.05)
         amplitude = 3.0 if name.endswith("1") else 0.0
-        diseased = ProcessSpec.finite_rank(lambdas, mean_amplitude=amplitude)
-        healthy = ProcessSpec.brownian()
+        diseased = ProcessSpec("finite_rank", lambdas=lambdas, mean_amplitude=amplitude)
+        healthy = ProcessSpec("brownian")
         return diseased, healthy
     # DIFF schemes: diseased is a Brownian motion, healthy varies
     amplitude = 2.0 if name.endswith("1") else 0.0
-    diseased = ProcessSpec.brownian(mean_amplitude=amplitude)
+    diseased = ProcessSpec("brownian", mean_amplitude=amplitude)
     if name[1] == "1":
-        healthy = ProcessSpec.ornstein_uhlenbeck(theta=1.0 / 3.0)
+        healthy = ProcessSpec("ornstein_uhlenbeck", theta=1.0 / 3.0)
     else:
-        healthy = ProcessSpec.exponential_variogram(theta=0.2)
+        healthy = ProcessSpec("exp_variogram", theta=0.2)
     return diseased, healthy
 
 
@@ -282,6 +257,6 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[FunctionalSample, FunctionalS
     grid = make_uniform_grid(spec.grid_size)
     rng = np.random.Generator(np.random.Philox(key=spec.seed & _SEED_MASK))
     diseased_spec, healthy_spec = _scenario_processes(spec)
-    diseased = sample_gaussian(diseased_spec, grid, spec.n_d, rng, Group.DISEASED)
-    healthy = sample_gaussian(healthy_spec, grid, spec.n_h, rng, Group.HEALTHY)
+    diseased = sample_gaussian(diseased_spec, grid, spec.n_d, rng)
+    healthy = sample_gaussian(healthy_spec, grid, spec.n_h, rng)
     return diseased, healthy

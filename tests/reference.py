@@ -4,17 +4,22 @@ The package computes none of these at run time.  They are definitions the
 tests check the runtime path against: the empirical distribution and
 quantile functions behind the ROC estimators, the population quadratic
 coefficients, and the closed-form optimal directions and mixture identity
-of the binormal model.  ``quadratic_population`` inverts with
+of the binormal model, with the ``RangeViolationError`` that
+``eigenbasis_optimal_direction`` raises.  ``quadratic_population`` inverts with
 ``np.linalg.inv``, not the fitter's Cholesky route, so it can catch a fault
 there.
 """
 
 import numpy as np
 
-from funcroc import DegenerateDirectionError, GaussianPair, RangeViolationError
+from funcroc import DegenerateDirectionError, GaussianPair, NumericalDegeneracyError
 from funcroc.binormal import _check_beta
 from funcroc.estimation import check_mean_gap, spd_solve
 from funcroc.grids import frozen_finite
+
+
+class RangeViolationError(NumericalDegeneracyError):
+    """An operator inverse was requested outside its range."""
 
 
 def ecdf(sample, t):

@@ -315,7 +315,7 @@ def test_criterion_09_metric_property_suite():
 
 def test_criterion_10_functional_pca_oracle():
     grid = make_uniform_grid(500)
-    eig = eigendecompose(kernel_matrix(ProcessSpec.brownian(), grid), 1)
+    eig = eigendecompose(kernel_matrix(ProcessSpec("brownian"), grid), 1)
     exact = 4.0 / np.pi**2
     value_err = abs(eig.eigenvalues[0] - exact) / exact
     expected_mode = np.sqrt(2.0) * np.sin(np.pi * grid.points / 2)

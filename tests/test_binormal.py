@@ -6,11 +6,11 @@ from scipy.special import ndtr, ndtri
 from funcroc import (
     DegenerateDirectionError,
     GaussianPair,
-    RangeViolationError,
     auc_of_direction,
     binormal_roc,
 )
 from reference import (
+    RangeViolationError,
     eigenbasis_optimal_direction,
     optimal_auc_direction,
     pooled_correlation_identity,

@@ -9,7 +9,6 @@ from funcroc import (
     EigenSystem,
     FunctionalSample,
     GridMismatchError,
-    Group,
     InsufficientSampleError,
     InvalidKernelError,
     ProcessSpec,
@@ -27,22 +26,22 @@ from funcroc.estimation import check_mean_gap, spd_inverse, spd_solve, symmetric
 BROWNIAN_TOP_EIGENVALUE = 4.0 / np.pi**2  # analytic leading variance of min(s, t)
 
 
-def brownian_sample(n, m=100, seed=0, group=Group.HEALTHY):
+def brownian_sample(n, m=100, seed=0):
     rng = np.random.default_rng(seed)
-    return sample_gaussian(ProcessSpec.brownian(), make_uniform_grid(m), n, rng, group)
+    return sample_gaussian(ProcessSpec("brownian"), make_uniform_grid(m), n, rng)
 
 
 class TestSampleMean:
     def test_single_curve_is_its_own_mean(self):
         grid = make_uniform_grid(10)
         values = np.linspace(0, 1, 10)
-        s = FunctionalSample(grid, values[None, :], Group.HEALTHY)
+        s = FunctionalSample(grid, values[None, :])
         assert np.array_equal(sample_mean(s).values, values)
 
     def test_opposite_curves_average_to_zero(self):
         grid = make_uniform_grid(10)
         f = np.sin(np.pi * grid.points)
-        s = FunctionalSample(grid, np.vstack([f, -f]), Group.HEALTHY)
+        s = FunctionalSample(grid, np.vstack([f, -f]))
         assert np.allclose(sample_mean(s).values, 0.0)
 
     def test_mean_of_many_centered_paths_is_small(self):
@@ -55,18 +54,18 @@ class TestSampleCovariance:
     def test_two_opposite_curves(self):
         grid = make_uniform_grid(8)
         f = np.cos(grid.points)
-        s = FunctionalSample(grid, np.vstack([f, -f]), Group.HEALTHY)
+        s = FunctionalSample(grid, np.vstack([f, -f]))
         assert np.allclose(sample_covariance(s).matrix, np.outer(f, f), atol=1e-14)
 
     def test_identical_curves_give_zero_matrix(self):
         grid = make_uniform_grid(8)
         f = np.cos(grid.points)
-        s = FunctionalSample(grid, np.vstack([f, f, f]), Group.HEALTHY)
+        s = FunctionalSample(grid, np.vstack([f, f, f]))
         assert np.allclose(sample_covariance(s).matrix, 0.0)
 
     def test_single_curve_is_rejected(self):
         grid = make_uniform_grid(8)
-        s = FunctionalSample(grid, np.zeros((1, 8)), Group.HEALTHY)
+        s = FunctionalSample(grid, np.zeros((1, 8)))
         with pytest.raises(InsufficientSampleError):
             sample_covariance(s)
 
@@ -82,8 +81,8 @@ class TestSampleCovariance:
         grid = make_uniform_grid(20)
         values = rng.standard_normal((15, 20))
         shifted = values + 5.0 * np.ones(20)
-        base = sample_covariance(FunctionalSample(grid, values, Group.HEALTHY))
-        moved = sample_covariance(FunctionalSample(grid, shifted, Group.HEALTHY))
+        base = sample_covariance(FunctionalSample(grid, values))
+        moved = sample_covariance(FunctionalSample(grid, shifted))
         assert np.abs(base.matrix - moved.matrix).max() < 1e-12
 
     @pytest.mark.parametrize("seed", range(3))
@@ -92,8 +91,8 @@ class TestSampleCovariance:
         grid = make_uniform_grid(20)
         values = rng.standard_normal((15, 20))
         c = 2.5
-        base = sample_covariance(FunctionalSample(grid, values, Group.HEALTHY))
-        scaled = sample_covariance(FunctionalSample(grid, c * values, Group.HEALTHY))
+        base = sample_covariance(FunctionalSample(grid, values))
+        scaled = sample_covariance(FunctionalSample(grid, c * values))
         assert np.allclose(scaled.matrix, c**2 * base.matrix, atol=1e-12)
         eig_base = eigendecompose(base, 5)
         eig_scaled = eigendecompose(scaled, 5)
@@ -167,7 +166,7 @@ class TestEigendecompose:
 
         grid = make_uniform_grid(300)
         lambdas = (2.0, 0.3, 0.05)
-        eig = eigendecompose(kernel_matrix(ProcessSpec.finite_rank(lambdas), grid), 3)
+        eig = eigendecompose(kernel_matrix(ProcessSpec("finite_rank", lambdas=lambdas), grid), 3)
         # quadrature discretization perturbs the spectrum at O(m^-2)
         assert np.allclose(eig.eigenvalues, lambdas, rtol=1e-4, atol=1e-5)
 
@@ -377,7 +376,7 @@ class TestProjectScores:
         s = brownian_sample(30, m=40, seed=6)
         eig = eigendecompose(sample_covariance(s), 5)
         grid = s.grid
-        first = FunctionalSample(grid, eig.eigenfunctions[:, 0][None, :], Group.HEALTHY)
+        first = FunctionalSample(grid, eig.eigenfunctions[:, 0][None, :])
         scores = project_scores(first, eig, 5)
         assert np.allclose(scores[0], [1, 0, 0, 0, 0], atol=1e-8)
 
@@ -385,7 +384,7 @@ class TestProjectScores:
         s = brownian_sample(30, m=40, seed=6)
         eig = eigendecompose(sample_covariance(s), 5)
         combo = 2.0 * eig.eigenfunctions[:, 0] + 3.0 * eig.eigenfunctions[:, 1]
-        sample = FunctionalSample(s.grid, combo[None, :], Group.HEALTHY)
+        sample = FunctionalSample(s.grid, combo[None, :])
         scores = project_scores(sample, eig, 5)
         assert np.allclose(scores[0], [2, 3, 0, 0, 0], atol=1e-8)
 

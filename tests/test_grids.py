@@ -6,7 +6,6 @@ from funcroc import (
     FunctionalSample,
     Grid,
     GridMismatchError,
-    Group,
     inner_product,
     make_uniform_grid,
     norm,
@@ -81,13 +80,13 @@ class TestCurveAndSample:
     def test_sample_shape_checks(self):
         grid = make_uniform_grid(4)
         with pytest.raises(ValueError):
-            FunctionalSample(grid, np.zeros((0, 4)), Group.HEALTHY)
+            FunctionalSample(grid, np.zeros((0, 4)))
         with pytest.raises(ValueError):
-            FunctionalSample(grid, np.zeros((2, 3)), Group.HEALTHY)
+            FunctionalSample(grid, np.zeros((2, 3)))
 
     def test_sample_exposes_rows_as_curves(self):
         grid = make_uniform_grid(3)
-        sample = FunctionalSample(grid, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], Group.DISEASED)
+        sample = FunctionalSample(grid, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         assert sample.n == 2
         assert np.allclose(sample.values[1], [4.0, 5.0, 6.0])
 

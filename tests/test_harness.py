@@ -17,7 +17,7 @@ from funcroc import (
     FitContext,
     FuncrocError,
     FunctionalSample,
-    Group,
+    GridMismatchError,
     InsufficientSampleError,
     LinearIndex,
     ProcessSpec,
@@ -59,9 +59,13 @@ def small_scenario(**overrides):
 
 
 class TestRunConfigValidation:
-    def test_unknown_index_rejected(self):
-        with pytest.raises(ValueError):
-            RunConfig(scenario=small_scenario(), indexes=("max", "banana"))
+    @pytest.mark.parametrize("indexes,message", [
+        (("max", "banana"), "^unknown index names: banana$"),
+        ("max", "^indexes must be a sequence of index names, not one string$"),
+    ])
+    def test_unknown_index_rejected(self, indexes, message):
+        with pytest.raises(ValueError, match=message):
+            RunConfig(scenario=small_scenario(), indexes=indexes)
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError):
@@ -71,9 +75,20 @@ class TestRunConfigValidation:
         with pytest.raises(ValueError):
             RunConfig(scenario=small_scenario(), reps=0)
 
-    def test_unknown_names_are_listed_readably(self):
-        with pytest.raises(ValueError, match="unknown index names: banana, kiwi$"):
-            RunConfig(scenario=small_scenario(), indexes=("max", "banana", "kiwi"))
+    @pytest.mark.parametrize("indexes,listed", [
+        (("max", "banana", "kiwi"), "banana, kiwi"),
+        (["max", 3], "3"),
+        ([None], "None"),
+        ([["max"]], r"\['max'\]"),
+    ])
+    def test_unknown_names_are_listed_readably(self, indexes, listed):
+        with pytest.raises(ValueError, match=f"unknown index names: {listed}$"):
+            RunConfig(scenario=small_scenario(), indexes=indexes)
+
+    @pytest.mark.parametrize("scenario", [3, None, 2.5])
+    def test_scenario_must_be_a_spec_or_a_path(self, scenario):
+        with pytest.raises(ValueError, match="^scenario must be a ScenarioSpec or the path"):
+            RunConfig(scenario=scenario)
 
     def test_empty_index_list_rejected(self):
         with pytest.raises(ValueError, match="at least one index"):
@@ -234,7 +249,7 @@ class TestBatchedSummary:
             assert flipped > 0
 
     def test_non_finite_scores_raise_the_score_sample_error(self, monkeypatch):
-        d, h = (FunctionalSample(s.grid, s.values * 1e300, s.group)
+        d, h = (FunctionalSample(s.grid, s.values * 1e300)
                 for s in generate_scenario(small_scenario()))
         config = RunConfig(scenario="file.csv", indexes=("max", "linear"))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -250,9 +265,9 @@ def singular_pair():
     """Diseased curves that repeat two curves, so quad's diseased covariance is singular."""
     grid = make_uniform_grid(30)
     rng = np.random.default_rng(23)
-    base = sample_gaussian(ProcessSpec.brownian(), grid, 40, rng, Group.DISEASED)
-    dup = FunctionalSample(grid, np.vstack([base.values[:2]] * 20), Group.DISEASED)
-    return dup, sample_gaussian(ProcessSpec.brownian(), grid, 40, rng, Group.HEALTHY)
+    base = sample_gaussian(ProcessSpec("brownian"), grid, 40, rng)
+    dup = FunctionalSample(grid, np.vstack([base.values[:2]] * 20))
+    return dup, sample_gaussian(ProcessSpec("brownian"), grid, 40, rng)
 
 
 class TestStoredErrors:
@@ -496,8 +511,8 @@ class TestAnalyze:
     def test_null_dataset_keeps_linear_indexes_near_half(self, tmp_path):
         grid = make_uniform_grid(30)
         rng = np.random.default_rng(9)
-        d = sample_gaussian(ProcessSpec.brownian(), grid, 20, rng, Group.DISEASED)
-        h = sample_gaussian(ProcessSpec.brownian(), grid, 20, rng, Group.HEALTHY)
+        d = sample_gaussian(ProcessSpec("brownian"), grid, 20, rng)
+        h = sample_gaussian(ProcessSpec("brownian"), grid, 20, rng)
         config = RunConfig(
             scenario="null.csv", indexes=("integral", "meandiff", "linear"), reps=1
         )
@@ -516,6 +531,15 @@ class TestAnalyze:
         config = RunConfig(scenario="surrogate.csv", indexes=("linear", "quad"), reps=1)
         report = analyze(d, h, config)
         assert report.per_index["quad"]["mean_auc"] > report.per_index["linear"]["mean_auc"]
+
+    def test_a_pair_on_two_grids_is_rejected_whole(self):
+        rng = np.random.default_rng(4)
+        d = sample_gaussian(ProcessSpec("brownian"), make_uniform_grid(10), 20, rng)
+        h = sample_gaussian(ProcessSpec("brownian"), make_uniform_grid(12), 20, rng)
+        config = RunConfig(scenario="pair.csv")
+        for run in (evaluate, analyze):
+            with pytest.raises(GridMismatchError, match="different grids"):
+                run(d, h, config)
 
     def test_roc_export_has_one_sequence_per_index(self):
         spec = small_scenario()
@@ -567,7 +591,7 @@ class TestAnalyze:
         config = RunConfig(scenario="file.csv")
         unscaled = analyze(d, h, config).per_index
         with np.errstate(over="ignore"):
-            scaled = analyze(*(FunctionalSample(s.grid, s.values * scale, s.group)
+            scaled = analyze(*(FunctionalSample(s.grid, s.values * scale)
                                for s in (d, h)), config).per_index
         for name in ("max", "min", "integral", "meandiff"):
             assert scaled[name]["mean_auc"] == unscaled[name]["mean_auc"], name
@@ -580,7 +604,7 @@ class TestAnalyze:
         d, h = generate_scenario(
             ScenarioSpec(name="P1", n_d=30, n_h=30, seed=3, rho=1.0, grid_size=20).substream(0)
         )
-        scaled = [FunctionalSample(s.grid, s.values * scale, s.group) for s in (d, h)]
+        scaled = [FunctionalSample(s.grid, s.values * scale) for s in (d, h)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = analyze(*scaled, RunConfig(scenario="file.csv"))
@@ -599,7 +623,6 @@ class TestIngestCurves:
         d, h = ingest_curves(path)
         assert (d.n, h.n) == (2, 1)
         assert np.allclose(d.grid.points, [0.25, 0.5, 1.0])
-        assert d.group is Group.DISEASED
 
     def test_nan_cell_names_row_and_column(self, tmp_path):
         path = tmp_path / "bad.csv"

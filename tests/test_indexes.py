@@ -9,7 +9,6 @@ from funcroc import (
     FitContext,
     FunctionalSample,
     GridMismatchError,
-    Group,
     InsufficientSampleError,
     IntegralIndex,
     LinearIndex,
@@ -44,14 +43,14 @@ from funcroc import (
 from reference import quadratic_population
 
 
-def fourier_sample(rng, n, grid, mean_coefs, coef_sd, group):
+def fourier_sample(rng, n, grid, mean_coefs, coef_sd):
     """Curves with independent normal coordinates in an orthonormal basis."""
     k = len(mean_coefs)
     basis = np.column_stack(
         [np.sqrt(2.0) * np.sin((2 * ell - 1) * np.pi * grid.points / 2) for ell in range(1, k + 1)]
     )
     coefs = mean_coefs + rng.standard_normal((n, k)) * coef_sd
-    return FunctionalSample(grid, coefs @ basis.T, group), basis
+    return FunctionalSample(grid, coefs @ basis.T), basis
 
 
 def pooled_kernel(d, h):
@@ -63,7 +62,7 @@ def pooled_kernel(d, h):
 
 def score_curve(idx, x):
     """``index_scores`` of the one-curve sample holding ``x``."""
-    return float(index_scores(idx, FunctionalSample(x.grid, x.values[None, :], Group.HEALTHY))[0])
+    return float(index_scores(idx, FunctionalSample(x.grid, x.values[None, :]))[0])
 
 
 class TestApplyIndex:
@@ -87,7 +86,7 @@ class TestApplyIndex:
 
     def test_zero_quadratic_part_is_pure_linear(self):
         rng = np.random.default_rng(1)
-        s = sample_gaussian(ProcessSpec.brownian(), make_uniform_grid(40), 30, rng)
+        s = sample_gaussian(ProcessSpec("brownian"), make_uniform_grid(40), 30, rng)
         basis = eigendecompose(sample_covariance(s), 3)
         alpha = np.array([1.0, -2.0, 0.5])
         idx = QuadraticIndex(basis=basis, k=3, lambda_mat=np.zeros((3, 3)), alpha_vec=alpha)
@@ -95,7 +94,7 @@ class TestApplyIndex:
         assert np.allclose(index_scores(idx, s), 2.0 * scores @ alpha)
 
     def test_non_finite_lambda_mat_is_rejected(self):
-        s = sample_gaussian(ProcessSpec.brownian(), make_uniform_grid(20), 10,
+        s = sample_gaussian(ProcessSpec("brownian"), make_uniform_grid(20), 10,
                             np.random.default_rng(2))
         basis = eigendecompose(sample_covariance(s), 2)
         lambda_mat = np.array([[1.0, 0.0], [0.0, np.nan]])
@@ -104,7 +103,7 @@ class TestApplyIndex:
 
     @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
     def test_asymmetric_lambda_mat_is_rejected_at_any_scale(self, scale):
-        s = sample_gaussian(ProcessSpec.brownian(), make_uniform_grid(20), 10,
+        s = sample_gaussian(ProcessSpec("brownian"), make_uniform_grid(20), 10,
                             np.random.default_rng(2))
         basis = eigendecompose(sample_covariance(s), 2)
         lambda_mat = scale * np.array([[1.0, 0.5], [0.0, 1.0]])
@@ -113,7 +112,7 @@ class TestApplyIndex:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_alpha_vec_is_rejected(self, bad):
-        s = sample_gaussian(ProcessSpec.brownian(), make_uniform_grid(20), 10,
+        s = sample_gaussian(ProcessSpec("brownian"), make_uniform_grid(20), 10,
                             np.random.default_rng(2))
         basis = eigendecompose(sample_covariance(s), 2)
         with pytest.raises(ValueError, match="^alpha_vec must be finite$"):
@@ -123,14 +122,14 @@ class TestApplyIndex:
 class TestFitContext:
     def test_construction_does_no_work_and_cannot_fail(self):
         # mismatched grids and a one-curve group: nothing is checked yet
-        d = FunctionalSample(make_uniform_grid(10), np.ones((1, 10)), Group.DISEASED)
-        h = FunctionalSample(make_uniform_grid(12), np.zeros((3, 12)), Group.HEALTHY)
+        d = FunctionalSample(make_uniform_grid(10), np.ones((1, 10)))
+        h = FunctionalSample(make_uniform_grid(12), np.zeros((3, 12)))
         ctx = FitContext(d, h)
         assert (ctx.d, ctx.h) == (d, h)
         # the basis checks the grids first, so its sample-size error needs a shared grid
-        same_grid = FitContext(d, FunctionalSample(d.grid, np.zeros((3, 10)), Group.HEALTHY))
+        same_grid = FitContext(d, FunctionalSample(d.grid, np.zeros((3, 10))))
         # each group repeats one curve, so both covariance operators vanish
-        flat = FitContext(FunctionalSample(d.grid, np.ones((3, 10)), Group.DISEASED),
+        flat = FitContext(FunctionalSample(d.grid, np.ones((3, 10))),
                           same_grid.h)
         for _ in range(2):
             with pytest.raises(GridMismatchError, match="different grids"):
@@ -235,8 +234,8 @@ class TestGramFormBasis:
         shape = np.arange(20.0) % 4
         errors = []
         for n in (3, 12):  # N < m (Gram form) and N >= m (full decomposition)
-            d = FunctionalSample(grid, np.tile(2.0 * shape, (n, 1)), Group.DISEASED)
-            h = FunctionalSample(grid, np.tile(shape, (n, 1)), Group.HEALTHY)
+            d = FunctionalSample(grid, np.tile(2.0 * shape, (n, 1)))
+            h = FunctionalSample(grid, np.tile(shape, (n, 1)))
             for fit in (fit_optimal_linear, fit_quadratic):
                 with pytest.raises(DegenerateOperatorError) as excinfo:
                     fit(FitContext(d, h))
@@ -246,8 +245,8 @@ class TestGramFormBasis:
     def test_insufficient_group_is_reported_before_any_work(self):
         grid = make_uniform_grid(20)
         rng = np.random.default_rng(4)
-        d = FunctionalSample(grid, rng.standard_normal((1, 20)), Group.DISEASED)
-        h = FunctionalSample(grid, rng.standard_normal((5, 20)), Group.HEALTHY)
+        d = FunctionalSample(grid, rng.standard_normal((1, 20)))
+        h = FunctionalSample(grid, rng.standard_normal((5, 20)))
         for _ in range(2):
             with pytest.raises(InsufficientSampleError, match="at least two curves"):
                 FitContext(d, h).basis
@@ -287,8 +286,8 @@ class TestRoundingNoiseSpectrum:
         # curves hold roundoff of order 1e-16 rather than exact zeros
         grid = make_uniform_grid(20)
         shape = np.sin(np.pi * grid.points)
-        d = FunctionalSample(grid, np.tile(2.0 * shape, (n, 1)), Group.DISEASED)
-        h = FunctionalSample(grid, np.tile(shape, (n, 1)), Group.HEALTHY)
+        d = FunctionalSample(grid, np.tile(2.0 * shape, (n, 1)))
+        h = FunctionalSample(grid, np.tile(shape, (n, 1)))
         centered = np.vstack([s.values - s.values.mean(axis=0) for s in (d, h)])
         assert np.abs(centered).max() > 0.0
         for fit in (fit_optimal_linear, fit_quadratic):
@@ -311,7 +310,7 @@ class TestRoundingNoiseSpectrum:
     def test_rescaled_curves_fit_to_the_same_aucs(self, n, scale):
         spec = ScenarioSpec(name="P1", n_d=n, n_h=n, seed=3, rho=1.0, grid_size=25)
         d, h = generate_scenario(spec)
-        scaled = [FunctionalSample(s.grid, s.values * scale, s.group) for s in (d, h)]
+        scaled = [FunctionalSample(s.grid, s.values * scale) for s in (d, h)]
         fits = (fit_mean_difference, fit_optimal_linear, fit_quadratic)
         expected = [auc(score_sample(fit(FitContext(d, h)), d, h)) for fit in fits]
         assert [auc(score_sample(fit(FitContext(*scaled)), *scaled)) for fit in fits] == expected
@@ -321,8 +320,8 @@ class TestFitMeanDifference:
     def test_direction_is_normalized_mean_gap(self):
         grid = make_uniform_grid(50)
         shape = np.sin(np.pi * grid.points)
-        d = FunctionalSample(grid, np.vstack([2 * shape, 2 * shape]), Group.DISEASED)
-        h = FunctionalSample(grid, np.zeros((2, 50)), Group.HEALTHY)
+        d = FunctionalSample(grid, np.vstack([2 * shape, 2 * shape]))
+        h = FunctionalSample(grid, np.zeros((2, 50)))
         idx = fit_mean_difference(FitContext(d, h))
         expected = shape / np.sqrt(np.sum(grid.weights * shape**2))
         assert np.allclose(idx.beta.values, expected, atol=1e-12)
@@ -355,8 +354,8 @@ class TestFitOptimalLinear:
         rng = np.random.default_rng(8)
         grid = make_uniform_grid(120)
         mean_gap = np.array([0.8, -0.5, 0.3, 0.2, -0.4])
-        d, basis = fourier_sample(rng, 5000, grid, mean_gap, 1.0, Group.DISEASED)
-        h, _ = fourier_sample(rng, 5000, grid, np.zeros(5), 1.0, Group.HEALTHY)
+        d, basis = fourier_sample(rng, 5000, grid, mean_gap, 1.0)
+        h, _ = fourier_sample(rng, 5000, grid, np.zeros(5), 1.0)
         idx = fit_optimal_linear(FitContext(d, h), var_fraction=0.999)
         target = basis @ mean_gap
         target = target / np.sqrt(np.sum(grid.weights * target**2))
@@ -473,7 +472,7 @@ class TestFitOptimalLinear:
     def test_overflowing_direction_norm_is_degenerate(self, scale):
         # the direction's coefficients grow like 1/scale and its squared norm overflows
         spec = ScenarioSpec(name="P1", n_d=30, n_h=30, seed=3, rho=1.0, grid_size=20)
-        d, h = (FunctionalSample(s.grid, s.values * scale, s.group)
+        d, h = (FunctionalSample(s.grid, s.values * scale)
                 for s in generate_scenario(spec))
         with np.errstate(over="ignore"):
             with pytest.raises(DegenerateDirectionError, match="collapsed to zero or overflowed"):
@@ -521,8 +520,8 @@ class TestFitQuadratic:
     def test_null_case_collapses_to_coin_flip(self):
         rng = np.random.default_rng(18)
         grid = make_uniform_grid(60)
-        d = sample_gaussian(ProcessSpec.brownian(), grid, 2000, rng, Group.DISEASED)
-        h = sample_gaussian(ProcessSpec.brownian(), grid, 2000, rng, Group.HEALTHY)
+        d = sample_gaussian(ProcessSpec("brownian"), grid, 2000, rng)
+        h = sample_gaussian(ProcessSpec("brownian"), grid, 2000, rng)
         idx = fit_quadratic(FitContext(d, h))
         assert auc(score_sample(idx, d, h)) == pytest.approx(0.5, abs=0.03)
 
@@ -555,9 +554,9 @@ class TestFitQuadratic:
         # duplicated curves make the score covariance singular
         grid = make_uniform_grid(30)
         rng = np.random.default_rng(23)
-        base = sample_gaussian(ProcessSpec.brownian(), grid, 40, rng, Group.DISEASED)
-        dup = FunctionalSample(grid, np.vstack([base.values[:2]] * 20), Group.DISEASED)
-        h = sample_gaussian(ProcessSpec.brownian(), grid, 40, rng, Group.HEALTHY)
+        base = sample_gaussian(ProcessSpec("brownian"), grid, 40, rng)
+        dup = FunctionalSample(grid, np.vstack([base.values[:2]] * 20))
+        h = sample_gaussian(ProcessSpec("brownian"), grid, 40, rng)
 
         from funcroc import SingularCovarianceError
 

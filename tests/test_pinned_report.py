@@ -191,7 +191,7 @@ def test_concurrent_cold_misses_factor_each_kernel_once(monkeypatch):
         return original(spec, grid)
 
     monkeypatch.setattr(simulation, "kernel_matrix", slow_counting)
-    spec, grid = ProcessSpec.brownian(), make_uniform_grid(30)
+    spec, grid = ProcessSpec("brownian"), make_uniform_grid(30)
     start = threading.Barrier(2)
     factors = []
 
@@ -226,7 +226,7 @@ def test_factor_cache_survives_concurrent_evictions(monkeypatch):
     # lookup misses and evicts; without the lock two threads delete one key
     monkeypatch.setattr(simulation, "_factor_cache", _YieldingCache())
     grid = make_uniform_grid(4)
-    specs = [ProcessSpec.brownian(scale=1.0 + i)
+    specs = [ProcessSpec("brownian", scale=1.0 + i)
              for i in range(2 * simulation._FACTOR_CACHE_SIZE)]
     errors, sizes = [], []
 
@@ -291,7 +291,7 @@ def test_factor_cache_is_bounded(monkeypatch):
     rng = np.random.default_rng(0)
     scales = [1.0 + i for i in range(simulation._FACTOR_CACHE_SIZE + 3)]
     for scale in scales:
-        simulation.sample_gaussian(ProcessSpec.brownian(scale=scale), grid, 2, rng)
+        simulation.sample_gaussian(ProcessSpec("brownian", scale=scale), grid, 2, rng)
     cached_scales = [spec.scale for spec, _ in simulation._factor_cache]
     assert cached_scales == scales[-simulation._FACTOR_CACHE_SIZE:]
 

@@ -6,7 +6,6 @@ from scipy.special import ndtr, ndtri
 from funcroc import (
     Curve,
     FunctionalSample,
-    Group,
     IntegralIndex,
     LinearIndex,
     MaxIndex,
@@ -308,8 +307,8 @@ class TestMonotoneInvariance:
 class TestScoreSample:
     def make_samples(self):
         grid = make_uniform_grid(6)
-        d = FunctionalSample(grid, [[0.1, 0.5, 0.2, 0.0, 0.1, 0.3]], Group.DISEASED)
-        h = FunctionalSample(grid, np.ones((2, 6)), Group.HEALTHY)
+        d = FunctionalSample(grid, [[0.1, 0.5, 0.2, 0.0, 0.1, 0.3]])
+        h = FunctionalSample(grid, np.ones((2, 6)))
         return grid, d, h
 
     def test_max_index_scores(self):
@@ -329,7 +328,7 @@ class TestScoreSample:
         beta[0] = 1.0
         curves = np.zeros((3, 8))
         curves[:, 1:] = np.arange(21, dtype=float).reshape(3, 7)
-        sample = FunctionalSample(grid, curves, Group.DISEASED)
+        sample = FunctionalSample(grid, curves)
         idx = LinearIndex(Curve(grid, beta))
         s = score_sample(idx, sample, sample)
         assert np.all(s.diseased == 0.0)

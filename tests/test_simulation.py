@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from funcroc import (
-    Group,
     ProcessSpec,
     RunConfig,
     ScenarioSpec,
@@ -33,7 +32,7 @@ class TestProcessSpecValidation:
 
     def test_finite_rank_needs_positive_variances(self):
         with pytest.raises(ValueError):
-            ProcessSpec.finite_rank((1.0, -0.1))
+            ProcessSpec("finite_rank", lambdas=(1.0, -0.1))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -42,33 +41,33 @@ class TestProcessSpecValidation:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_parameters_are_rejected(self, bad):
         with pytest.raises(ValueError, match="requires theta > 0"):
-            ProcessSpec.exponential_variogram(theta=bad)
+            ProcessSpec("exp_variogram", theta=bad)
         with pytest.raises(ValueError, match="requires theta > 0"):
-            ProcessSpec.ornstein_uhlenbeck(theta=bad)
+            ProcessSpec("ornstein_uhlenbeck", theta=bad)
         with pytest.raises(ValueError, match="scale must be positive"):
-            ProcessSpec.brownian(scale=bad)
+            ProcessSpec("brownian", scale=bad)
         with pytest.raises(ValueError, match="component variances must be positive"):
-            ProcessSpec.finite_rank((1.0, bad))
+            ProcessSpec("finite_rank", lambdas=(1.0, bad))
 
 
 class TestKernelMatrix:
     def test_brownian_is_pointwise_minimum(self):
         grid = make_uniform_grid(10)
-        kernel = kernel_matrix(ProcessSpec.brownian(), grid)
+        kernel = kernel_matrix(ProcessSpec("brownian"), grid)
         i = np.searchsorted(grid.points, 0.2)
         j = np.searchsorted(grid.points, 0.7)
         assert kernel.matrix[i, j] == pytest.approx(0.2)
 
     def test_exponential_diagonal_is_one(self):
         grid = make_uniform_grid(10)
-        kernel = kernel_matrix(ProcessSpec.exponential_variogram(theta=0.2), grid)
+        kernel = kernel_matrix(ProcessSpec("exp_variogram", theta=0.2), grid)
         assert np.allclose(np.diag(kernel.matrix), 1.0)
 
     def test_zero_start_diagonal_formula(self):
         # independent arithmetic: var(t) = (1 - exp(-2 theta t)) / (2 theta)
         theta = 1.0 / 3.0
         grid = make_uniform_grid(10)
-        kernel = kernel_matrix(ProcessSpec.ornstein_uhlenbeck(theta=theta), grid)
+        kernel = kernel_matrix(ProcessSpec("ornstein_uhlenbeck", theta=theta), grid)
         i = np.searchsorted(grid.points, 0.5)
         t = grid.points[i]
         expected = (1.0 - np.exp(-2.0 * theta * t)) / (2.0 * theta)
@@ -77,7 +76,7 @@ class TestKernelMatrix:
     def test_finite_rank_is_the_mode_expansion(self):
         grid = make_uniform_grid(25)
         lambdas = (0.3, 2.0, 0.05)
-        kernel = kernel_matrix(ProcessSpec.finite_rank(lambdas), grid)
+        kernel = kernel_matrix(ProcessSpec("finite_rank", lambdas=lambdas), grid)
         expected = sum(
             lam * np.outer(sine_eigenfunction(ell, grid.points),
                            sine_eigenfunction(ell, grid.points))
@@ -87,13 +86,14 @@ class TestKernelMatrix:
 
     def test_scale_multiplies_the_kernel(self):
         grid = make_uniform_grid(12)
-        base = kernel_matrix(ProcessSpec.brownian(), grid)
-        double = kernel_matrix(ProcessSpec.brownian(scale=2.0), grid)
+        base = kernel_matrix(ProcessSpec("brownian"), grid)
+        double = kernel_matrix(ProcessSpec("brownian", scale=2.0), grid)
         assert np.allclose(double.matrix, 2.0 * base.matrix)
 
     def test_vanishing_variance_at_the_origin_stays_positive_on_grid(self):
         grid = make_uniform_grid(100)
-        for spec in (ProcessSpec.brownian(), ProcessSpec.ornstein_uhlenbeck()):
+        specs = (ProcessSpec("brownian"), ProcessSpec("ornstein_uhlenbeck", theta=1.0 / 3.0))
+        for spec in specs:
             diag = np.diag(kernel_matrix(spec, grid).matrix)
             assert diag[0] > 0.0
             assert diag[0] < 0.02
@@ -101,12 +101,12 @@ class TestKernelMatrix:
     def test_catalog_kernels_are_psd_on_the_default_grid(self):
         grid = make_uniform_grid(100)
         specs = [
-            ProcessSpec.brownian(),
-            ProcessSpec.brownian(scale=2.0),
-            ProcessSpec.exponential_variogram(theta=0.2),
-            ProcessSpec.ornstein_uhlenbeck(theta=1.0 / 3.0),
-            ProcessSpec.finite_rank((2.0, 0.3, 0.05)),
-            ProcessSpec.finite_rank((0.3, 2.0, 0.05)),
+            ProcessSpec("brownian"),
+            ProcessSpec("brownian", scale=2.0),
+            ProcessSpec("exp_variogram", theta=0.2),
+            ProcessSpec("ornstein_uhlenbeck", theta=1.0 / 3.0),
+            ProcessSpec("finite_rank", lambdas=(2.0, 0.3, 0.05)),
+            ProcessSpec("finite_rank", lambdas=(0.3, 2.0, 0.05)),
         ]
         for spec in specs:
             matrix = kernel_matrix(spec, grid).matrix
@@ -119,7 +119,7 @@ class TestSampleGaussian:
     def test_pointwise_variance_tracks_the_kernel(self):
         grid = make_uniform_grid(100)
         rng = np.random.default_rng(42)
-        s = sample_gaussian(ProcessSpec.brownian(), grid, 5000, rng)
+        s = sample_gaussian(ProcessSpec("brownian"), grid, 5000, rng)
         variances = s.values.var(axis=0)
         assert np.abs(variances - grid.points).max() < 0.07
 
@@ -127,7 +127,7 @@ class TestSampleGaussian:
         grid = make_uniform_grid(100)
         rng = np.random.default_rng(43)
         s = sample_gaussian(
-            ProcessSpec.brownian(mean_amplitude=2.0), grid, 5000, rng
+            ProcessSpec("brownian", mean_amplitude=2.0), grid, 5000, rng
         )
         expected = 2.0 * np.sin(np.pi * grid.points)
         assert np.abs(s.values.mean(axis=0) - expected).max() < 0.06
@@ -135,9 +135,9 @@ class TestSampleGaussian:
     def test_covariance_scale_law(self):
         grid = make_uniform_grid(50)
         rng = np.random.default_rng(44)
-        doubled = sample_gaussian(ProcessSpec.brownian(scale=2.0), grid, 5000, rng)
+        doubled = sample_gaussian(ProcessSpec("brownian", scale=2.0), grid, 5000, rng)
         estimate = sample_covariance(doubled).matrix
-        base = kernel_matrix(ProcessSpec.brownian(), grid).matrix
+        base = kernel_matrix(ProcessSpec("brownian"), grid).matrix
         keep = base > 0.05  # skip near-zero entries where the ratio is unstable
         ratios = estimate[keep] / base[keep]
         assert abs(np.median(ratios) - 2.0) < 0.2
@@ -145,14 +145,14 @@ class TestSampleGaussian:
     def test_finite_rank_paths_live_in_the_mode_span(self):
         grid = make_uniform_grid(60)
         rng = np.random.default_rng(45)
-        s = sample_gaussian(ProcessSpec.finite_rank((0.3, 2.0, 0.05)), grid, 200, rng)
+        s = sample_gaussian(ProcessSpec("finite_rank", lambdas=(0.3, 2.0, 0.05)), grid, 200, rng)
         eig = eigendecompose(sample_covariance(s), 10)
         assert eig.eigenvalues[3] < 1e-12 * eig.eigenvalues[0]
 
     def test_healthy_mode_variances_recovered_within_ten_percent(self):
         grid = make_uniform_grid(100)
         rng = np.random.default_rng(46)
-        s = sample_gaussian(ProcessSpec.brownian(), grid, 5000, rng)
+        s = sample_gaussian(ProcessSpec("brownian"), grid, 5000, rng)
         eig = eigendecompose(sample_covariance(s), 3)
         for estimate, exact in zip(eig.eigenvalues, BROWNIAN_EIGENVALUES):
             assert abs(estimate - exact) / exact < 0.10
@@ -218,6 +218,10 @@ class TestScenarioSpecValidation:
         spec = ScenarioSpec(name="P1", n_d=10, n_h=10, seed=0, rho=1.0)
         assert spec.process == "brownian"
 
+    def test_empty_process_is_rejected(self):
+        with pytest.raises(ValueError, match="^process must be 'brownian' or 'expvar'$"):
+            ScenarioSpec(name="P1", n_d=10, n_h=10, seed=0, rho=1.0, process="")
+
 
 class TestGenerateScenario:
     def test_identical_specs_give_bit_identical_samples(self):
@@ -227,10 +231,9 @@ class TestGenerateScenario:
         assert np.array_equal(d1.values, d2.values)
         assert np.array_equal(h1.values, h2.values)
 
-    def test_groups_are_labeled(self):
+    def test_pair_is_diseased_then_healthy(self):
         spec = ScenarioSpec(name="D10", n_d=4, n_h=5, seed=1)
         d, h = generate_scenario(spec)
-        assert d.group is Group.DISEASED and h.group is Group.HEALTHY
         assert d.n == 4 and h.n == 5
 
     def test_substreams_differ_and_commute(self):
