@@ -111,9 +111,9 @@ class EigenSystem:
     the variability of the whole operator, so that explained-variability
     fractions refer to the whole decomposition even when only the leading
     part is retained.  It is the sum of the full clipped spectrum when the
-    m x m kernel was decomposed, and the operator's trace when the pairs
-    come from the N x N Gram form of N < m centered curves.  A NaN or
-    infinite entry in any of the three raises ``ValueError``.
+    m x m kernel was decomposed, and the sum of the retained eigenvalues
+    (every pair above the rounding floor) when they come from the N x N Gram
+    form of N < m centered curves.  A NaN or infinite entry raises ValueError.
     """
 
     grid: Grid
@@ -206,9 +206,9 @@ def pooled_eigensystem(
     nonzero eigenvalues, and an eigenvector u maps back to the eigenfunction
     Z'u / (sqrt(lambda) sqrt(w)); this costs O(N^2 m) rather than O(m^3).
     Only the pairs above N * eps * lambda_max (the operator's rank) are
-    kept, and ``total_variance`` is the trace of Z Z'.  Both routes solve
-    their symmetric matrix with LAPACK's divide-and-conquer dsyevd
-    (``np.linalg.eigh``).
+    kept, and ``total_variance`` is their sum, so a fraction of 1.0 is
+    always attained.  Both routes solve their symmetric matrix with LAPACK's
+    divide-and-conquer dsyevd (``np.linalg.eigh``).
 
     Centering N curves of quadrature mean square S leaves errors of about
     N eps sqrt(S) in each curve, so a trace at or below (N eps)^2 S is
@@ -243,7 +243,7 @@ def pooled_eigensystem(
         grid=grid,
         eigenvalues=values,
         eigenfunctions=_fix_signs(functions),
-        total_variance=trace,
+        total_variance=float(values.sum()),
     )
 
 

@@ -185,7 +185,6 @@ def evaluate(d: FunctionalSample, h: FunctionalSample, config: RunConfig) -> Rep
     """
     result = ReplicationResult()
     ctx = FitContext(d, h)
-    ctx.grid  # a pair on two grids is rejected whole, before any index is fitted
     fitted, diseased, healthy = [], [], []
     for name in config.indexes:
         try:

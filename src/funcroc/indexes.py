@@ -14,7 +14,6 @@ differ in covariance rather than in mean.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -37,7 +36,7 @@ from .estimation import (
     spd_solve,
     symmetric_matrix,
 )
-from .grids import Curve, FunctionalSample, Grid, frozen_finite, norm
+from .grids import Curve, FunctionalSample, frozen_finite, norm
 
 __all__ = [
     "MaxIndex",
@@ -132,48 +131,48 @@ def index_scores(idx: DiscriminantIndex, s: FunctionalSample) -> np.ndarray:
 class FitContext:
     """The moments of one draw that the fitted indexes share.
 
-    Holds a (diseased, healthy) sample pair and computes the group means,
-    their difference, the group-centered curves, the eigensystem of the
-    pooled covariance operator (``pooled_eigensystem`` of the centered
-    curves) and the projected group moments once each, on first use.
-    Construction does no work and cannot fail; an access whose inputs are
-    invalid raises its typed error every time.
+    Holds a (diseased, healthy) sample pair on one grid (construction checks
+    the grids and does no other work) and computes the group means and
+    centered curves, the pooled covariance operator's eigensystem and the
+    projected group moments once each, on first use, into plain per-instance
+    slots.  A failing access fills no slot and raises its typed error every time.
     """
 
     def __init__(self, d: FunctionalSample, h: FunctionalSample):
-        self.d = d
-        self.h = h
+        if not d.grid.compatible_with(h.grid):
+            raise GridMismatchError("samples live on different grids")
+        self.d, self.h, self.grid = d, h, d.grid
+        self._group_curves = None  # ((mean_D, mean_H), (centered_D, centered_H))
+        self._basis: EigenSystem | None = None
         self._moments: dict[float, tuple] = {}
 
-    @cached_property
-    def grid(self) -> Grid:
-        """The grid both samples live on."""
-        if not self.d.grid.compatible_with(self.h.grid):
-            raise GridMismatchError("samples live on different grids")
-        return self.d.grid
+    def _curves(self) -> tuple[tuple[Curve, Curve], tuple[np.ndarray, np.ndarray]]:
+        """The group mean curves, and each group's curves minus its mean."""
+        if self._group_curves is None:
+            means = sample_mean(self.d), sample_mean(self.h)
+            centered = tuple(s.values - mean.values for s, mean in zip((self.d, self.h), means))
+            self._group_curves = means, centered
+        return self._group_curves
 
-    @cached_property
-    def _means(self) -> tuple[Curve, Curve]:
+    @property
+    def means(self) -> tuple[Curve, Curve]:
         """Diseased and healthy mean curves."""
-        return sample_mean(self.d), sample_mean(self.h)
+        return self._curves()[0]
 
-    @cached_property
-    def _centered(self) -> tuple[np.ndarray, np.ndarray]:
-        """Diseased and healthy curves minus their group mean curves."""
-        return tuple(s.values - mean.values for s, mean in zip((self.d, self.h), self._means))
-
-    @cached_property
+    @property
     def mean_diff(self) -> Curve:
         """Diseased minus healthy mean curve."""
-        return Curve(self.grid, self._means[0].values - self._means[1].values)
+        return Curve(self.grid, self.means[0].values - self.means[1].values)
 
-    @cached_property
+    @property
     def basis(self) -> EigenSystem:
         """The pooled covariance operator's eigenpairs; see ``pooled_eigensystem``."""
-        grid = self.grid  # grids are checked before sample sizes
-        if self.d.n < 2 or self.h.n < 2:
-            raise InsufficientSampleError("both groups need at least two curves")
-        return pooled_eigensystem(grid, self._centered, tuple(mean.values for mean in self._means))
+        if self._basis is None:
+            if self.d.n < 2 or self.h.n < 2:
+                raise InsufficientSampleError("both groups need at least two curves")
+            means, centered = self._curves()
+            self._basis = pooled_eigensystem(self.grid, centered, tuple(m.values for m in means))
+        return self._basis
 
     def moments(self, var_fraction: float) -> tuple[int, tuple, tuple]:
         """(k, (mu_D, mu_H), (S_D, S_H)): group score moments in the first k eigenfunctions.
@@ -185,8 +184,8 @@ class FitContext:
         if var_fraction not in self._moments:
             k = choose_dimension(self.basis, var_fraction)
             weighted_phi = self.grid.weights[:, None] * self.basis.eigenfunctions[:, :k]
-            means = tuple(mean.values @ weighted_phi for mean in self._means)
-            scores = (centered @ weighted_phi for centered in self._centered)
+            means = tuple(mean.values @ weighted_phi for mean in self.means)
+            scores = (centered @ weighted_phi for centered in self._curves()[1])
             covariances = tuple(a.T @ a / s.n for a, s in zip(scores, (self.d, self.h)))
             self._moments[var_fraction] = (k, means, covariances)
         return self._moments[var_fraction]
@@ -199,7 +198,7 @@ def fit_mean_difference(ctx: FitContext) -> LinearIndex:
     """Linear index along the normalized difference of the group means."""
     diff = ctx.mean_diff
     length = norm(diff)
-    check_mean_gap(length, map(norm, ctx._means), _COINCIDING_MEANS)
+    check_mean_gap(length, map(norm, ctx.means), _COINCIDING_MEANS)
     return LinearIndex(Curve(ctx.grid, diff.values / length))
 
 
@@ -241,7 +240,7 @@ def fit_optimal_linear(
     diff = ctx.mean_diff
     k, (mu_d, mu_h), (s_d, s_h) = ctx.moments(var_fraction)
     delta = mu_d - mu_h
-    check_mean_gap(float(np.linalg.norm(delta)), map(norm, ctx._means), _COINCIDING_MEANS)
+    check_mean_gap(float(np.linalg.norm(delta)), map(norm, ctx.means), _COINCIDING_MEANS)
 
     gram = (s_d + s_h) / 2.0
     gram = (gram + gram.T) / 2.0

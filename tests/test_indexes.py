@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -120,20 +122,19 @@ class TestApplyIndex:
 
 
 class TestFitContext:
-    def test_construction_does_no_work_and_cannot_fail(self):
-        # mismatched grids and a one-curve group: nothing is checked yet
+    def test_construction_checks_only_the_grids(self):
         d = FunctionalSample(make_uniform_grid(10), np.ones((1, 10)))
         h = FunctionalSample(make_uniform_grid(12), np.zeros((3, 12)))
-        ctx = FitContext(d, h)
-        assert (ctx.d, ctx.h) == (d, h)
-        # the basis checks the grids first, so its sample-size error needs a shared grid
+        for _ in range(2):
+            with pytest.raises(GridMismatchError, match="^samples live on different grids$"):
+                FitContext(d, h)
+        # a one-curve group on a shared grid is not checked yet
         same_grid = FitContext(d, FunctionalSample(d.grid, np.zeros((3, 10))))
+        assert same_grid.d is d and same_grid.grid is d.grid
         # each group repeats one curve, so both covariance operators vanish
         flat = FitContext(FunctionalSample(d.grid, np.ones((3, 10))),
                           same_grid.h)
         for _ in range(2):
-            with pytest.raises(GridMismatchError, match="different grids"):
-                ctx.mean_diff
             with pytest.raises(InsufficientSampleError, match="at least two curves"):
                 same_grid.basis
             with pytest.raises(DegenerateOperatorError, match="all-zero spectrum"):
@@ -144,11 +145,41 @@ class TestFitContext:
         ctx = FitContext(*generate_scenario(spec))
         assert ctx.basis is ctx.basis
         assert ctx.basis.count == 25
-        assert ctx._centered[0] is ctx._centered[0]
+        assert ctx.means[0] is ctx.means[0]
         quad = fit_quadratic(ctx)
         linear = fit_optimal_linear(ctx, penalty_lambda=0.5)
         assert quad.basis is ctx.basis
         assert inner_product(linear.beta, ctx.mean_diff) > 0.0
+
+    def test_contexts_on_two_threads_solve_their_bases_at_once(self, monkeypatch):
+        # each eigensolve waits until the other thread is inside its own, so
+        # the test passes only if no lock shared by the contexts serializes them
+        barrier = threading.Barrier(2, timeout=5)
+        original = indexes.pooled_eigensystem
+
+        def waiting(*args):
+            barrier.wait()
+            return original(*args)
+
+        monkeypatch.setattr(indexes, "pooled_eigensystem", waiting)
+        spec = ScenarioSpec(name="P1", n_d=30, n_h=30, seed=17, rho=1.0, grid_size=25)
+        contexts = [FitContext(*generate_scenario(spec.substream(r))) for r in range(2)]
+        errors = []
+
+        def solve(ctx):
+            try:
+                ctx.basis
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=solve, args=(ctx,)) for ctx in contexts]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert all(ctx.basis.count == 25 for ctx in contexts)
 
     def test_both_fits_share_one_dimension_choice_and_projection(self, monkeypatch):
         calls = []
@@ -241,6 +272,31 @@ class TestGramFormBasis:
                     fit(FitContext(d, h))
                 errors.append(str(excinfo.value))
         assert errors == ["operator has an all-zero spectrum"] * 4
+
+    @pytest.mark.parametrize("floor_share", [0.5, 0.8, 0.9])
+    def test_pairs_below_the_rounding_floor_leave_the_whole_fraction_attainable(
+            self, floor_share):
+        # curves c_i f_0 + s f_i with quadrature-orthonormal f: the pooled operator
+        # has one large eigenvalue and 77 equal small ones, set to floor_share times
+        # the Gram route's cutoff N eps lambda_max, so they are all dropped; at 0.8
+        # and 0.9 they hold more of the trace than choose_dimension's slack
+        grid, n = make_uniform_grid(400), 80
+        rng = np.random.default_rng(0)
+        sqrt_w = np.sqrt(grid.weights)
+        functions = np.linalg.qr(sqrt_w[:, None] * rng.standard_normal((400, n + 1)))[0]
+        functions /= sqrt_w[:, None]
+        c = rng.standard_normal(n)
+        spread = sum(np.sum((c[g] - c[g].mean()) ** 2) for g in (slice(0, 40), slice(40, n)))
+        share = floor_share * n * np.finfo(float).eps
+        scale = np.sqrt(share * spread / (1.0 - share))
+        values = c[:, None] * functions[:, 0] + scale * functions[:, 1:].T
+        values[:40] += np.sin(np.pi * grid.points)
+        d, h = FunctionalSample(grid, values[:40]), FunctionalSample(grid, values[40:])
+        basis = FitContext(d, h).basis
+        assert basis.count == 1
+        assert choose_dimension(basis, 1.0) == 1
+        report = analyze(d, h, RunConfig(scenario="curves.csv", var_fraction=1.0))
+        assert all(entry["n_ok"] == 1 for entry in report.per_index.values())
 
     def test_insufficient_group_is_reported_before_any_work(self):
         grid = make_uniform_grid(20)

@@ -6,9 +6,10 @@ compared at a relative tolerance rather than byte for byte, so another
 BLAS build cannot fail the test on last-bit rounding; counts and error
 strings must match exactly.  The counting tests check that one draw
 shares a single pair of group means and a single pooled eigensystem among
-its fitted indexes, that a draw with fewer curves than grid points builds
-no grid-sized covariance at all, and that a study factors each process
-kernel once, also when threads miss the factor cache at the same time.
+its fitted indexes, that a draw of parameter-free indexes computes neither,
+that a draw with fewer curves than grid points solves only the N x N Gram
+eigenproblem, and that a study factors each process kernel once, also
+when threads miss the factor cache at the same time.
 Machine-readable reports must not depend on how many threads ran a
 study's replications.
 
@@ -125,27 +126,33 @@ def test_one_draw_computes_the_group_means_once(monkeypatch):
 
 
 def test_parameter_free_draw_computes_no_covariance(monkeypatch):
-    eigen = _count_calls(monkeypatch, "eigendecompose")
-    covariance = _count_calls(monkeypatch, "sample_covariance")
+    pooled = _count_calls(monkeypatch, "pooled_eigensystem")
+    means = _count_calls(monkeypatch, "sample_mean")
     config = dataclasses.replace(
         CONFIGS["P1-25+25-m20-lambda0"], indexes=("max", "min", "integral")
     )
     result = run_replication(config, 0)
     assert set(result.auc) == {"max", "min", "integral"}
-    assert covariance == []
-    assert eigen == []
+    assert means == []
+    assert pooled == []
 
 
 def test_wide_grid_draw_builds_no_grid_sized_kernel(monkeypatch):
     # 20 + 20 curves on 100 points: the pooled basis comes from the 40 x 40 Gram form
-    eigen = _count_calls(monkeypatch, "eigendecompose")
-    covariance = _count_calls(monkeypatch, "sample_covariance")
-    combined = _count_calls(monkeypatch, "combine_covariances")
     config = RunConfig(scenario=ScenarioSpec(name="D20", n_d=20, n_h=20, seed=9, grid_size=100),
                        reps=1, penalty_lambda=0.5)
-    result = run_replication(config, 0)
+    d, h = generate_scenario(config.scenario.substream(0))
+    shapes = []
+    original = np.linalg.eigh
+
+    def recording(matrix, *args, **kwargs):
+        shapes.append(np.shape(matrix))
+        return original(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    result = harness.evaluate(d, h, config)
     assert set(result.auc) == {"max", "min", "integral", "meandiff", "linear", "quad"}
-    assert (eigen, covariance, combined) == ([], [], [])
+    assert shapes == [(40, 40)]
 
 
 def _report_bytes(config):
