@@ -9,7 +9,7 @@ integral. Grids, curves and samples are immutable after construction.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,72 +53,43 @@ def store_plain(obj, names, kind: type) -> None:
 
 @dataclass(frozen=True)
 class Grid:
-    """Strictly increasing abscissae in [0, 1] with quadrature weights.
+    """Strictly increasing abscissae in [0, 1] with composite-trapezoid weights.
 
     Parameters
     ----------
     points : array-like
         Strictly increasing evaluation points, all inside [0, 1].
-    weights : array-like
-        Nonnegative quadrature weights of the same length. They must sum to
-        the covered interval length (trapezoid consistency).
+
+    ``weights`` is derived from the points: each point weighs half the gaps
+    to its neighbors, so the weights sum to the covered interval length.
     """
 
     points: np.ndarray
-    weights: np.ndarray
+    weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        points = frozen_finite(self.points, "grid points and weights")
-        weights = frozen_finite(self.weights, "grid points and weights")
-        if points.ndim != 1 or points.size < 2:
-            raise ValueError("grid needs at least two points")
-        if weights.shape != points.shape:
-            raise ValueError("points and weights must have equal length")
-        if np.any(np.diff(points) <= 0):
-            raise ValueError("grid points must be strictly increasing")
-        if points[0] < 0.0 or points[-1] > 1.0:
-            raise ValueError("grid points must lie in [0, 1]")
-        if np.any(weights < 0):
-            raise ValueError("quadrature weights must be nonnegative")
-        span = points[-1] - points[0]
-        if abs(weights.sum() - span) > 1e-12:
-            raise ValueError("weights must sum to the covered interval length")
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "weights", weights)
-
-    @classmethod
-    def from_points(cls, points) -> "Grid":
-        """Build a grid with composite-trapezoid weights for the given points."""
-        points = np.asarray(points, dtype=float)
+        points = frozen_finite(self.points, "grid points")
         if points.ndim != 1 or points.size < 2:
             raise ValueError("grid needs at least two points")
         gaps = np.diff(points)
+        if np.any(gaps <= 0):
+            raise ValueError("grid points must be strictly increasing")
+        if points[0] < 0.0 or points[-1] > 1.0:
+            raise ValueError("grid points must lie in [0, 1]")
         weights = np.empty_like(points)
         weights[0] = gaps[0] / 2.0
         weights[-1] = gaps[-1] / 2.0
         weights[1:-1] = (gaps[:-1] + gaps[1:]) / 2.0
-        return cls(points, weights)
+        weights.setflags(write=False)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "weights", weights)
 
     def __len__(self) -> int:
         return self.points.size
 
-    @property
-    def span(self) -> float:
-        """Length of the covered interval."""
-        return float(self.points[-1] - self.points[0])
-
     def compatible_with(self, other: "Grid") -> bool:
-        """True when both grids share the same points and weights."""
-        if self is other:
-            return True
-        return np.array_equal(self.points, other.points) and np.array_equal(
-            self.weights, other.weights
-        )
-
-
-def _require_same_grid(a: Grid, b: Grid) -> None:
-    if not a.compatible_with(b):
-        raise GridMismatchError("operands are defined on different grids")
+        """True when both grids share the same points, and so the same weights."""
+        return self is other or np.array_equal(self.points, other.points)
 
 
 @dataclass(frozen=True)
@@ -174,12 +145,13 @@ def make_uniform_grid(m: int) -> Grid:
     if not isinstance(m, (int, np.integer)) or m < 2:
         raise ValueError("m must be an integer >= 2")
     points = np.arange(1, m + 1, dtype=float) / m
-    return Grid.from_points(points)
+    return Grid(points)
 
 
 def inner_product(f: Curve, g: Curve) -> float:
     """Quadrature inner product: sum_i w_i f(t_i) g(t_i)."""
-    _require_same_grid(f.grid, g.grid)
+    if not f.grid.compatible_with(g.grid):
+        raise GridMismatchError("operands are defined on different grids")
     # multiply the curve values first so the result is exactly symmetric in f, g
     return float(np.dot(f.values * g.values, f.grid.weights))
 

@@ -257,8 +257,7 @@ def _aggregate(
                 "sd_auc": None,
                 "mean_youden": None,
                 "n_ok": 0,
-                "error": (f"{type(failures[0]).__name__}: {failures[0]}" if failures
-                          else "no replications"),
+                "error": f"{type(failures[0]).__name__}: {failures[0]}",
             }
             continue
         aucs = np.asarray(aucs)
@@ -399,7 +398,7 @@ def _parse_header(header: list[str], line: int) -> Grid:
             "header must be 'label,t1,...,tm' with at least two grid points", line=line
         )
     try:
-        return Grid.from_points(_parse_cells(header[1:], line))
+        return Grid(_parse_cells(header[1:], line))
     except ValueError as exc:
         raise CurveParseError(f"bad grid in header: {exc}", line=line) from exc
 

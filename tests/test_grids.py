@@ -41,29 +41,40 @@ class TestMakeUniformGrid:
 class TestGridValidation:
     def test_rejects_decreasing_points(self):
         with pytest.raises(ValueError):
-            Grid.from_points([0.1, 0.3, 0.2])
+            Grid([0.1, 0.3, 0.2])
 
     @pytest.mark.parametrize("points", [[], [0.5], [[0.2, 0.4], [0.6, 0.8]]])
-    def test_from_points_rejects_fewer_than_two_points_or_a_matrix(self, points):
+    def test_rejects_fewer_than_two_points_or_a_matrix(self, points):
         with pytest.raises(ValueError, match="grid needs at least two points"):
-            Grid.from_points(points)
+            Grid(points)
 
     def test_rejects_points_outside_unit_interval(self):
         with pytest.raises(ValueError):
-            Grid.from_points([0.5, 1.5])
-
-    def test_rejects_inconsistent_weights(self):
-        with pytest.raises(ValueError):
-            Grid(points=[0.25, 0.5, 1.0], weights=[0.5, 0.5, 0.5])
-
-    def test_rejects_negative_weights(self):
-        with pytest.raises(ValueError):
-            Grid(points=[0.5, 1.0], weights=[-0.1, 0.6])
+            Grid([0.5, 1.5])
 
     def test_arrays_are_immutable(self):
         grid = make_uniform_grid(5)
         with pytest.raises(ValueError):
             grid.points[0] = 0.0
+
+
+class TestTrapezoidWeights:
+    def test_irregular_grid_weighs_half_the_neighboring_gaps(self):
+        # gaps 0.2, 0.05 and 0.55
+        grid = Grid([0.1, 0.3, 0.35, 0.9])
+        assert grid.weights == pytest.approx([0.1, 0.125, 0.3, 0.275], abs=1e-15)
+        assert grid.weights.sum() == pytest.approx(0.8, abs=1e-15)
+
+    def test_weights_are_not_an_argument(self):
+        with pytest.raises(TypeError):
+            Grid([0.5, 1.0], [0.25, 0.25])
+        with pytest.raises(TypeError):
+            Grid(points=[0.5, 1.0], weights=[0.25, 0.25])
+
+    def test_weights_are_read_only(self):
+        grid = Grid([0.1, 0.3, 0.35, 0.9])
+        with pytest.raises(ValueError):
+            grid.weights[0] = 0.5
 
 
 class TestCurveAndSample:
@@ -132,7 +143,8 @@ class TestNorm:
     def test_constant_curve_norm(self):
         grid = make_uniform_grid(400)
         two = Curve(grid, np.full(400, 2.0))
-        assert norm(two) == pytest.approx(2.0 * np.sqrt(grid.span), abs=1e-12)
+        span = grid.points[-1] - grid.points[0]
+        assert norm(two) == pytest.approx(2.0 * np.sqrt(span), abs=1e-12)
 
 
 class TestAlgebraicProperties:

@@ -106,16 +106,16 @@ def _count_calls(monkeypatch, name):
 def test_one_draw_decomposes_the_pooled_covariance_once(monkeypatch):
     # 25 + 25 curves on 20 points solve the pooled kernel, 20 + 20 on 100 its Gram form
     pooled = _count_calls(monkeypatch, "pooled_eigensystem")
-    kernels = [_count_calls(monkeypatch, name)
-               for name in ("sample_covariance", "combine_covariances", "eigendecompose")]
+    full = _count_calls(monkeypatch, "_weighted_eigensystem")
     wide = RunConfig(scenario=ScenarioSpec(name="D20", n_d=20, n_h=20, seed=9, grid_size=100),
                      reps=1, penalty_lambda=0.5)
-    for config in (CONFIGS["P1-25+25-m20-lambda0.5"], wide):
+    for config, full_solves in ((CONFIGS["P1-25+25-m20-lambda0.5"], 1), (wide, 0)):
         pooled.clear()
+        full.clear()
         result = run_replication(config, 0)
         assert set(result.auc) == {"max", "min", "integral", "meandiff", "linear", "quad"}
         assert len(pooled) == 1
-    assert kernels == [[], [], []]
+        assert len(full) == full_solves
 
 
 def test_one_draw_computes_the_group_means_once(monkeypatch):
