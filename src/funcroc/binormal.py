@@ -24,7 +24,7 @@ from .grids import frozen_finite
 __all__ = ["GaussianPair", "auc_of_direction", "binormal_roc"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianPair:
     """Mean vectors and SPD covariance matrices of the two populations."""
 

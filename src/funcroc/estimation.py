@@ -9,7 +9,8 @@ quadrature inner product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -85,7 +86,7 @@ def spd_inverse(matrix: np.ndarray, error: Exception) -> np.ndarray:
     raise error
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceKernel:
     """A discretized covariance operator: entry (i, j) approximates gamma(t_i, t_j)."""
 
@@ -100,35 +101,75 @@ class CovarianceKernel:
         object.__setattr__(self, "matrix", matrix)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenSystem:
     """Leading eigenpairs of a covariance operator.
 
     ``eigenvalues`` are nonincreasing and nonnegative (negative numerical
-    eigenvalues are clipped to zero).  Column ``l`` of ``eigenfunctions``
-    holds the l-th eigenfunction evaluated on the grid; the columns are
-    orthonormal under the quadrature inner product.  ``total_variance`` is
-    the variability of the whole operator, so that explained-variability
-    fractions refer to the whole decomposition even when only the leading
-    part is retained.  It is the sum of the full clipped spectrum when the
-    m x m kernel was decomposed, and the sum of the retained eigenvalues
-    (every pair above the rounding floor) when they come from the N x N Gram
-    form of N < m centered curves.  A NaN or infinite entry raises ValueError.
+    eigenvalues are clipped to zero); ``count`` is their number.  Column ``l``
+    of ``eigenfunctions`` holds the l-th eigenfunction evaluated on the grid;
+    the columns are orthonormal under the quadrature inner product.
+    ``total_variance`` is the variability of the whole operator, so that
+    explained-variability fractions refer to the whole decomposition even
+    when only the leading part is retained.  It is the sum of the full
+    clipped spectrum when the m x m kernel was decomposed, and the sum of the
+    retained eigenvalues (every pair above the rounding floor) when they come
+    from the N x N Gram form of N < m centered curves.
+
+    A caller may give the eigenfunctions as an m x j matrix, j <= count.
+    ``eigendecompose`` and ``pooled_eigensystem`` give None and keep their
+    eigenvectors: ``leading(k)`` maps back, sign-fixes and checks the first k
+    columns only, keeping the widest set mapped (a wider request maps again,
+    it never solves again), and reading ``eigenfunctions`` maps all ``count``.
+    A non-finite entry or a wrong shape raises ValueError.
     """
 
     grid: Grid
     eigenvalues: np.ndarray
-    eigenfunctions: np.ndarray
+    eigenfunctions: np.ndarray | None
     total_variance: float
+    _map_back: Callable[[int], np.ndarray] | None = field(default=None, kw_only=True, repr=False)
 
     def __post_init__(self):
-        for name in ("eigenvalues", "eigenfunctions", "total_variance"):
-            if not np.isfinite(getattr(self, name)).all():
+        if np.ndim(self.eigenvalues) != 1:
+            raise ValueError("eigenvalues must be one-dimensional")
+        functions = self.eigenfunctions
+        if functions is None:
+            object.__delattr__(self, "eigenfunctions")  # mapped on first read, in __getattr__
+            functions = np.empty((len(self.grid), 0))
+        elif np.ndim(functions) != 2 or np.shape(functions)[0] != len(self.grid):
+            raise ValueError("eigenfunctions must have one row per grid point")
+        elif np.shape(functions)[1] > self.count:
+            raise ValueError("eigenfunctions must have at most one column per eigenvalue")
+        for name, value in (("eigenvalues", self.eigenvalues), ("eigenfunctions", functions),
+                            ("total_variance", self.total_variance)):
+            if not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite")
+        object.__setattr__(self, "_mapped", functions)
+
+    def __getattr__(self, name):  # only for attributes the instance lacks
+        if name != "eigenfunctions":
+            raise AttributeError(name)
+        return self.leading(self.count)
 
     @property
     def count(self) -> int:
         return self.eigenvalues.size
+
+    def leading(self, k: int) -> np.ndarray:
+        """The first k eigenfunctions as an m x k matrix, mapped back on first use.
+
+        No lock: threads that share one system may map the same columns twice.
+        """
+        if not 1 <= k <= self.count:
+            raise ValueError("k must lie between 1 and the basis count")
+        mapped = self._mapped
+        if mapped.shape[1] < k and self._map_back is not None:
+            mapped = _fix_signs(self._map_back(k))
+            if not np.isfinite(mapped).all():
+                raise ValueError("eigenfunctions must be finite")
+            object.__setattr__(self, "_mapped", mapped)
+        return mapped[:, :k]
 
 
 def sample_mean(s: FunctionalSample) -> Curve:
@@ -200,15 +241,16 @@ def pooled_eigensystem(
     all, and ``means`` the group mean curves they were centered by.  With
     N >= m the groups' cross products are summed without stacking the
     curves and scaled to the symmetrized form W^{1/2} K W^{1/2} once; all m
-    pairs are returned, as ``eigendecompose`` of the pooled kernel would
+    eigenvalues are kept, as ``eigendecompose`` of the pooled kernel would
     give them up to rounding.  With N < m, Z = X W^{1/2} / sqrt(N) of the
     stacked curves has an N x N Gram matrix Z Z' that shares the operator's
     nonzero eigenvalues, and an eigenvector u maps back to the eigenfunction
     Z'u / (sqrt(lambda) sqrt(w)); this costs O(N^2 m) rather than O(m^3).
     Only the pairs above N * eps * lambda_max (the operator's rank) are
     kept, and ``total_variance`` is their sum, so a fraction of 1.0 is
-    always attained.  Both routes solve their symmetric matrix with LAPACK's
-    divide-and-conquer dsyevd (``np.linalg.eigh``).
+    always attained.  Both routes solve their symmetric matrix once with LAPACK's
+    divide-and-conquer dsyevd (``np.linalg.eigh``) and map eigenvectors back
+    to eigenfunctions only on demand, k columns for a fit (``EigenSystem.leading``).
 
     Centering N curves of quadrature mean square S leaves errors of about
     N eps sqrt(S) in each curve, so a trace at or below (N eps)^2 S is
@@ -222,7 +264,8 @@ def pooled_eigensystem(
         matrix = sum(x.T @ x for x in centered)
         matrix *= np.outer(sqrt_w, sqrt_w / n)
     else:
-        scaled = np.vstack(centered) * (sqrt_w / np.sqrt(n))
+        scaled = np.vstack(centered)
+        scaled *= sqrt_w / np.sqrt(n)
         matrix = scaled @ scaled.T
     matrix = (matrix + matrix.T) / 2.0
     trace = float(np.trace(matrix))
@@ -238,17 +281,14 @@ def pooled_eigensystem(
     values, vectors = values[::-1], vectors[:, ::-1]
     count = int(np.count_nonzero(values > n * np.finfo(float).eps * max(values[0], 0.0)))
     values = values[:count].copy()
-    functions = (scaled.T @ vectors[:, :count]) / (np.sqrt(values) * sqrt_w[:, None])
-    return EigenSystem(
-        grid=grid,
-        eigenvalues=values,
-        eigenfunctions=_fix_signs(functions),
-        total_variance=float(values.sum()),
-    )
+
+    def map_back(k: int) -> np.ndarray:
+        return (scaled.T @ vectors[:, :k]) / (np.sqrt(values[:k]) * sqrt_w[:, None])
+    return EigenSystem(grid, values, None, float(values.sum()), _map_back=map_back)
 
 
 def _weighted_eigensystem(grid: Grid, symmetrized: np.ndarray, count: int) -> EigenSystem:
-    """The ``count`` leading pairs of W^{1/2} K W^{1/2}, mapped back to eigenfunctions.
+    """The ``count`` leading pairs of W^{1/2} K W^{1/2}, eigenfunctions mapped on demand.
 
     ``symmetrized`` must be exactly symmetric.  ``total_variance`` is the sum
     of the whole clipped spectrum.
@@ -258,13 +298,11 @@ def _weighted_eigensystem(grid: Grid, symmetrized: np.ndarray, count: int) -> Ei
     values, vectors = np.linalg.eigh(symmetrized)
     order = np.argsort(values)[::-1]
     values = np.clip(values[order], 0.0, None)
-    functions = np.ascontiguousarray(vectors[:, order[:count]]) / sqrt_w[:, None]
-    return EigenSystem(
-        grid=grid,
-        eigenvalues=values[:count].copy(),
-        eigenfunctions=_fix_signs(functions),
-        total_variance=float(values.sum()),
-    )
+
+    def map_back(k: int) -> np.ndarray:
+        return np.ascontiguousarray(vectors[:, order[:k]]) / sqrt_w[:, None]
+    return EigenSystem(grid, values[:count].copy(), None, float(values.sum()),
+                       _map_back=map_back)
 
 
 def _fix_signs(functions: np.ndarray) -> np.ndarray:
@@ -304,7 +342,5 @@ def project_scores(s: FunctionalSample, basis: EigenSystem, k: int) -> np.ndarra
     """
     if not s.grid.compatible_with(basis.grid):
         raise GridMismatchError("sample and basis live on different grids")
-    if not 1 <= k <= basis.count:
-        raise ValueError("k must lie between 1 and the basis count")
-    weighted = basis.grid.weights[:, None] * basis.eigenfunctions[:, :k]
+    weighted = basis.grid.weights[:, None] * basis.leading(k)
     return s.values @ weighted

@@ -51,7 +51,7 @@ def store_plain(obj, names, kind: type) -> None:
         object.__setattr__(obj, name, kind(value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
     """Strictly increasing abscissae in [0, 1] with composite-trapezoid weights.
 
@@ -92,7 +92,7 @@ class Grid:
         return self is other or np.array_equal(self.points, other.points)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Curve:
     """A single discretized curve: one value per grid point."""
 
@@ -106,7 +106,7 @@ class Curve:
         object.__setattr__(self, "values", values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FunctionalSample:
     """A collection of curves sharing one grid.
 

@@ -69,7 +69,7 @@ class IntegralIndex:
     """Quadrature integral of the trajectory."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearIndex:
     """Projection <beta, X> onto a fixed direction.
 
@@ -84,7 +84,7 @@ class LinearIndex:
             raise ValueError("beta must be nonzero")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticIndex:
     """Quadratic score -x' L x + 2 a' x of the eigenfunction coordinates x."""
 
@@ -123,7 +123,7 @@ def index_scores(idx: DiscriminantIndex, s: FunctionalSample) -> np.ndarray:
         return s.values @ (s.grid.weights * idx.beta.values)
     if isinstance(idx, QuadraticIndex):
         scores = project_scores(s, idx.basis, idx.k)
-        quadratic = np.einsum("ij,jk,ik->i", scores, idx.lambda_mat, scores)
+        quadratic = ((scores @ idx.lambda_mat) * scores).sum(axis=1)
         return -quadratic + 2.0 * scores @ idx.alpha_vec
     raise TypeError(f"unknown index type: {type(idx).__name__}")
 
@@ -136,6 +136,8 @@ class FitContext:
     centered curves, the pooled covariance operator's eigensystem and the
     projected group moments once each, on first use, into plain per-instance
     slots.  A failing access fills no slot and raises its typed error every time.
+    The basis maps back only the k eigenfunctions the fits read; a larger
+    fraction later widens that mapping from the same eigensolve.
     """
 
     def __init__(self, d: FunctionalSample, h: FunctionalSample):
@@ -183,7 +185,7 @@ class FitContext:
         """
         if var_fraction not in self._moments:
             k = choose_dimension(self.basis, var_fraction)
-            weighted_phi = self.grid.weights[:, None] * self.basis.eigenfunctions[:, :k]
+            weighted_phi = self.grid.weights[:, None] * self.basis.leading(k)
             means = tuple(mean.values @ weighted_phi for mean in self.means)
             scores = (centered @ weighted_phi for centered in self._curves()[1])
             covariances = tuple(a.T @ a / s.n for a, s in zip(scores, (self.d, self.h)))
@@ -209,7 +211,7 @@ def second_difference_penalty(basis: EigenSystem, k: int) -> np.ndarray:
     derivatives of basis functions l and r; always symmetric PSD.
     """
     points = basis.grid.points
-    slopes = np.gradient(basis.eigenfunctions[:, :k], points, axis=0)
+    slopes = np.gradient(basis.leading(k), points, axis=0)
     curvatures = np.gradient(slopes, points, axis=0)
     weighted = basis.grid.weights[:, None] * curvatures
     gram = curvatures.T @ weighted
@@ -251,7 +253,7 @@ def fit_optimal_linear(
         "projected covariance system is singular; increase the "
         "penalty weight or lower the variance fraction"))
 
-    beta_values = ctx.basis.eigenfunctions[:, :k] @ coefficients
+    beta_values = ctx.basis.leading(k) @ coefficients
     # the quadrature norm of ``grids.norm``, also for the non-finite values a Curve rejects;
     # an overflow to inf is raised as DegenerateDirectionError below
     with np.errstate(over="ignore"):

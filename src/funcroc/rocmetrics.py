@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreSample:
     """Real-valued scores of the diseased and healthy groups."""
 
@@ -48,7 +48,7 @@ class ScoreSample:
             object.__setattr__(self, name, values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RocSummary:
     """A sampled ROC curve together with its AUC and Youden summaries."""
 
@@ -59,7 +59,7 @@ class RocSummary:
     youden_threshold: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RocRows:
     """ROC values (k, P) and the k AUCs, Youden values and thresholds of k
     score rows; see ``summarize_sorted``."""

@@ -163,11 +163,11 @@ def sample_gaussian(
         )
         sd = np.sqrt(spec.scale * np.asarray(spec.lambdas))
         coefficients = rng.standard_normal((n, len(spec.lambdas))) * sd
-        values = mean + coefficients @ modes.T
+        values = coefficients @ modes.T
     else:
         factor = _cholesky_factor(spec, grid)
-        noise = rng.standard_normal((n, len(grid)))
-        values = mean + noise @ factor.T
+        values = rng.standard_normal((n, len(grid))) @ factor.T
+    values += mean
     return FunctionalSample(grid, values)
 
 

@@ -7,14 +7,17 @@ coefficients, and the closed-form optimal directions and mixture identity
 of the binormal model, with the ``RangeViolationError`` that
 ``eigenbasis_optimal_direction`` raises.  ``quadratic_population`` inverts with
 ``np.linalg.inv``, not the fitter's Cholesky route, so it can catch a fault
-there.
+there.  ``pooled_eigenfunctions`` maps every retained pooled eigenfunction
+back at once, as the runtime did before it mapped only the columns a fit
+reads, and ``quadratic_scores`` forms the quadratic score with a
+three-operand ``np.einsum`` in place of the runtime's row-wise matmul.
 """
 
 import numpy as np
 
 from funcroc import DegenerateDirectionError, GaussianPair, NumericalDegeneracyError
 from funcroc.binormal import _check_beta
-from funcroc.estimation import check_mean_gap, spd_solve
+from funcroc.estimation import check_mean_gap, project_scores, spd_solve
 from funcroc.grids import frozen_finite
 
 
@@ -164,3 +167,41 @@ def eigenbasis_optimal_direction(mu_diff, eigenvalues, pi_d: float) -> np.ndarra
             "zero eigenvalue: the operator inverse is undefined outside its range"
         )
     return np.sqrt(pi_d * (1.0 - pi_d)) * mu_diff / eigenvalues
+
+
+def pooled_eigenfunctions(grid, centered) -> np.ndarray:
+    """Every retained eigenfunction of the pooled operator of the centered
+    curve matrices ``centered``, mapped back in one step.
+
+    The same symmetric matrix and ``eigh`` as ``pooled_eigensystem``: with
+    N >= m curves all m columns of the symmetrized kernel's eigenvectors over
+    sqrt(w); with N < m the Gram eigenvectors above N * eps * lambda_max in one
+    product Z'U / (sqrt(lambda) sqrt(w)).  Signs are then fixed one column at a
+    time, so the largest-magnitude coordinate of each column is positive.
+    """
+    n = sum(x.shape[0] for x in centered)
+    sqrt_w = np.sqrt(grid.weights)
+    if n >= len(grid):
+        matrix = sum(x.T @ x for x in centered)
+        matrix *= np.outer(sqrt_w, sqrt_w / n)
+        values, vectors = np.linalg.eigh((matrix + matrix.T) / 2.0)
+        functions = vectors[:, np.argsort(values)[::-1]] / sqrt_w[:, None]
+    else:
+        scaled = np.vstack(centered) * (sqrt_w / np.sqrt(n))
+        matrix = scaled @ scaled.T
+        values, vectors = np.linalg.eigh((matrix + matrix.T) / 2.0)
+        values, vectors = values[::-1], vectors[:, ::-1]
+        count = int(np.count_nonzero(values > n * np.finfo(float).eps * max(values[0], 0.0)))
+        functions = (scaled.T @ vectors[:, :count]) / (np.sqrt(values[:count]) * sqrt_w[:, None])
+    for ell in range(functions.shape[1]):
+        column = functions[:, ell]
+        if column[np.argmax(np.abs(column))] < 0:
+            functions[:, ell] = -column
+    return functions
+
+
+def quadratic_scores(index, s) -> np.ndarray:
+    """Scores -x'Lx + 2a'x of a fitted ``QuadraticIndex`` on the curves of ``s``,
+    the quadratic form summed by ``np.einsum("ij,jk,ik->i", x, L, x)``."""
+    x = project_scores(s, index.basis, index.k)
+    return -np.einsum("ij,jk,ik->i", x, index.lambda_mat, x) + 2.0 * x @ index.alpha_vec

@@ -325,6 +325,27 @@ class TestEigenSystem:
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             EigenSystem(**parts)
 
+    @pytest.mark.parametrize("change, message", [
+        (dict(eigenvalues=np.array([[1.0, 0.5]])), "eigenvalues must be one-dimensional"),
+        (dict(eigenfunctions=np.eye(7)[:, :3]), "eigenfunctions must have one row per grid point"),
+        (dict(eigenfunctions=np.ones(4)), "eigenfunctions must have one row per grid point"),
+        (dict(eigenfunctions=np.eye(4)[:, :3]),
+         "eigenfunctions must have at most one column per eigenvalue"),
+    ])
+    def test_misshapen_parts_are_rejected(self, change, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            EigenSystem(**{**self.parts(), **change})
+
+    def test_fewer_eigenfunctions_than_eigenvalues_are_accepted(self):
+        system = EigenSystem(**{**self.parts(), "eigenfunctions": np.eye(4)[:, :1]})
+        assert system.count == 2
+        assert np.array_equal(system.leading(1), np.eye(4)[:, :1])
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_leading_rejects_a_count_outside_the_basis(self, k):
+        with pytest.raises(ValueError, match="^k must lie between 1 and the basis count$"):
+            EigenSystem(**self.parts()).leading(k)
+
 
 class TestChooseDimension:
     def make_system(self, eigenvalues):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import funcroc
 from funcroc import (
     Curve,
     FunctionalSample,
@@ -100,6 +101,35 @@ class TestCurveAndSample:
         sample = FunctionalSample(grid, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         assert sample.n == 2
         assert np.allclose(sample.values[1], [4.0, 5.0, 6.0])
+
+
+class TestIdentityEquality:
+    """Array-holding value objects compare and hash by identity; ``compatible_with``
+    is the value comparison of grids."""
+
+    def test_grids_compare_by_identity(self):
+        points = np.array([0.1, 0.5, 1.0])
+        grid = Grid(points)
+        assert (Grid(points) == Grid(points)) is False
+        assert grid == grid
+        assert hash(grid) == hash(grid)
+        assert Grid(points).compatible_with(Grid(points))
+
+    def test_equal_curves_are_distinct_set_members(self):
+        grid = make_uniform_grid(3)
+        values = np.array([1.0, 2.0, 3.0])
+        assert len({Curve(grid, values), Curve(grid, values)}) == 2
+        sample = FunctionalSample(grid, values[None, :])
+        assert {sample: 1}[sample] == 1
+
+    @pytest.mark.parametrize("name", [
+        "Grid", "Curve", "FunctionalSample", "CovarianceKernel", "EigenSystem", "LinearIndex",
+        "QuadraticIndex", "ScoreSample", "RocSummary", "RocRows", "GaussianPair",
+    ])
+    def test_every_array_holding_dataclass_uses_identity(self, name):
+        cls = getattr(funcroc, name)
+        assert cls.__eq__ is object.__eq__
+        assert cls.__hash__ is object.__hash__
 
 
 class TestInnerProduct:

@@ -26,6 +26,7 @@ from funcroc import (
     choose_dimension,
     combine_covariances,
     eigendecompose,
+    estimation,
     fit_mean_difference,
     fit_optimal_linear,
     fit_quadratic,
@@ -42,7 +43,7 @@ from funcroc import (
     score_sample,
     second_difference_penalty,
 )
-from reference import quadratic_population
+from reference import pooled_eigenfunctions, quadratic_population, quadratic_scores
 
 
 def fourier_sample(rng, n, grid, mean_coefs, coef_sd):
@@ -331,6 +332,83 @@ class TestPooledBasis:
         assert np.abs(basis.eigenfunctions[:, :k] - full.eigenfunctions[:, :k]).max() < 1e-10
         assert np.abs(basis.eigenvalues - full.eigenvalues).max() <= 1e-12 * full.eigenvalues[0]
         assert basis.total_variance == pytest.approx(full.total_variance, rel=1e-12, abs=0.0)
+
+
+def mapped_widths(monkeypatch):
+    """The width of every batch of eigenfunctions mapped back, recorded at its sign fix."""
+    widths = []
+    original = estimation._fix_signs
+
+    def recording(functions):
+        widths.append(functions.shape[1])
+        return original(functions)
+
+    monkeypatch.setattr(estimation, "_fix_signs", recording)
+    return widths
+
+
+class TestOnDemandEigenfunctions:
+    """The pooled basis maps back only the eigenfunctions a reader asks for."""
+
+    ROUTES = {
+        "full": ScenarioSpec(name="P1", n_d=25, n_h=25, seed=12345, rho=1.0, grid_size=20),
+        "gram": ScenarioSpec(name="D20", n_d=20, n_h=20, seed=9, grid_size=100),
+    }
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_reading_eigenfunctions_maps_every_retained_pair(self, route):
+        d, h = generate_scenario(self.ROUTES[route])
+        ctx = FitContext(d, h)
+        functions = ctx.basis.eigenfunctions
+        centered = [s.values - s.values.mean(axis=0) for s in (d, h)]
+        expected = pooled_eigenfunctions(d.grid, centered)
+        assert functions.shape == expected.shape == (len(d.grid), ctx.basis.count)
+        assert functions.flags["C_CONTIGUOUS"]
+        if route == "full":
+            assert np.array_equal(functions, expected)
+        else:
+            assert np.abs(functions - expected).max() <= 1e-12 * np.abs(expected).max()
+        k = ctx.moments(0.95)[0]
+        assert np.array_equal(ctx.basis.leading(k), functions[:, :k])
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_fraction_one_maps_every_retained_pair(self, route, monkeypatch):
+        widths = mapped_widths(monkeypatch)
+        ctx = FitContext(*generate_scenario(self.ROUTES[route]))
+        k = ctx.moments(1.0)[0]
+        assert widths == [k] == [ctx.basis.count]
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_a_larger_fraction_widens_the_mapping_without_a_second_solve(self, route,
+                                                                          monkeypatch):
+        widths = mapped_widths(monkeypatch)
+        solves = []
+        original = indexes.pooled_eigensystem
+
+        def counting(*args):
+            solves.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(indexes, "pooled_eigensystem", counting)
+        spec = self.ROUTES[route]
+        ctx = FitContext(*generate_scenario(spec))
+        narrow, wide = ctx.moments(0.8)[0], ctx.moments(0.99)[0]
+        assert narrow < wide < ctx.basis.count
+        assert widths == [narrow, wide]
+        assert len(solves) == 1
+        fresh = FitContext(*generate_scenario(spec)).moments(0.99)
+        assert fresh[0] == wide
+        for got, expected in zip(ctx.moments(0.99)[1] + ctx.moments(0.99)[2], fresh[1] + fresh[2]):
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_quadratic_scores_match_the_einsum_form(self, route):
+        spec = self.ROUTES[route]
+        quad = fit_quadratic(FitContext(*generate_scenario(spec)))
+        for sample in generate_scenario(spec.substream(1)):
+            expected = quadratic_scores(quad, sample)
+            got = index_scores(quad, sample)
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 class TestRoundingNoiseSpectrum:

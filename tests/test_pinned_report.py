@@ -8,7 +8,8 @@ strings must match exactly.  The counting tests check that one draw
 shares a single pair of group means and a single pooled eigensystem among
 its fitted indexes, that a draw of parameter-free indexes computes neither,
 that a draw with fewer curves than grid points solves only the N x N Gram
-eigenproblem, and that a study factors each process kernel once, also
+eigenproblem, that a draw maps back only the k eigenfunctions its fits
+read, and that a study factors each process kernel once, also
 when threads miss the factor cache at the same time.
 Machine-readable reports must not depend on how many threads ran a
 study's replications.
@@ -116,6 +117,37 @@ def test_one_draw_decomposes_the_pooled_covariance_once(monkeypatch):
         assert set(result.auc) == {"max", "min", "integral", "meandiff", "linear", "quad"}
         assert len(pooled) == 1
         assert len(full) == full_solves
+
+
+def _record_results(monkeypatch, module, name, convert=lambda result: result):
+    """Record ``convert`` of what every call to ``module.<name>`` returns."""
+    results = []
+    original = getattr(module, name)
+
+    def recording(*args):
+        result = original(*args)
+        results.append(convert(result))
+        return result
+
+    monkeypatch.setattr(module, name, recording)
+    return results
+
+
+def test_one_draw_maps_back_only_the_eigenfunctions_its_fits_read(monkeypatch):
+    # each batch of eigenfunctions mapped back is sign-fixed once, so _fix_signs sees its width
+    widths = _record_results(monkeypatch, estimation, "_fix_signs", lambda f: f.shape[1])
+    chosen = _record_results(monkeypatch, indexes, "choose_dimension")
+    counts = _record_results(monkeypatch, indexes, "pooled_eigensystem", lambda e: e.count)
+    wide = RunConfig(scenario=ScenarioSpec(name="D20", n_d=20, n_h=20, seed=9, grid_size=100),
+                     reps=1, penalty_lambda=0.5)
+    for config in (CONFIGS["P1-25+25-m20-lambda0.5"], wide):
+        for record in (widths, chosen, counts):
+            record.clear()
+        result = run_replication(config, 0)
+        assert set(result.auc) == {"max", "min", "integral", "meandiff", "linear", "quad"}
+        assert len(counts) == len(chosen) == 1
+        assert widths == chosen
+        assert chosen[0] < counts[0]
 
 
 def test_one_draw_computes_the_group_means_once(monkeypatch):
