@@ -20,12 +20,15 @@ Cases:
 - study reports of P1, P0 (rho=2, 30+250), C20, D20 (m=400), D21, P1 3+3
   (a partial quadratic failure) and D20 3+60 (every fitted index fails), 4
   replications each, with lambda 0/0.5, var_fraction 0.95/1.0 and the
-  orientation flip off/on, as JSON with the ROC samples kept;
-- ``analyze`` of a seeded C20 curve file at lambda 0 and 0.5, as JSON;
+  orientation flip off/on, plus one with ridge 0.1 (lambda 0, var_fraction
+  0.95, flip off), as JSON with the ROC samples kept;
+- ``analyze`` of a seeded C20 curve file at lambda 0 and 0.5, and at ridge
+  0.1, as JSON;
 - the stdout, stderr, exit code and written files of CLI runs: ``simulate``,
-  ``analyze`` (plain, ``--lambda 0.5``, ``--flip``, ``--lambda -1``) on the
-  seeded file and on a file whose two groups are identical, ``analyze`` of
-  three bad headers, and ``roc`` of all six indexes on both files.
+  ``analyze`` (plain, ``--lambda 0.5``, ``--flip``, ``--lambda -1``,
+  ``--ridge 0.1``, ``--ridge -1``) on the seeded file and on a file whose two
+  groups are identical, ``analyze`` of three bad headers, and ``roc`` of all
+  six indexes, and of ``quad`` with ``--ridge 0.1``, on both files.
 """
 
 from __future__ import annotations
@@ -102,6 +105,9 @@ def main(outdir: str) -> int:
                            flip_orientation=flip, keep_roc=True)
         Path(f"study-{name}-lambda{penalty}-vf{fraction}-flip{int(flip)}.json").write_bytes(
             _json(run_study(config)))
+    for name, spec in STUDIES.items():
+        config = RunConfig(scenario=spec, reps=4, ridge=0.1, keep_roc=True)
+        Path(f"study-{name}-ridge0.1.json").write_bytes(_json(run_study(config)))
 
     seeded, same = "inputs/C20-30+40-m20.csv", "inputs/same.csv"
     _write_curves(Path(seeded), ScenarioSpec(name="C20", n_d=30, n_h=40, seed=21, grid_size=20))
@@ -110,6 +116,8 @@ def main(outdir: str) -> int:
     for penalty in (0.0, 0.5):
         config = RunConfig(scenario=seeded, reps=1, penalty_lambda=penalty, keep_roc=True)
         Path(f"analyze-lambda{penalty}.json").write_bytes(_json(analyze(d, h, config)))
+    config = RunConfig(scenario=seeded, reps=1, ridge=0.1, keep_roc=True)
+    Path("analyze-ridge0.1.json").write_bytes(_json(analyze(d, h, config)))
 
     _cli("simulate-P1", ["simulate", "--scenario", "P1", "--rho", "1", "--nd", "10", "--nh", "10",
                          "--reps", "2", "--seed", "1", "--grid-size", "10"])
@@ -118,11 +126,14 @@ def main(outdir: str) -> int:
                          "--flip"])
     for label, path in (("seeded", seeded), ("same", same)):
         for variant, options in (("plain", []), ("lambda0.5", ["--lambda", "0.5"]),
-                                 ("flip", ["--flip"]), ("lambda-1", ["--lambda", "-1"])):
+                                 ("flip", ["--flip"]), ("lambda-1", ["--lambda", "-1"]),
+                                 ("ridge0.1", ["--ridge", "0.1"]), ("ridge-1", ["--ridge", "-1"])):
             _cli(f"analyze-{label}-{variant}", ["analyze", "--input", path, *options])
         for index in INDEX_NAMES:
             _cli(f"roc-{label}-{index}",
                  ["roc", "--input", path, "--index", index, "--out", f"roc-{label}-{index}.csv"])
+        _cli(f"roc-{label}-quad-ridge0.1", ["roc", "--input", path, "--index", "quad", "--ridge",
+                                            "0.1", "--out", f"roc-{label}-quad-ridge0.1.csv"])
     for label, text in BAD_HEADERS.items():
         path = f"inputs/bad-{label}.csv"
         Path(path).write_text(text, encoding="utf-8")

@@ -9,7 +9,7 @@ quadrature inner product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -101,74 +101,64 @@ class CovarianceKernel:
         object.__setattr__(self, "matrix", matrix)
 
 
-@dataclass(frozen=True, eq=False)
 class EigenSystem:
     """Leading eigenpairs of a covariance operator.
 
     ``eigenvalues`` are nonincreasing and nonnegative (negative numerical
-    eigenvalues are clipped to zero); ``count`` is their number.  Column ``l``
-    of ``eigenfunctions`` holds the l-th eigenfunction evaluated on the grid;
-    the columns are orthonormal under the quadrature inner product.
+    eigenvalues are clipped to zero); ``count`` is their number.
     ``total_variance`` is the variability of the whole operator, so that
     explained-variability fractions refer to the whole decomposition even
-    when only the leading part is retained.  It is the sum of the full
-    clipped spectrum when the m x m kernel was decomposed, and the sum of the
-    retained eigenvalues (every pair above the rounding floor) when they come
-    from the N x N Gram form of N < m centered curves.
+    when only the leading part is retained: the sum of the full clipped
+    spectrum when the m x m kernel was decomposed, and of the retained
+    eigenvalues (every pair above the rounding floor) when they come from the
+    N x N Gram form of N < m centered curves.
 
-    A caller may give the eigenfunctions as an m x j matrix, j <= count.
-    ``eigendecompose`` and ``pooled_eigensystem`` give None and keep their
-    eigenvectors: ``leading(k)`` maps back, sign-fixes and checks the first k
-    columns only, keeping the widest set mapped (a wider request maps again,
-    it never solves again), and reading ``eigenfunctions`` maps all ``count``.
-    A non-finite entry or a wrong shape raises ValueError.
+    ``map_back(k)`` returns a new m x k matrix whose column l is the l-th
+    eigenfunction on the grid, the columns orthonormal under the quadrature
+    inner product.  ``leading(k)`` calls it on first use, fixes its signs in
+    place and checks it, keeping the widest set mapped (a wider request maps
+    again, it never solves again); ``eigenfunctions`` is ``leading(count)``.
+    A basis at hand is given as ``map_back=lambda k: functions[:, :k].copy()``,
+    the copy keeping the sign fix off the caller's matrix.  A non-finite
+    eigenvalue, total variance or eigenfunction raises ValueError, as does a
+    map-back that is not m x k.
     """
 
-    grid: Grid
-    eigenvalues: np.ndarray
-    eigenfunctions: np.ndarray | None
-    total_variance: float
-    _map_back: Callable[[int], np.ndarray] | None = field(default=None, kw_only=True, repr=False)
-
-    def __post_init__(self):
-        if np.ndim(self.eigenvalues) != 1:
+    def __init__(self, grid: Grid, eigenvalues: np.ndarray, total_variance: float,
+                 map_back: Callable[[int], np.ndarray]):
+        self.eigenvalues = np.asarray(eigenvalues, dtype=float)
+        if self.eigenvalues.ndim != 1:
             raise ValueError("eigenvalues must be one-dimensional")
-        functions = self.eigenfunctions
-        if functions is None:
-            object.__delattr__(self, "eigenfunctions")  # mapped on first read, in __getattr__
-            functions = np.empty((len(self.grid), 0))
-        elif np.ndim(functions) != 2 or np.shape(functions)[0] != len(self.grid):
-            raise ValueError("eigenfunctions must have one row per grid point")
-        elif np.shape(functions)[1] > self.count:
-            raise ValueError("eigenfunctions must have at most one column per eigenvalue")
-        for name, value in (("eigenvalues", self.eigenvalues), ("eigenfunctions", functions),
-                            ("total_variance", self.total_variance)):
+        for name, value in (("eigenvalues", self.eigenvalues), ("total_variance", total_variance)):
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite")
-        object.__setattr__(self, "_mapped", functions)
-
-    def __getattr__(self, name):  # only for attributes the instance lacks
-        if name != "eigenfunctions":
-            raise AttributeError(name)
-        return self.leading(self.count)
+        self.grid, self.total_variance, self._map_back = grid, total_variance, map_back
+        self._mapped = np.empty((len(grid), 0))  # the widest set mapped so far
 
     @property
     def count(self) -> int:
         return self.eigenvalues.size
 
+    @property
+    def eigenfunctions(self) -> np.ndarray:
+        return self.leading(self.count)
+
     def leading(self, k: int) -> np.ndarray:
         """The first k eigenfunctions as an m x k matrix, mapped back on first use.
 
-        No lock: threads that share one system may map the same columns twice.
+        No lock: threads sharing one system may map columns twice; each gets its k.
         """
         if not 1 <= k <= self.count:
             raise ValueError("k must lie between 1 and the basis count")
         mapped = self._mapped
-        if mapped.shape[1] < k and self._map_back is not None:
-            mapped = _fix_signs(self._map_back(k))
+        if mapped.shape[1] < k:
+            mapped = self._map_back(k)
+            if np.shape(mapped) != (len(self.grid), k):
+                raise ValueError("eigenfunctions must be an m x k matrix")
+            mapped = _fix_signs(mapped)
             if not np.isfinite(mapped).all():
                 raise ValueError("eigenfunctions must be finite")
-            object.__setattr__(self, "_mapped", mapped)
+            self._mapped = mapped
         return mapped[:, :k]
 
 
@@ -249,8 +239,8 @@ def pooled_eigensystem(
     Only the pairs above N * eps * lambda_max (the operator's rank) are
     kept, and ``total_variance`` is their sum, so a fraction of 1.0 is
     always attained.  Both routes solve their symmetric matrix once with LAPACK's
-    divide-and-conquer dsyevd (``np.linalg.eigh``) and map eigenvectors back
-    to eigenfunctions only on demand, k columns for a fit (``EigenSystem.leading``).
+    divide-and-conquer dsyevd (``np.linalg.eigh``) and pass the system a map-back of
+    the first k eigenvectors, so a fit maps only the k columns it reads.
 
     Centering N curves of quadrature mean square S leaves errors of about
     N eps sqrt(S) in each curve, so a trace at or below (N eps)^2 S is
@@ -284,7 +274,7 @@ def pooled_eigensystem(
 
     def map_back(k: int) -> np.ndarray:
         return (scaled.T @ vectors[:, :k]) / (np.sqrt(values[:k]) * sqrt_w[:, None])
-    return EigenSystem(grid, values, None, float(values.sum()), _map_back=map_back)
+    return EigenSystem(grid, values, float(values.sum()), map_back)
 
 
 def _weighted_eigensystem(grid: Grid, symmetrized: np.ndarray, count: int) -> EigenSystem:
@@ -301,8 +291,7 @@ def _weighted_eigensystem(grid: Grid, symmetrized: np.ndarray, count: int) -> Ei
 
     def map_back(k: int) -> np.ndarray:
         return np.ascontiguousarray(vectors[:, order[:k]]) / sqrt_w[:, None]
-    return EigenSystem(grid, values[:count].copy(), None, float(values.sum()),
-                       _map_back=map_back)
+    return EigenSystem(grid, values[:count].copy(), float(values.sum()), map_back)
 
 
 def _fix_signs(functions: np.ndarray) -> np.ndarray:

@@ -86,24 +86,24 @@ class LinearIndex:
 
 @dataclass(frozen=True, eq=False)
 class QuadraticIndex:
-    """Quadratic score -x' L x + 2 a' x of the eigenfunction coordinates x."""
+    """Quadratic score -x' L x + 2 a' x of the first k eigenfunction coordinates x."""
 
     basis: EigenSystem
-    k: int
     lambda_mat: np.ndarray
     alpha_vec: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.k <= self.basis.count:
-            raise ValueError("k must lie between 1 and the basis count")
         alpha = frozen_finite(self.alpha_vec, "alpha_vec")
-        if np.shape(self.lambda_mat) != (self.k, self.k):
+        if alpha.ndim != 1 or not 1 <= alpha.size <= self.basis.count:
+            raise ValueError("alpha_vec must be a vector of 1 to basis count entries")
+        if np.shape(self.lambda_mat) != (alpha.size, alpha.size):
             raise ValueError("lambda_mat must be k x k")
-        if alpha.shape != (self.k,):
-            raise ValueError("alpha_vec must have length k")
-        lam = symmetric_matrix(self.lambda_mat, "lambda_mat")
-        object.__setattr__(self, "lambda_mat", lam)
+        object.__setattr__(self, "lambda_mat", symmetric_matrix(self.lambda_mat, "lambda_mat"))
         object.__setattr__(self, "alpha_vec", alpha)
+
+    @property
+    def k(self) -> int:
+        return self.alpha_vec.size
 
 
 DiscriminantIndex = Union[MaxIndex, MinIndex, IntegralIndex, LinearIndex, QuadraticIndex]
@@ -278,7 +278,6 @@ def fit_quadratic(
     L = inv(S_D + ridge I) - inv(S_H + ridge I) and
     a = inv(S_D + ridge I) mu_D - inv(S_H + ridge I) mu_H.
     """
-    basis = ctx.basis
     if not 0.0 <= ridge < np.inf:  # NaN fails too
         raise ValueError("ridge must be finite and nonnegative")
     k, means, covariances = ctx.moments(var_fraction)
@@ -290,5 +289,5 @@ def fit_quadratic(
     inv_d, inv_h = (spd_inverse(sigma + ridge * np.eye(k), SingularCovarianceError(group))
                     for sigma, group in zip(covariances, groups))
     lambda_mat = inv_d - inv_h
-    return QuadraticIndex(basis=basis, k=k, lambda_mat=(lambda_mat + lambda_mat.T) / 2.0,
+    return QuadraticIndex(basis=ctx.basis, lambda_mat=(lambda_mat + lambda_mat.T) / 2.0,
                           alpha_vec=inv_d @ means[0] - inv_h @ means[1])

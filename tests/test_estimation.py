@@ -302,19 +302,25 @@ class TestCheckMeanGap:
                 check_mean_gap(0.0, norms, "caller")
 
 
+def copied_basis(grid, eigenvalues, functions, total_variance):
+    """An EigenSystem over a given eigenfunction matrix; the map-back copies its columns."""
+    return EigenSystem(grid, eigenvalues, total_variance, lambda k: functions[:, :k].copy())
+
+
 class TestEigenSystem:
     @staticmethod
     def parts(m=4, count=2):
-        grid = make_uniform_grid(m)
-        return dict(grid=grid, eigenvalues=np.array([1.0, 0.5]),
-                    eigenfunctions=np.eye(m)[:, :count], total_variance=2.0)
+        return dict(grid=make_uniform_grid(m), eigenvalues=np.array([1.0, 0.5]),
+                    functions=np.eye(m)[:, :count], total_variance=2.0)
 
     def test_finite_parts_are_accepted(self):
-        system = EigenSystem(**self.parts())
+        system = copied_basis(**self.parts())
         assert system.count == 2
+        assert np.array_equal(system.eigenfunctions, np.eye(4)[:, :2])
+        assert copied_basis(**{**self.parts(), "eigenvalues": [1.0, 0.5]}).count == 2
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("name", ["eigenvalues", "eigenfunctions", "total_variance"])
+    @pytest.mark.parametrize("name", ["eigenvalues", "total_variance"])
     def test_non_finite_parts_are_rejected(self, name, bad):
         parts = self.parts()
         if name == "total_variance":
@@ -323,28 +329,53 @@ class TestEigenSystem:
             parts[name] = parts[name].copy()
             parts[name][-1, ...] = bad
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
-            EigenSystem(**parts)
+            copied_basis(**parts)
 
-    @pytest.mark.parametrize("change, message", [
-        (dict(eigenvalues=np.array([[1.0, 0.5]])), "eigenvalues must be one-dimensional"),
-        (dict(eigenfunctions=np.eye(7)[:, :3]), "eigenfunctions must have one row per grid point"),
-        (dict(eigenfunctions=np.ones(4)), "eigenfunctions must have one row per grid point"),
-        (dict(eigenfunctions=np.eye(4)[:, :3]),
-         "eigenfunctions must have at most one column per eigenvalue"),
-    ])
-    def test_misshapen_parts_are_rejected(self, change, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            EigenSystem(**{**self.parts(), **change})
+    def test_eigenvalues_must_be_a_vector(self):
+        with pytest.raises(ValueError, match="^eigenvalues must be one-dimensional$"):
+            copied_basis(**{**self.parts(), "eigenvalues": np.array([[1.0, 0.5]])})
 
-    def test_fewer_eigenfunctions_than_eigenvalues_are_accepted(self):
-        system = EigenSystem(**{**self.parts(), "eigenfunctions": np.eye(4)[:, :1]})
-        assert system.count == 2
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_eigenfunction_is_rejected_on_the_read_that_maps_it(self, bad):
+        parts = self.parts()
+        parts["functions"][-1, 1] = bad
+        system = copied_basis(**parts)
         assert np.array_equal(system.leading(1), np.eye(4)[:, :1])
+        for _ in range(2):  # a failed read keeps nothing
+            with pytest.raises(ValueError, match="^eigenfunctions must be finite$"):
+                system.leading(2)
+        with pytest.raises(ValueError, match="^eigenfunctions must be finite$"):
+            system.eigenfunctions
+
+    @pytest.mark.parametrize("map_back", [
+        lambda k: np.eye(4)[:, :k + 1],
+        lambda k: np.eye(5)[:, :k],
+        lambda k: np.ones(4),
+    ], ids=["extra-column", "extra-row", "vector"])
+    def test_a_misshapen_map_back_is_rejected(self, map_back):
+        system = EigenSystem(make_uniform_grid(4), np.array([1.0, 0.5]), 2.0, map_back)
+        with pytest.raises(ValueError, match="^eigenfunctions must be an m x k matrix$"):
+            system.leading(1)
+
+    def test_mapped_columns_are_sign_fixed_and_the_widest_set_is_kept(self):
+        functions = -np.eye(4)[:, :2]
+        widths = []
+
+        def map_back(k):
+            widths.append(k)
+            return functions[:, :k].copy()
+
+        system = EigenSystem(make_uniform_grid(4), np.array([1.0, 0.5]), 2.0, map_back)
+        assert np.array_equal(system.leading(1), np.eye(4)[:, :1])
+        assert np.array_equal(system.leading(2), np.eye(4)[:, :2])
+        assert np.array_equal(system.leading(1), np.eye(4)[:, :1])
+        assert np.array_equal(system.eigenfunctions, np.eye(4)[:, :2])
+        assert widths == [1, 2]
 
     @pytest.mark.parametrize("k", [0, 3])
     def test_leading_rejects_a_count_outside_the_basis(self, k):
         with pytest.raises(ValueError, match="^k must lie between 1 and the basis count$"):
-            EigenSystem(**self.parts()).leading(k)
+            copied_basis(**self.parts()).leading(k)
 
 
 class TestChooseDimension:
@@ -352,12 +383,7 @@ class TestChooseDimension:
         eigenvalues = np.asarray(eigenvalues, dtype=float)
         grid = make_uniform_grid(max(len(eigenvalues), 2))
         functions = np.eye(len(grid))[:, : len(eigenvalues)]
-        return EigenSystem(
-            grid=grid,
-            eigenvalues=eigenvalues,
-            eigenfunctions=functions,
-            total_variance=float(eigenvalues.sum()),
-        )
+        return copied_basis(grid, eigenvalues, functions, float(eigenvalues.sum()))
 
     def test_dominant_first_eigenvalue(self):
         assert choose_dimension(self.make_system([1.0, 0.0, 0.0]), 0.95) == 1
@@ -381,13 +407,7 @@ class TestChooseDimension:
                 choose_dimension(system, fraction)
 
     def test_truncated_system_cannot_attain_fraction(self):
-        grid = make_uniform_grid(4)
-        system = EigenSystem(
-            grid=grid,
-            eigenvalues=np.array([0.5]),
-            eigenfunctions=np.eye(4)[:, :1],
-            total_variance=1.0,
-        )
+        system = copied_basis(make_uniform_grid(4), np.array([0.5]), np.eye(4)[:, :1], 1.0)
         with pytest.raises(ValueError):
             choose_dimension(system, 0.95)
 

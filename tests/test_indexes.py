@@ -92,7 +92,7 @@ class TestApplyIndex:
         s = sample_gaussian(ProcessSpec("brownian"), make_uniform_grid(40), 30, rng)
         basis = eigendecompose(sample_covariance(s), 3)
         alpha = np.array([1.0, -2.0, 0.5])
-        idx = QuadraticIndex(basis=basis, k=3, lambda_mat=np.zeros((3, 3)), alpha_vec=alpha)
+        idx = QuadraticIndex(basis=basis, lambda_mat=np.zeros((3, 3)), alpha_vec=alpha)
         scores = project_scores(s, basis, 3)
         assert np.allclose(index_scores(idx, s), 2.0 * scores @ alpha)
 
@@ -102,7 +102,7 @@ class TestApplyIndex:
         basis = eigendecompose(sample_covariance(s), 2)
         lambda_mat = np.array([[1.0, 0.0], [0.0, np.nan]])
         with pytest.raises(ValueError, match="^lambda_mat must be finite$"):
-            QuadraticIndex(basis=basis, k=2, lambda_mat=lambda_mat, alpha_vec=np.zeros(2))
+            QuadraticIndex(basis=basis, lambda_mat=lambda_mat, alpha_vec=np.zeros(2))
 
     @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
     def test_asymmetric_lambda_mat_is_rejected_at_any_scale(self, scale):
@@ -111,7 +111,7 @@ class TestApplyIndex:
         basis = eigendecompose(sample_covariance(s), 2)
         lambda_mat = scale * np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(ValueError, match="^lambda_mat must be symmetric$"):
-            QuadraticIndex(basis=basis, k=2, lambda_mat=lambda_mat, alpha_vec=np.zeros(2))
+            QuadraticIndex(basis=basis, lambda_mat=lambda_mat, alpha_vec=np.zeros(2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_alpha_vec_is_rejected(self, bad):
@@ -119,7 +119,29 @@ class TestApplyIndex:
                             np.random.default_rng(2))
         basis = eigendecompose(sample_covariance(s), 2)
         with pytest.raises(ValueError, match="^alpha_vec must be finite$"):
-            QuadraticIndex(basis=basis, k=2, lambda_mat=np.eye(2), alpha_vec=[0.0, bad])
+            QuadraticIndex(basis=basis, lambda_mat=np.eye(2), alpha_vec=[0.0, bad])
+
+    @pytest.mark.parametrize("alpha", [[], np.zeros(3), np.zeros((1, 2)), 1.0],
+                             ids=["empty", "longer-than-basis", "matrix", "scalar"])
+    def test_alpha_vec_must_be_a_vector_no_longer_than_the_basis(self, alpha):
+        s = sample_gaussian(ProcessSpec("brownian"), make_uniform_grid(20), 10,
+                            np.random.default_rng(2))
+        basis = eigendecompose(sample_covariance(s), 2)
+        k = max(np.size(alpha), 1)
+        with pytest.raises(ValueError,
+                           match="^alpha_vec must be a vector of 1 to basis count entries$"):
+            QuadraticIndex(basis=basis, lambda_mat=np.eye(k), alpha_vec=alpha)
+
+    @pytest.mark.parametrize("lambda_mat", [np.eye(1), np.eye(3), np.ones(2), np.ones((2, 3))],
+                             ids=["1x1", "3x3", "vector", "2x3"])
+    def test_lambda_mat_must_be_k_by_k(self, lambda_mat):
+        s = sample_gaussian(ProcessSpec("brownian"), make_uniform_grid(20), 10,
+                            np.random.default_rng(2))
+        basis = eigendecompose(sample_covariance(s), 3)
+        idx = QuadraticIndex(basis=basis, lambda_mat=np.eye(2), alpha_vec=np.zeros(2))
+        assert idx.k == 2
+        with pytest.raises(ValueError, match="^lambda_mat must be k x k$"):
+            QuadraticIndex(basis=basis, lambda_mat=lambda_mat, alpha_vec=np.zeros(2))
 
 
 class TestFitContext:
@@ -707,6 +729,19 @@ class TestFitQuadratic:
         d, h = generate_scenario(spec)
         with pytest.raises(ValueError, match="ridge must be finite and nonnegative"):
             fit_quadratic(FitContext(d, h), ridge=ridge)
+
+    @pytest.mark.parametrize("ridge", [np.nan, -1.0])
+    def test_a_bad_ridge_is_rejected_before_the_basis_is_read(self, ridge, monkeypatch):
+        spec = ScenarioSpec(name="P1", n_d=30, n_h=30, seed=3, rho=1.0, grid_size=20)
+        d, h = generate_scenario(spec)
+        one = FunctionalSample(d.grid, d.values[:1])
+        with pytest.raises(ValueError, match="^ridge must be finite and nonnegative$"):
+            fit_quadratic(FitContext(one, h), ridge=ridge)
+        solves = []
+        monkeypatch.setattr(indexes, "pooled_eigensystem", lambda *args: solves.append(args))
+        with pytest.raises(ValueError, match="^ridge must be finite and nonnegative$"):
+            fit_quadratic(FitContext(d, h), ridge=ridge)
+        assert solves == []
 
 
 class TestQuadraticPopulation:
