@@ -6,6 +6,9 @@ Each pair runs ``bench/run.py --trace 0`` once in each checkout, with the
 checkout's own benchmark code and one fresh seed shared by both sides;
 even pairs run the parent first, odd pairs the change.  The seeds are drawn
 at random and printed, so no seed used while writing a change can favour it.
+Before the first pair, each checkout runs once on a seed of its own, untimed
+and uncounted, so that the first timed run does not start cold; a cold first
+run has read about a fifth below the rest and decided its pair.
 
 For every end-to-end metric of the parent's ``BENCHMARK.json`` the script
 prints each side's median and quartiles and the number of pairs each side
@@ -14,7 +17,8 @@ nine tenths of the pairs and its median is better than the parent's by more
 than the parent's interquartile range.  Run lengths are the same on both
 sides.  Checkout paths of different lengths draw a warning: the child's
 peak RSS moves with the length of its path (about 1 MB on mc-widegrid).
-The exit status is 1 when a run fails or reports a failed check or fit.
+The exit status is 1 when a run, the warm-up runs included, fails or
+reports a failed check or fit.
 """
 
 from __future__ import annotations
@@ -66,11 +70,17 @@ def main() -> int:
     spec = json.loads((sides["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = spec["end_to_end"]
 
-    seeds = [random.SystemRandom().randrange(1, 2**31) for _ in range(args.pairs)]
+    warm_up_seed, *seeds = random.SystemRandom().sample(range(1, 2**31), args.pairs + 1)
     print(f"workload {args.workload}, {args.pairs} pairs of {args.seconds:g} s runs, "
           f"seeds {' '.join(map(str, seeds))}", flush=True)
     values = {side: {m["name"]: [] for m in metrics} for side in sides}
     healthy = True
+    for side in sides:
+        result = run_once(sides[side], args.workload, warm_up_seed, args.seconds)
+        ok = result["correct"] is True and result["failed"] == 0
+        healthy &= ok
+        print(f"warm-up run in the {side} checkout (seed {warm_up_seed}): "
+              f"{'ok' if ok else 'failed'}, not counted", flush=True)
     for pair, seed in enumerate(seeds):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:

@@ -55,7 +55,6 @@ from .harness import (
 from .indexes import (
     DiscriminantIndex,
     FitContext,
-    IntegralIndex,
     LinearIndex,
     MaxIndex,
     MinIndex,

@@ -20,6 +20,7 @@ from .errors import (
     GridMismatchError,
     InsufficientSampleError,
     InvalidKernelError,
+    NumericalDegeneracyError,
 )
 from .grids import Curve, FunctionalSample, Grid, frozen_finite
 
@@ -163,8 +164,12 @@ class EigenSystem:
 
 
 def sample_mean(s: FunctionalSample) -> Curve:
-    """Pointwise mean curve of a sample."""
-    return Curve(s.grid, s.values.mean(axis=0))
+    """Pointwise mean curve of a sample; a mean that overflows raises NumericalDegeneracyError."""
+    with np.errstate(over="ignore"):
+        mean = s.values.mean(axis=0)
+    if not np.isfinite(mean).all():
+        raise NumericalDegeneracyError("a group mean curve overflowed; rescale the curves")
+    return Curve(s.grid, mean)
 
 
 def sample_covariance(s: FunctionalSample) -> CovarianceKernel:

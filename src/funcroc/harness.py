@@ -29,11 +29,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import CurveParseError, FuncrocError
-from .grids import FunctionalSample, Grid, store_plain
+from .grids import Curve, FunctionalSample, Grid, store_plain
 from .indexes import (
     DiscriminantIndex,
     FitContext,
-    IntegralIndex,
+    LinearIndex,
     MaxIndex,
     MinIndex,
     fit_mean_difference,
@@ -62,7 +62,7 @@ __all__ = [
 FITTERS: dict[str, Callable[[FitContext, RunConfig], DiscriminantIndex]] = {
     "max": lambda ctx, config: MaxIndex(),
     "min": lambda ctx, config: MinIndex(),
-    "integral": lambda ctx, config: IntegralIndex(),
+    "integral": lambda ctx, config: LinearIndex(Curve(ctx.grid, np.ones(len(ctx.grid)))),
     "meandiff": lambda ctx, config: fit_mean_difference(ctx),
     "linear": lambda ctx, config: fit_optimal_linear(
         ctx, var_fraction=config.var_fraction, penalty_lambda=config.penalty_lambda

@@ -1,14 +1,14 @@
 """Discriminant indexes: scalar rules that score curves.
 
-Six rules are provided.  Three are parameter free (maximum, minimum and
-integral of the trajectory).  The mean-difference rule projects onto the
-normalized difference of the group mean curves.  The optimal linear rule
-maximizes the ratio of the projected mean separation to the projected
-standard deviation over a finite-dimensional eigenfunction span, optionally
-with a roughness penalty.  The quadratic rule applies a Gaussian
-discriminant in the coordinates of the leading eigenfunctions of the
-pooled covariance operator, which remains informative when the two groups
-differ in covariance rather than in mean.
+Six rules are provided.  Three are parameter free: the maximum, the minimum
+and the integral of the trajectory, which is its projection onto the constant
+curve 1.  The mean-difference rule projects onto the normalized difference of
+the group mean curves.  The optimal linear rule maximizes the ratio of the
+projected mean separation to the projected standard deviation over a
+finite-dimensional eigenfunction span, optionally with a roughness penalty.
+The quadratic rule applies a Gaussian discriminant in the coordinates of the
+leading eigenfunctions of the pooled covariance operator, which remains
+informative when the two groups differ in covariance rather than in mean.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .grids import Curve, FunctionalSample, frozen_finite, norm
 __all__ = [
     "MaxIndex",
     "MinIndex",
-    "IntegralIndex",
     "LinearIndex",
     "QuadraticIndex",
     "DiscriminantIndex",
@@ -62,11 +61,6 @@ class MaxIndex:
 @dataclass(frozen=True)
 class MinIndex:
     """Smallest value of the trajectory."""
-
-
-@dataclass(frozen=True)
-class IntegralIndex:
-    """Quadrature integral of the trajectory."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,7 +100,7 @@ class QuadraticIndex:
         return self.alpha_vec.size
 
 
-DiscriminantIndex = Union[MaxIndex, MinIndex, IntegralIndex, LinearIndex, QuadraticIndex]
+DiscriminantIndex = Union[MaxIndex, MinIndex, LinearIndex, QuadraticIndex]
 
 
 def index_scores(idx: DiscriminantIndex, s: FunctionalSample) -> np.ndarray:
@@ -115,8 +109,6 @@ def index_scores(idx: DiscriminantIndex, s: FunctionalSample) -> np.ndarray:
         return s.values.max(axis=1)
     if isinstance(idx, MinIndex):
         return s.values.min(axis=1)
-    if isinstance(idx, IntegralIndex):
-        return s.values @ s.grid.weights
     if isinstance(idx, LinearIndex):
         if not s.grid.compatible_with(idx.beta.grid):
             raise GridMismatchError("sample and index live on different grids")
@@ -162,11 +154,6 @@ class FitContext:
         return self._curves()[0]
 
     @property
-    def mean_diff(self) -> Curve:
-        """Diseased minus healthy mean curve."""
-        return Curve(self.grid, self.means[0].values - self.means[1].values)
-
-    @property
     def basis(self) -> EigenSystem:
         """The pooled covariance operator's eigenpairs; see ``pooled_eigensystem``."""
         if self._basis is None:
@@ -196,12 +183,25 @@ class FitContext:
 _COINCIDING_MEANS = "group mean curves coincide; no discriminating direction exists"
 
 
+def _unit_index(ctx: FitContext, beta: np.ndarray, gap: np.ndarray, what: str) -> LinearIndex:
+    """The index along ``beta`` at unit quadrature norm, turned to meet the mean ``gap``
+    at a nonnegative inner product; a zero or overflowing norm raises DegenerateDirectionError."""
+    # the quadrature norm of ``grids.norm``, also for the non-finite values a Curve rejects
+    with np.errstate(over="ignore"):
+        length = float(np.sqrt(np.dot(beta * beta, ctx.grid.weights)))
+    if not 0.0 < length < np.inf:  # NaN fails too
+        raise DegenerateDirectionError(f"{what} direction collapsed to zero or overflowed")
+    beta = beta / length
+    if float(np.dot(ctx.grid.weights * beta, gap)) < 0.0:
+        beta = -beta
+    return LinearIndex(Curve(ctx.grid, beta))
+
+
 def fit_mean_difference(ctx: FitContext) -> LinearIndex:
     """Linear index along the normalized difference of the group means."""
-    diff = ctx.mean_diff
-    length = norm(diff)
-    check_mean_gap(length, map(norm, ctx.means), _COINCIDING_MEANS)
-    return LinearIndex(Curve(ctx.grid, diff.values / length))
+    diff = ctx.means[0].values - ctx.means[1].values
+    check_mean_gap(norm(Curve(ctx.grid, diff)), map(norm, ctx.means), _COINCIDING_MEANS)
+    return _unit_index(ctx, diff, diff, "mean-difference")
 
 
 def second_difference_penalty(basis: EigenSystem, k: int) -> np.ndarray:
@@ -239,7 +239,6 @@ def fit_optimal_linear(
     """
     if not 0.0 <= penalty_lambda < np.inf:  # NaN fails too
         raise ValueError("penalty weight must be finite and nonnegative")
-    diff = ctx.mean_diff
     k, (mu_d, mu_h), (s_d, s_h) = ctx.moments(var_fraction)
     delta = mu_d - mu_h
     check_mean_gap(float(np.linalg.norm(delta)), map(norm, ctx.means), _COINCIDING_MEANS)
@@ -253,17 +252,8 @@ def fit_optimal_linear(
         "projected covariance system is singular; increase the "
         "penalty weight or lower the variance fraction"))
 
-    beta_values = ctx.basis.leading(k) @ coefficients
-    # the quadrature norm of ``grids.norm``, also for the non-finite values a Curve rejects;
-    # an overflow to inf is raised as DegenerateDirectionError below
-    with np.errstate(over="ignore"):
-        length = float(np.sqrt(np.dot(beta_values * beta_values, ctx.grid.weights)))
-    if not 0.0 < length < np.inf:  # NaN fails too
-        raise DegenerateDirectionError("optimal direction collapsed to zero or overflowed")
-    beta_values = beta_values / length
-    if float(np.dot(ctx.grid.weights * beta_values, diff.values)) < 0.0:
-        beta_values = -beta_values
-    return LinearIndex(Curve(ctx.grid, beta_values))
+    diff = ctx.means[0].values - ctx.means[1].values
+    return _unit_index(ctx, ctx.basis.leading(k) @ coefficients, diff, "optimal")
 
 
 def fit_quadratic(

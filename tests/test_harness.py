@@ -30,6 +30,7 @@ from funcroc import (
     emit_report,
     evaluate,
     generate_scenario,
+    index_scores,
     ingest_curves,
     make_uniform_grid,
     roc_curve,
@@ -169,6 +170,15 @@ class TestRunReplication:
         config = RunConfig(scenario=spec, indexes=("integral",))
         result = run_replication(config, 0)
         assert 0.90 <= result.auc["integral"] <= 0.97
+
+    def test_fitted_integral_is_the_weighted_sum_on_its_own_grid(self):
+        d, h = generate_scenario(small_scenario(n_d=12, n_h=15))
+        index = FITTERS["integral"](FitContext(d, h), RunConfig(scenario="file.csv"))
+        for s in (d, h):
+            assert np.array_equal(index_scores(index, s), s.values @ s.grid.weights)
+        other = FunctionalSample(make_uniform_grid(len(d.grid) + 1), np.ones((2, len(d.grid) + 1)))
+        with pytest.raises(GridMismatchError, match="different grids"):
+            index_scores(index, other)
 
     def test_failed_fit_is_isolated_per_index(self):
         # tiny diseased group: the quadratic fit cannot run, others can
@@ -610,6 +620,23 @@ class TestAnalyze:
             report = analyze(*scaled, RunConfig(scenario="file.csv"))
         assert report.per_index["linear"]["error"].startswith("DegenerateDirectionError: ")
         assert report.per_index["quad"]["error"].startswith("SingularCovarianceError: ")
+
+    def test_overflowing_group_means_end_in_typed_fit_failures(self):
+        # the group means overflow; the fits that read them fail typed and silently,
+        # and the parameter-free indexes keep the unscaled AUCs
+        d, h = generate_scenario(
+            ScenarioSpec(name="P1", n_d=30, n_h=30, seed=3, rho=1.0, grid_size=20).substream(0)
+        )
+        config = RunConfig(scenario="file.csv")
+        unscaled = analyze(d, h, config).per_index
+        scaled = [FunctionalSample(s.grid, s.values * 1e307) for s in (d, h)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = analyze(*scaled, config).per_index
+        for name in ("max", "min", "integral"):
+            assert report[name]["mean_auc"] == unscaled[name]["mean_auc"], name
+        for name in ("meandiff", "linear", "quad"):
+            assert report[name]["error"].startswith("NumericalDegeneracyError: "), name
 
 
 class TestIngestCurves:

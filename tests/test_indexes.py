@@ -12,7 +12,6 @@ from funcroc import (
     FunctionalSample,
     GridMismatchError,
     InsufficientSampleError,
-    IntegralIndex,
     LinearIndex,
     MaxIndex,
     MinIndex,
@@ -78,7 +77,8 @@ class TestApplyIndex:
     def test_integral_is_weighted_sum(self):
         grid = make_uniform_grid(100)
         x = Curve(grid, np.ones(100))
-        assert score_curve(IntegralIndex(), x) == pytest.approx(grid.points[-1] - grid.points[0])
+        integral = LinearIndex(Curve(grid, np.ones(len(grid))))
+        assert score_curve(integral, x) == pytest.approx(grid.points[-1] - grid.points[0])
 
     def test_self_projection_returns_norm(self):
         rng = np.random.default_rng(0)
@@ -172,7 +172,8 @@ class TestFitContext:
         quad = fit_quadratic(ctx)
         linear = fit_optimal_linear(ctx, penalty_lambda=0.5)
         assert quad.basis is ctx.basis
-        assert inner_product(linear.beta, ctx.mean_diff) > 0.0
+        gap = Curve(ctx.grid, ctx.means[0].values - ctx.means[1].values)
+        assert inner_product(linear.beta, gap) > 0.0
 
     def test_contexts_on_two_threads_solve_their_bases_at_once(self, monkeypatch):
         # each eigensolve waits until the other thread is inside its own, so
@@ -472,6 +473,28 @@ class TestRoundingNoiseSpectrum:
         assert [auc(score_sample(fit(FitContext(*scaled)), *scaled)) for fit in fits] == expected
 
 
+class TestUnitIndex:
+    """The routine that both fitted directions end in."""
+
+    def make_context(self):
+        spec = ScenarioSpec(name="P1", n_d=20, n_h=20, seed=4, rho=1.0, grid_size=30)
+        ctx = FitContext(*generate_scenario(spec))
+        return ctx, ctx.means[0].values - ctx.means[1].values
+
+    def test_a_direction_against_the_mean_gap_is_turned(self):
+        ctx, diff = self.make_context()
+        along, against = (indexes._unit_index(ctx, beta, diff, "test") for beta in (diff, -diff))
+        assert np.array_equal(against.beta.values, along.beta.values)
+        assert norm(along.beta) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("value", [0.0, 1e300, np.inf, np.nan])
+    def test_a_zero_or_overflowing_direction_is_rejected(self, value):
+        ctx, diff = self.make_context()
+        with pytest.raises(DegenerateDirectionError,
+                           match="^test direction collapsed to zero or overflowed$"):
+            indexes._unit_index(ctx, np.full(len(ctx.grid), value), diff, "test")
+
+
 class TestFitMeanDifference:
     def test_direction_is_normalized_mean_gap(self):
         grid = make_uniform_grid(50)
@@ -482,6 +505,12 @@ class TestFitMeanDifference:
         expected = shape / np.sqrt(np.sum(grid.weights * shape**2))
         assert np.allclose(idx.beta.values, expected, atol=1e-12)
         assert norm(idx.beta) == pytest.approx(1.0, abs=1e-8)
+
+    def test_direction_is_the_mean_gap_over_its_norm_bit_for_bit(self):
+        ctx = FitContext(*generate_scenario(ScenarioSpec(name="C20", n_d=30, n_h=40, seed=9)))
+        diff = Curve(ctx.grid, ctx.means[0].values - ctx.means[1].values)
+        idx = fit_mean_difference(ctx)
+        assert np.array_equal(idx.beta.values, diff.values / norm(diff))
 
     def test_swapping_groups_negates_the_direction(self):
         spec = ScenarioSpec(name="P1", n_d=40, n_h=40, seed=5, rho=1.0)

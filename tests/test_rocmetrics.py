@@ -6,7 +6,6 @@ from scipy.special import ndtr, ndtri
 from funcroc import (
     Curve,
     FunctionalSample,
-    IntegralIndex,
     LinearIndex,
     MaxIndex,
     ScoreSample,
@@ -319,7 +318,7 @@ class TestScoreSample:
 
     def test_integral_of_constant_curves(self):
         grid, _, h = self.make_samples()
-        s = score_sample(IntegralIndex(), h, h)
+        s = score_sample(LinearIndex(Curve(grid, np.ones(len(grid)))), h, h)
         assert np.allclose(s.healthy, grid.points[-1] - grid.points[0])
 
     def test_orthogonal_direction_gives_zero_scores(self):
