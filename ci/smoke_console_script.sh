@@ -50,10 +50,14 @@ code=0
 funcroc roc --input "$same" --index meandiff --out "$work/same_roc.csv" || code=$?
 test "$code" -eq 3
 
-# the installed analyze loads no scipy module: numpy serves the whole runtime path
+# the installed analyze and binormal oracles load no scipy module: numpy and the
+# standard library serve the whole runtime path
 python -c 'import sys
+from funcroc import GaussianPair, auc_of_direction, binormal_roc
 from funcroc.cli import main
 code = main(["analyze", "--input", sys.argv[1]])
+pair = GaussianPair([1.0], [0.0], [[1.0]], [[1.0]])
+print("binormal AUC", auc_of_direction(pair, [1.0]), "ROC", binormal_roc(pair, [1.0], [0.1, 0.5]))
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 print("scipy modules loaded:", loaded)
 sys.exit(code or bool(loaded))' "$curves"

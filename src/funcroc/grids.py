@@ -157,5 +157,5 @@ def inner_product(f: Curve, g: Curve) -> float:
 
 
 def norm(f: Curve) -> float:
-    """Quadrature norm sqrt(<f, f>); zero exactly when f vanishes on the grid."""
+    """Quadrature norm sqrt(<f, f>); zero when f vanishes on the grid or its squares underflow."""
     return float(np.sqrt(max(inner_product(f, f), 0.0)))

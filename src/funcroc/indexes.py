@@ -74,7 +74,7 @@ class LinearIndex:
     beta: Curve
 
     def __post_init__(self):
-        if norm(self.beta) == 0.0:
+        if not np.any(self.beta.values != 0.0):
             raise ValueError("beta must be nonzero")
 
 
@@ -199,8 +199,10 @@ def _unit_index(ctx: FitContext, beta: np.ndarray, gap: np.ndarray, what: str) -
 
 def fit_mean_difference(ctx: FitContext) -> LinearIndex:
     """Linear index along the normalized difference of the group means."""
-    diff = ctx.means[0].values - ctx.means[1].values
-    check_mean_gap(norm(Curve(ctx.grid, diff)), map(norm, ctx.means), _COINCIDING_MEANS)
+    with np.errstate(over="ignore"):  # an overflowing gap is left for _unit_index to reject
+        diff = ctx.means[0].values - ctx.means[1].values
+    if np.isfinite(diff).all():
+        check_mean_gap(norm(Curve(ctx.grid, diff)), map(norm, ctx.means), _COINCIDING_MEANS)
     return _unit_index(ctx, diff, diff, "mean-difference")
 
 

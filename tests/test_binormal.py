@@ -181,6 +181,13 @@ class TestBinormalRoc:
         area = trapezoid(binormal_roc(g, beta, p), p)
         assert area == pytest.approx(auc_of_direction(g, beta), abs=1e-4)
 
+    @pytest.mark.parametrize("p", [1e-20, 2.0**-54, 1e-12])
+    def test_small_probabilities_keep_full_precision(self, p):
+        # ROC(p) = Phi(Phi^-1(p) / 100); 1 - p rounds to 1 below 2^-54 and loses digits above
+        g = GaussianPair(np.zeros(1), np.zeros(1), [[1e4]], [[1.0]])
+        expected = float(ndtr(ndtri(p) / 100.0))
+        assert binormal_roc(g, [1.0], p) == pytest.approx(expected, rel=1e-14)
+
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.3])
     def test_rejects_boundary_probabilities(self, p):
         g = random_pair(np.random.default_rng(8))

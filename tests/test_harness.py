@@ -638,6 +638,19 @@ class TestAnalyze:
         for name in ("meandiff", "linear", "quad"):
             assert report[name]["error"].startswith("NumericalDegeneracyError: "), name
 
+    def test_an_overflowing_mean_gap_fails_meandiff_typed(self):
+        # both group means are finite but their difference overflows
+        grid = make_uniform_grid(20)
+        d = FunctionalSample(grid, [1.5e308 * (0.5 + 0.5 * grid.points)])
+        h = FunctionalSample(grid, [-1.5e308 * (0.5 + 0.4 * grid.points)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = analyze(d, h, RunConfig(scenario="file.csv")).per_index
+        # every diseased value lies above every healthy one
+        for name in ("max", "min", "integral"):
+            assert report[name]["mean_auc"] == 1.0, name
+        assert report["meandiff"]["error"].startswith("DegenerateDirectionError: ")
+
 
 class TestIngestCurves:
     def test_toy_file_groups_and_grid(self, tmp_path):

@@ -87,6 +87,16 @@ class TestApplyIndex:
         beta = Curve(grid, x.values / norm(x))
         assert score_curve(LinearIndex(beta), x) == pytest.approx(norm(x))
 
+    def test_a_direction_is_nonzero_by_its_values_not_its_norm(self):
+        grid = make_uniform_grid(20)
+        # the squares of 1e-200 underflow, so the quadrature norm is 0
+        tiny = LinearIndex(Curve(grid, np.full(20, 1e-200)))
+        assert norm(tiny.beta) == 0.0
+        score = score_curve(tiny, Curve(grid, np.ones(20)))
+        assert score == pytest.approx(1e-200 * grid.weights.sum())
+        with pytest.raises(ValueError, match="^beta must be nonzero$"):
+            LinearIndex(Curve(grid, np.zeros(20)))
+
     def test_zero_quadratic_part_is_pure_linear(self):
         rng = np.random.default_rng(1)
         s = sample_gaussian(ProcessSpec("brownian"), make_uniform_grid(40), 30, rng)

@@ -1,5 +1,6 @@
-"""Studies, analyses, the CLI and the test suite's direction oracles run on numpy alone;
-scipy serves only ``auc_of_direction`` and ``binormal_roc``."""
+"""funcroc runs on numpy alone: studies, analyses, the CLI, the binormal oracles and the
+test suite's direction oracles all run with every scipy import blocked.  scipy is a test
+dependency only, an independent reference for the other test modules."""
 
 import json
 import os
@@ -19,6 +20,8 @@ SCRIPT = textwrap.dedent("""
     import math
     import sys
 
+    sys.modules["scipy"] = None  # from here on, any scipy import raises ImportError
+
     import numpy as np
 
     import funcroc
@@ -26,7 +29,8 @@ SCRIPT = textwrap.dedent("""
     from funcroc import INDEX_NAMES, RunConfig, ScenarioSpec, generate_scenario, run_study
 
     def scipy_modules():
-        return sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+        return sorted(name for name, module in sys.modules.items()
+                      if module is not None and (name == "scipy" or name.startswith("scipy.")))
 
     out = {"after_import": scipy_modules(), "n_ok": {}, "exit_codes": []}
     # N >= m (the m x m pooled kernel) and N < m (the N x N Gram form)
@@ -49,16 +53,23 @@ SCRIPT = textwrap.dedent("""
         out["exit_codes"].append(funcroc.cli.main(argv))
     out["after_runs"] = scipy_modules()
 
-    from funcroc import GaussianPair, auc_of_direction
+    from funcroc import GaussianPair, auc_of_direction, binormal_roc
     from reference import optimal_auc_direction, youden_direction
 
     pair = GaussianPair(np.ones(2), np.zeros(2), np.eye(2), np.eye(2))
     # both direction oracles solve on numpy's Cholesky, as the linear fit does
     out["directions"] = [optimal_auc_direction(pair).tolist(), youden_direction(pair).tolist()]
-    out["after_directions"] = scipy_modules()
-    out["oracle_auc"] = auc_of_direction(pair, [1.0, 0.0])
-    # separation 1 over spread sqrt(2): Phi(1/sqrt(2)) = (1 + erf(1/2)) / 2
-    out["expected_auc"] = 0.5 * (1.0 + math.erf(0.5))
+
+    def phi(x):
+        return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+    # separation 1 over spread sqrt(2): AUC = Phi(1/sqrt(2)); unit deviations in both
+    # groups: ROC(p) = Phi(1 + Phi^-1(p)), so p = Phi(z) maps to Phi(1 + z)
+    out["oracle_auc"] = [auc_of_direction(pair, [1.0, 0.0]), phi(0.5**0.5)]
+    out["oracle_roc_scalar"] = [binormal_roc(pair, [1.0, 0.0], 0.5), phi(1.0)]
+    out["oracle_roc_array"] = [binormal_roc(pair, [1.0, 0.0], [phi(-1.0), 0.5, phi(1.0)]).tolist(),
+                               [phi(0.0), phi(1.0), phi(2.0)]]
+    out["after_oracles"] = scipy_modules()
     print(json.dumps(out))
 """)
 
@@ -73,11 +84,13 @@ def test_studies_analyses_and_cli_load_no_scipy_module(tmp_path):
     out = json.loads(done.stdout.splitlines()[-1])
     assert out["after_import"] == []
     assert out["after_runs"] == []
-    assert out["after_directions"] == []
+    assert out["after_oracles"] == []
     for direction in out["directions"]:
         assert direction == pytest.approx([0.5**0.5, 0.5**0.5], rel=1e-15)
     assert out["exit_codes"] == [0, 0]
     # every fitter ran, so each eigensolve and Cholesky route was exercised
     for scenario, n_ok in out["n_ok"].items():
         assert all(count > 0 for count in n_ok.values()), (scenario, n_ok)
-    assert out["oracle_auc"] == pytest.approx(out["expected_auc"], rel=1e-14)
+    for oracle in ("oracle_auc", "oracle_roc_scalar", "oracle_roc_array"):
+        value, expected = out[oracle]
+        assert value == pytest.approx(expected, rel=1e-14), oracle
