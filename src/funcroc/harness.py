@@ -39,9 +39,8 @@ from .indexes import (
     fit_mean_difference,
     fit_optimal_linear,
     fit_quadratic,
-    index_scores,
 )
-from .rocmetrics import default_p_grid, summarize_sorted
+from .rocmetrics import ScoreSample, default_p_grid, score_sample, summarize_sorted
 from .simulation import ScenarioSpec, generate_scenario
 
 __all__ = [
@@ -174,36 +173,29 @@ def _detached(error: FuncrocError) -> FuncrocError:
 
 
 def evaluate(d: FunctionalSample, h: FunctionalSample, config: RunConfig) -> ReplicationResult:
-    """Fit and score each index of ``config`` on one sample pair, then summarize
-    the fitted ones in one batch.
+    """Fit each index of ``config`` on one sample pair, score the pair through
+    ``score_sample`` and summarize the fitted rows in one batch.
 
-    A pair on two grids raises ``GridMismatchError``.  Otherwise a fit or
-    scoring ``FuncrocError`` drops that index's row and is stored in
-    ``errors`` (see ``_detached``); every row's summaries equal
-    ``roc_curve(score_sample(...))`` bit for bit.  Studies, ``analyze`` and the
-    ``roc`` command all evaluate through here.
+    A pair on two grids raises ``GridMismatchError``, and a non-finite score
+    ``ScoreSample``'s ``ValueError``.  A fit or scoring ``FuncrocError`` drops
+    that index's row and is stored in ``errors`` (see ``_detached``).  Each
+    row equals ``roc_curve`` of its ``ScoreSample`` bit for bit.  Studies,
+    ``analyze`` and the ``roc`` command all evaluate through here.
     """
     result = ReplicationResult()
     ctx = FitContext(d, h)
-    fitted, diseased, healthy = [], [], []
+    fitted: dict[str, ScoreSample] = {}
     for name in config.indexes:
         try:
-            index = FITTERS[name](ctx, config)
-            scores = index_scores(index, d), index_scores(index, h)
+            fitted[name] = score_sample(FITTERS[name](ctx, config), d, h)
         except FuncrocError as exc:
             result.errors[name] = _detached(exc)
-            continue
-        for group, values in zip(("diseased", "healthy"), scores):
-            if not np.isfinite(values).all():
-                raise ValueError(f"{group} scores must be finite")
-        fitted.append(name)
-        diseased.append(scores[0])
-        healthy.append(scores[1])
     if not fitted:
         return result
 
     p_grid = default_p_grid(config.p_grid_size)
-    diseased, healthy = np.sort(diseased, axis=1), np.sort(healthy, axis=1)
+    diseased = np.sort([s.diseased for s in fitted.values()], axis=1)
+    healthy = np.sort([s.healthy for s in fitted.values()], axis=1)
     rows = summarize_sorted(diseased, healthy, p_grid)
     flip = rows.auc < 0.5
     if config.flip_orientation and flip.any():

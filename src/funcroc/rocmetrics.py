@@ -3,12 +3,12 @@
 All three are plug-in estimators built from the empirical distribution and
 quantile functions of the scores, so they depend on the data only through
 ranks: any strictly increasing transformation of the scores leaves them
-unchanged.  ``summarize_sorted`` computes all three for k rows of sorted
-scores at once; studies, ``analyze`` and the ``roc`` command all summarize
-through it, in ``harness.evaluate``.  ``roc_curve``, ``auc`` and ``youden``
-are its checked one-row calls on a ``ScoreSample``; each call sorts each
-group once.  The empirical distribution and quantile functions themselves
-serve only as test references and live in the test suite.
+unchanged.  Studies, ``analyze`` and the ``roc`` command evaluate through
+``harness.evaluate``, which scores each fitted index with ``score_sample``
+(so ``ScoreSample`` alone checks the scores) and then summarizes the k rows
+at once with ``summarize_sorted``.  ``roc_curve``, ``auc`` and ``youden``
+are its checked one-row calls on a ``ScoreSample``.  The empirical
+distribution and quantile functions serve only as test references.
 """
 
 from __future__ import annotations

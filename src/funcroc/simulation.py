@@ -95,11 +95,11 @@ def kernel_matrix(spec: ProcessSpec, grid: Grid) -> CovarianceKernel:
     elif spec.kind == "exp_variogram":
         matrix = np.exp(-np.abs(np.subtract.outer(t, t)) / spec.theta)
     elif spec.kind == "ornstein_uhlenbeck":
-        # zero-start process: variance vanishes at the origin
+        # zero-start process: variance vanishes at the origin; no factor can overflow
         theta = spec.theta
-        total = np.add.outer(t, t)
+        gap = np.abs(np.subtract.outer(t, t))
         earlier = np.minimum.outer(t, t)
-        matrix = np.exp(-theta * total) * (np.exp(2.0 * theta * earlier) - 1.0) / (2.0 * theta)
+        matrix = np.exp(-theta * gap) * -np.expm1(-2.0 * theta * earlier) / (2.0 * theta)
     else:
         matrix = np.zeros((t.size, t.size))
         for ell, lam in enumerate(spec.lambdas, start=1):

@@ -70,6 +70,27 @@ def test_oracles_reject_non_finite_input(call, which):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: GaussianPair(np.ones(2), np.zeros(3), np.eye(2), np.eye(2)),
+         "mean vectors must be 1-d and of equal length"),
+        (lambda: GaussianPair(np.ones((2, 1)), np.zeros((2, 1)), np.eye(2), np.eye(2)),
+         "mean vectors must be 1-d and of equal length"),
+        (lambda: GaussianPair(np.ones(2), np.zeros(2), np.eye(3), np.eye(2)),
+         "sigma_d must be 2 x 2"),
+        (lambda: GaussianPair(np.ones(2), np.zeros(2), np.eye(2), np.ones(2)),
+         "sigma_h must be 2 x 2"),
+        (lambda: auc_of_direction(UNIT_PAIR, [1.0]), "beta must match the model dimension"),
+        (lambda: binormal_roc(UNIT_PAIR, [[1.0, 0.0]], 0.5), "beta must match the model dimension"),
+    ],
+    ids=["mean-lengths", "mean-matrix", "sigma_d", "sigma_h", "auc-beta", "roc-beta"],
+)
+def test_misshapen_input_is_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 class TestAucOfDirection:
     def test_equal_means_give_coin_flip_for_every_direction(self):
         rng = np.random.default_rng(0)

@@ -164,6 +164,13 @@ class TestAnalyzeCommand:
         assert code == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["r.json", "r.txt"])
+    def test_unwritable_report_exits_with_two(self, curve_file, tmp_path, capsys, name):
+        out = tmp_path / "missing" / name
+        code = main(["analyze", "--input", str(curve_file), "--indexes", "max", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write report to {out}: ")
+
 
 class TestRocCommand:
     def test_writes_probability_pairs(self, curve_file, tmp_path):

@@ -135,6 +135,17 @@ class TestCombineCovariances:
         with pytest.raises(GridMismatchError):
             combine_covariances(a, other, "average")
 
+    @pytest.mark.parametrize("mode, sizes, message", [
+        ("pooled", {}, "pooled mode requires positive sample sizes n_a and n_b"),
+        ("pooled", {"n_a": 0, "n_b": 5}, "pooled mode requires positive sample sizes n_a and n_b"),
+        ("pooled", {"n_a": 5, "n_b": -1}, "pooled mode requires positive sample sizes n_a and n_b"),
+        ("median", {}, "unknown combination mode: 'median'"),
+    ])
+    def test_bad_mode_or_sample_sizes_raise(self, mode, sizes, message):
+        _, a, b = self.make_kernels()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            combine_covariances(a, b, mode, **sizes)
+
     def test_spectrum_invariance_of_self_combination(self):
         _, a, _ = self.make_kernels()
         eig_a = eigendecompose(a, 12)
@@ -230,6 +241,11 @@ class TestEigendecompose:
         matrix[2, 2] = bad
         with pytest.raises(ValueError, match="^kernel matrix must be finite$"):
             CovarianceKernel(make_uniform_grid(5), matrix)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (6, 6), (5, 4), (5,), (5, 5, 1)])
+    def test_a_matrix_that_does_not_match_the_grid_is_rejected(self, shape):
+        with pytest.raises(ValueError, match="^kernel matrix must be square and match the grid$"):
+            CovarianceKernel(make_uniform_grid(5), np.zeros(shape))
 
     def test_count_must_fit_grid(self):
         grid = make_uniform_grid(5)

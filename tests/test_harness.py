@@ -76,6 +76,11 @@ class TestRunConfigValidation:
         with pytest.raises(ValueError):
             RunConfig(scenario=small_scenario(), reps=0)
 
+    @pytest.mark.parametrize("size", [1, 0, -5])
+    def test_a_probability_grid_needs_two_points(self, size):
+        with pytest.raises(ValueError, match="^p_grid_size must be at least 2$"):
+            RunConfig(scenario=small_scenario(), p_grid_size=size)
+
     @pytest.mark.parametrize("indexes,listed", [
         (("max", "banana", "kiwi"), "banana, kiwi"),
         (["max", 3], "3"),

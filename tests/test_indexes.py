@@ -97,6 +97,12 @@ class TestApplyIndex:
         with pytest.raises(ValueError, match="^beta must be nonzero$"):
             LinearIndex(Curve(grid, np.zeros(20)))
 
+    @pytest.mark.parametrize("idx", [None, "max", np.ones(3)], ids=["None", "str", "array"])
+    def test_an_unknown_index_type_is_rejected(self, idx):
+        sample = FunctionalSample(make_uniform_grid(3), np.ones((2, 3)))
+        with pytest.raises(TypeError, match=f"^unknown index type: {type(idx).__name__}$"):
+            index_scores(idx, sample)
+
     def test_zero_quadratic_part_is_pure_linear(self):
         rng = np.random.default_rng(1)
         s = sample_gaussian(ProcessSpec("brownian"), make_uniform_grid(40), 30, rng)

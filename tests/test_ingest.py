@@ -100,6 +100,10 @@ REJECTED = {
     ),
     "missing-diseased-group": (HEADER.encode() + b"\nH,1,2\n", "no rows labeled 'D' found", None),
     "header-only": (HEADER.encode() + b"\n", "no rows labeled 'D' found", None),
+    # the bulk pass reads a chunk of blank lines and nothing else
+    "header-then-blank-lines": (
+        HEADER.encode() + b"\n\n\r\n\r\n", "no rows labeled 'D' found", None
+    ),
     # invalid UTF-8: the byte offset is that of the first invalid byte in the file
     "invalid-utf8-byte": (
         HEADER.encode() + b"\nD,1,2\nH,3,\xff4\n", "invalid UTF-8 at byte offset 24", 3

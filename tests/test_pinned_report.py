@@ -9,7 +9,8 @@ shares a single pair of group means and a single pooled eigensystem among
 its fitted indexes, that a draw of parameter-free indexes computes neither,
 that a draw with fewer curves than grid points solves only the N x N Gram
 eigenproblem, that a draw maps back only the k eigenfunctions its fits
-read, and that a study factors each process kernel once, also
+read, that a draw scores each fitted index through one ``score_sample``
+call, and that a study factors each process kernel once, also
 when threads miss the factor cache at the same time.
 Machine-readable reports must not depend on how many threads ran a
 study's replications.
@@ -148,6 +149,21 @@ def test_one_draw_maps_back_only_the_eigenfunctions_its_fits_read(monkeypatch):
         assert len(counts) == len(chosen) == 1
         assert widths == chosen
         assert chosen[0] < counts[0]
+
+
+@pytest.mark.parametrize("label, fitted", [
+    ("P1-25+25-m20-lambda0.5", [6, 6, 6]),
+    ("P1-3+3-m15", [5, 6, 5]),  # quad fails to fit on two draws
+])
+def test_each_fitted_index_is_scored_through_score_sample_once(monkeypatch, label, fitted):
+    samples = _record_results(monkeypatch, harness, "score_sample")
+    counts = []
+    for replication in range(CONFIGS[label].reps):
+        samples.clear()
+        result = run_replication(CONFIGS[label], replication)
+        counts.append(len(samples))
+        assert len(samples) == len(result.auc)
+    assert counts == fitted
 
 
 def test_one_draw_computes_the_group_means_once(monkeypatch):

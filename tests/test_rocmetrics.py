@@ -10,6 +10,7 @@ from funcroc import (
     MaxIndex,
     ScoreSample,
     auc,
+    default_p_grid,
     make_uniform_grid,
     roc_curve,
     score_sample,
@@ -288,6 +289,16 @@ class TestRocCurve:
         with pytest.raises(ValueError):
             roc_curve(s, np.array([0.2, np.nan, 0.5]))
 
+    @pytest.mark.parametrize("p_grid", [[], [[0.2, 0.5]], 0.5], ids=["empty", "matrix", "scalar"])
+    def test_rejects_a_grid_that_is_not_a_nonempty_vector(self, p_grid):
+        with pytest.raises(ValueError, match="^p_grid must be a nonempty vector$"):
+            roc_curve(ScoreSample([1.0], [0.0]), p_grid)
+
+    @pytest.mark.parametrize("size", [1, 0, -2])
+    def test_default_grid_needs_two_points(self, size):
+        with pytest.raises(ValueError, match="^p grid needs at least two points$"):
+            default_p_grid(size)
+
 
 class TestMonotoneInvariance:
     @pytest.mark.parametrize("seed", range(5))
@@ -304,6 +315,18 @@ class TestMonotoneInvariance:
 
 
 class TestScoreSample:
+    @pytest.mark.parametrize("diseased, healthy, which", [
+        ([], [0.0], "diseased"),
+        ([[1.0, 2.0]], [0.0], "diseased"),
+        (2.0, [0.0], "diseased"),
+        ([1.0], [], "healthy"),
+        ([1.0], np.zeros((2, 2)), "healthy"),
+    ], ids=["empty-diseased", "matrix-diseased", "scalar-diseased", "empty-healthy",
+            "matrix-healthy"])
+    def test_each_group_must_be_a_nonempty_vector(self, diseased, healthy, which):
+        with pytest.raises(ValueError, match=f"^{which} scores must form a nonempty vector$"):
+            ScoreSample(diseased, healthy)
+
     def make_samples(self):
         grid = make_uniform_grid(6)
         d = FunctionalSample(grid, [[0.1, 0.5, 0.2, 0.0, 0.1, 0.3]])

@@ -1,12 +1,16 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from funcroc import (
+    CovarianceKernel,
+    Grid,
     ProcessSpec,
     RunConfig,
     ScenarioSpec,
+    SimulationDegeneracyError,
     eigendecompose,
     emit_report,
     generate_scenario,
@@ -16,6 +20,7 @@ from funcroc import (
     sample_covariance,
     sample_gaussian,
     sine_eigenfunction,
+    simulation,
 )
 
 BROWNIAN_EIGENVALUES = [(2.0 / ((2 * ell - 1) * np.pi)) ** 2 for ell in (1, 2, 3)]
@@ -48,6 +53,19 @@ class TestProcessSpecValidation:
             ProcessSpec("brownian", scale=bad)
         with pytest.raises(ValueError, match="component variances must be positive"):
             ProcessSpec("finite_rank", lambdas=(1.0, bad))
+        with pytest.raises(ValueError, match="^mean amplitude must be finite$"):
+            ProcessSpec("brownian", mean_amplitude=bad)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(kind="finite_rank"), "finite_rank requires component variances"),
+        (dict(kind="finite_rank", lambdas=()), "finite_rank requires component variances"),
+        (dict(kind="brownian", lambdas=(1.0,)), "brownian takes no component variances"),
+        (dict(kind="ornstein_uhlenbeck", theta=1.0, lambdas=(1.0,)),
+         "ornstein_uhlenbeck takes no component variances"),
+    ])
+    def test_component_variances_belong_to_finite_rank_alone(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ProcessSpec(**kwargs)
 
 
 class TestKernelMatrix:
@@ -97,6 +115,29 @@ class TestKernelMatrix:
             diag = np.diag(kernel_matrix(spec, grid).matrix)
             assert diag[0] > 0.0
             assert diag[0] < 0.02
+
+    @pytest.mark.parametrize("theta", [356.0, 400.0, 1e6, 1e300])
+    def test_zero_start_kernel_stays_finite_for_a_large_theta(self, theta):
+        # exp(2 theta t) overflows from theta = 355 on; the covariance itself never does
+        spec = ProcessSpec("ornstein_uhlenbeck", theta=theta)
+        grid = make_uniform_grid(5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            matrix = kernel_matrix(spec, grid).matrix
+            sample = sample_gaussian(spec, grid, 4, np.random.default_rng(5))
+        assert np.array_equal(matrix, matrix.T)
+        # at t = 1, 1 - exp(-2 theta) rounds to 1
+        assert matrix[-1, -1] == 1.0 / (2.0 * theta)
+        assert np.isfinite(sample.values).all()
+
+    def test_zero_start_kernel_is_the_product_form(self):
+        # independent arithmetic: exp(-theta (s + t)) (exp(2 theta min(s, t)) - 1) / (2 theta)
+        theta = 1.0 / 3.0
+        grid = make_uniform_grid(40)
+        s, u = np.meshgrid(grid.points, grid.points, indexing="ij")
+        expected = np.exp(-theta * (s + u)) * (np.exp(2.0 * theta * np.minimum(s, u)) - 1.0)
+        matrix = kernel_matrix(ProcessSpec("ornstein_uhlenbeck", theta=theta), grid).matrix
+        assert np.allclose(matrix, expected / (2.0 * theta), rtol=1e-13, atol=0.0)
 
     def test_catalog_kernels_are_psd_on_the_default_grid(self):
         grid = make_uniform_grid(100)
@@ -149,6 +190,44 @@ class TestSampleGaussian:
         eig = eigendecompose(sample_covariance(s), 10)
         assert eig.eigenvalues[3] < 1e-12 * eig.eigenvalues[0]
 
+    @pytest.mark.parametrize("spec", [
+        ProcessSpec("brownian"), ProcessSpec("ornstein_uhlenbeck", theta=1.0 / 3.0)
+    ], ids=["brownian", "ornstein_uhlenbeck"])
+    def test_a_kernel_singular_at_the_origin_draws_on_the_first_jitter_rung(self, spec,
+                                                                            monkeypatch):
+        monkeypatch.setattr(simulation, "_factor_cache", {})
+        grid = Grid([0.0, 0.5, 1.0])
+        tried = []  # the origin's diagonal entry of each matrix factored
+        original = np.linalg.cholesky
+
+        def recording(matrix):
+            tried.append(matrix[0, 0])
+            return original(matrix)
+
+        monkeypatch.setattr(np.linalg, "cholesky", recording)
+        sample = sample_gaussian(spec, grid, 200, np.random.default_rng(6))
+        diag_mean = np.diag(kernel_matrix(spec, grid).matrix).mean()
+        assert tried == [0.0, 1e-12 * diag_mean]
+        assert np.isfinite(sample.values).all()
+        assert np.abs(sample.values[:, 0]).max() < 1e-5
+        assert sample.values[:, 2].std() > 0.5
+
+    def test_an_indefinite_kernel_raises_and_caches_no_factor(self, monkeypatch):
+        monkeypatch.setattr(simulation, "_factor_cache", {})
+        grid = make_uniform_grid(3)
+        indefinite = CovarianceKernel(grid, np.diag([1.0, -1.0, 1.0]))
+        monkeypatch.setattr(simulation, "kernel_matrix", lambda spec, grid: indefinite)
+        with pytest.raises(SimulationDegeneracyError,
+                           match="^covariance matrix is not positive definite even after jitter$"):
+            sample_gaussian(ProcessSpec("brownian"), grid, 5, np.random.default_rng(0))
+        assert simulation._factor_cache == {}
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_needs_at_least_one_path(self, n):
+        with pytest.raises(ValueError, match="^n must be positive$"):
+            sample_gaussian(ProcessSpec("brownian"), make_uniform_grid(5), n,
+                            np.random.default_rng(0))
+
     def test_healthy_mode_variances_recovered_within_ten_percent(self):
         grid = make_uniform_grid(100)
         rng = np.random.default_rng(46)
@@ -191,6 +270,16 @@ class TestScenarioSpecValidation:
         kwargs[field] = value
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             ScenarioSpec(**kwargs)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_d", 0, "sample sizes must be positive"),
+        ("n_h", -2, "sample sizes must be positive"),
+        ("grid_size", 1, "grid size must be at least 2"),
+    ])
+    def test_counts_below_their_floor_are_rejected(self, field, value, message):
+        base = dict(name="P1", n_d=10, n_h=10, seed=1, rho=1.0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ScenarioSpec(**{**base, field: value})
 
     def test_numpy_integers_are_stored_as_int(self):
         spec = ScenarioSpec(name="D20", n_d=np.int64(10), n_h=np.int32(12),
