@@ -37,6 +37,11 @@ bulk="$work/bulk.csv"
 printf 'label,0.25,0.5,0.75\nD,1,2,3\nD,2,3,5\nD,1.5,2.5,3.5\nH,0,1,2\nH,0.5,1,1.5\nH,0,0.5,2.5\n' > "$bulk"
 funcroc analyze --input "$bulk"
 
+# roc takes the fit options analyze takes: a header and 101 rows
+funcroc roc --input "$bulk" --index linear --lambda 0.5 --flip --out "$work/bulk_roc.csv"
+test "$(wc -l < "$work/bulk_roc.csv")" -eq 102
+test "$(head -n 1 "$work/bulk_roc.csv" | tr -d '\r')" = "p,roc"
+
 # roc evaluates through the harness: a header and 101 rows per index
 for index in max min integral meandiff linear quad; do
   funcroc roc --input "$curves" --index "$index" --out "$work/smoke_roc.csv"

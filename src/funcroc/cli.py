@@ -90,8 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
     command("analyze", _study, "evaluate indexes on a curve file",
             "--input", *_FIT_OPTIONS, "--export-roc", "--out").set_defaults(reps=1)
     command("roc", _roc, "write one index's sampled ROC curve",
-            "--input", "--index", "--out", "--var-fraction", "--ridge", "--p-grid-size",
-            required=("--out",))
+            "--input", "--index", "--out", "--var-fraction", "--lambda", "--ridge", "--flip",
+            "--p-grid-size", required=("--out",))
     return parser
 
 

@@ -5,9 +5,18 @@ map them to a dedicated exit code, distinct from configuration and parse
 errors.
 """
 
+import copyreg
+
 
 class FuncrocError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    Copies and unpickled errors are rebuilt from the message and attributes
+    without ``__init__``, which in some subclasses formats the message.
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class GridMismatchError(FuncrocError):

@@ -29,18 +29,19 @@ from typing import Callable
 import numpy as np
 
 from .errors import CurveParseError, FuncrocError
-from .grids import Curve, FunctionalSample, Grid, store_plain
+from .grids import FunctionalSample, Grid, store_plain
 from .indexes import (
     DiscriminantIndex,
     FitContext,
-    LinearIndex,
     MaxIndex,
     MinIndex,
     fit_mean_difference,
     fit_optimal_linear,
     fit_quadratic,
+    index_scores,
+    integral_index,
 )
-from .rocmetrics import ScoreSample, default_p_grid, score_sample, summarize_sorted
+from .rocmetrics import default_p_grid, summarize_sorted
 from .simulation import ScenarioSpec, generate_scenario
 
 __all__ = [
@@ -61,7 +62,7 @@ __all__ = [
 FITTERS: dict[str, Callable[[FitContext, RunConfig], DiscriminantIndex]] = {
     "max": lambda ctx, config: MaxIndex(),
     "min": lambda ctx, config: MinIndex(),
-    "integral": lambda ctx, config: LinearIndex(Curve(ctx.grid, np.ones(len(ctx.grid)))),
+    "integral": lambda ctx, config: integral_index(ctx.grid),
     "meandiff": lambda ctx, config: fit_mean_difference(ctx),
     "linear": lambda ctx, config: fit_optimal_linear(
         ctx, var_fraction=config.var_fraction, penalty_lambda=config.penalty_lambda
@@ -173,29 +174,39 @@ def _detached(error: FuncrocError) -> FuncrocError:
 
 
 def evaluate(d: FunctionalSample, h: FunctionalSample, config: RunConfig) -> ReplicationResult:
-    """Fit each index of ``config`` on one sample pair, score the pair through
-    ``score_sample`` and summarize the fitted rows in one batch.
+    """Fit each index of ``config`` on one sample pair, score the pair into one
+    matrix per group, a row per fitted index, and summarize the rows in one batch.
 
     A pair on two grids raises ``GridMismatchError``, and a non-finite score
     ``ScoreSample``'s ``ValueError``.  A fit or scoring ``FuncrocError`` drops
     that index's row and is stored in ``errors`` (see ``_detached``).  Each
-    row equals ``roc_curve`` of its ``ScoreSample`` bit for bit.  Studies,
-    ``analyze`` and the ``roc`` command all evaluate through here.
+    row equals ``roc_curve`` of its ``score_sample`` bit for bit; ROC values
+    are computed only if ``keep_roc``.  Studies, ``analyze`` and the ``roc``
+    command all evaluate through here.
     """
     result = ReplicationResult()
     ctx = FitContext(d, h)
-    fitted: dict[str, ScoreSample] = {}
+    diseased = np.empty((len(config.indexes), d.n))
+    healthy = np.empty((len(config.indexes), h.n))
+    fitted: list[str] = []
     for name in config.indexes:
         try:
-            fitted[name] = score_sample(FITTERS[name](ctx, config), d, h)
+            index = FITTERS[name](ctx, config)
+            diseased[len(fitted)] = index_scores(index, d)
+            healthy[len(fitted)] = index_scores(index, h)
         except FuncrocError as exc:
             result.errors[name] = _detached(exc)
+        else:
+            fitted.append(name)
     if not fitted:
         return result
 
-    p_grid = default_p_grid(config.p_grid_size)
-    diseased = np.sort([s.diseased for s in fitted.values()], axis=1)
-    healthy = np.sort([s.healthy for s in fitted.values()], axis=1)
+    diseased, healthy = diseased[:len(fitted)], healthy[:len(fitted)]
+    for group, scores in (("diseased", diseased), ("healthy", healthy)):
+        if not np.isfinite(scores).all():
+            raise ValueError(f"{group} scores must be finite")
+        scores.sort(axis=1)
+    p_grid = default_p_grid(config.p_grid_size) if config.keep_roc else np.empty(0)
     rows = summarize_sorted(diseased, healthy, p_grid)
     flip = rows.auc < 0.5
     if config.flip_orientation and flip.any():

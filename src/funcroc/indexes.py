@@ -13,6 +13,7 @@ informative when the two groups differ in covariance rather than in mean.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Union
 
@@ -36,7 +37,7 @@ from .estimation import (
     spd_solve,
     symmetric_matrix,
 )
-from .grids import Curve, FunctionalSample, frozen_finite, norm
+from .grids import Curve, FunctionalSample, Grid, frozen_finite, norm
 
 __all__ = [
     "MaxIndex",
@@ -46,6 +47,7 @@ __all__ = [
     "DiscriminantIndex",
     "FitContext",
     "index_scores",
+    "integral_index",
     "fit_mean_difference",
     "fit_optimal_linear",
     "fit_quadratic",
@@ -103,6 +105,15 @@ class QuadraticIndex:
 DiscriminantIndex = Union[MaxIndex, MinIndex, LinearIndex, QuadraticIndex]
 
 
+@functools.lru_cache(maxsize=16)
+def integral_index(grid: Grid) -> LinearIndex:
+    """The integral of the trajectory: the ``LinearIndex`` of the constant curve 1.
+
+    Built once per grid object; the 16 most recently used are kept.
+    """
+    return LinearIndex(Curve(grid, np.ones(len(grid))))
+
+
 def index_scores(idx: DiscriminantIndex, s: FunctionalSample) -> np.ndarray:
     """Evaluate an index on every curve of a sample at once."""
     if isinstance(idx, MaxIndex):
@@ -124,10 +135,11 @@ class FitContext:
     """The moments of one draw that the fitted indexes share.
 
     Holds a (diseased, healthy) sample pair on one grid (construction checks
-    the grids and does no other work) and computes the group means and
-    centered curves, the pooled covariance operator's eigensystem and the
-    projected group moments once each, on first use, into plain per-instance
-    slots.  A failing access fills no slot and raises its typed error every time.
+    the grids and does no other work) and computes the group means, their
+    norms and the centered curves, the pooled covariance operator's
+    eigensystem and the projected group moments once each, on first use,
+    into plain per-instance slots.  A failing access fills no slot and
+    raises its typed error every time.
     The basis maps back only the k eigenfunctions the fits read; a larger
     fraction later widens that mapping from the same eigensolve.
     """
@@ -137,6 +149,7 @@ class FitContext:
             raise GridMismatchError("samples live on different grids")
         self.d, self.h, self.grid = d, h, d.grid
         self._group_curves = None  # ((mean_D, mean_H), (centered_D, centered_H))
+        self._mean_norms: tuple[float, float] | None = None
         self._basis: EigenSystem | None = None
         self._moments: dict[float, tuple] = {}
 
@@ -152,6 +165,13 @@ class FitContext:
     def means(self) -> tuple[Curve, Curve]:
         """Diseased and healthy mean curves."""
         return self._curves()[0]
+
+    @property
+    def mean_norms(self) -> tuple[float, float]:
+        """Quadrature norms of the diseased and healthy mean curves."""
+        if self._mean_norms is None:
+            self._mean_norms = tuple(map(norm, self.means))
+        return self._mean_norms
 
     @property
     def basis(self) -> EigenSystem:
@@ -202,7 +222,9 @@ def fit_mean_difference(ctx: FitContext) -> LinearIndex:
     with np.errstate(over="ignore"):  # an overflowing gap is left for _unit_index to reject
         diff = ctx.means[0].values - ctx.means[1].values
     if np.isfinite(diff).all():
-        check_mean_gap(norm(Curve(ctx.grid, diff)), map(norm, ctx.means), _COINCIDING_MEANS)
+        # the expression of ``grids.norm``, without a Curve around the gap
+        gap = float(np.sqrt(max(np.dot(diff * diff, ctx.grid.weights), 0.0)))
+        check_mean_gap(gap, ctx.mean_norms, _COINCIDING_MEANS)
     return _unit_index(ctx, diff, diff, "mean-difference")
 
 
@@ -243,7 +265,7 @@ def fit_optimal_linear(
         raise ValueError("penalty weight must be finite and nonnegative")
     k, (mu_d, mu_h), (s_d, s_h) = ctx.moments(var_fraction)
     delta = mu_d - mu_h
-    check_mean_gap(float(np.linalg.norm(delta)), map(norm, ctx.means), _COINCIDING_MEANS)
+    check_mean_gap(float(np.linalg.norm(delta)), ctx.mean_norms, _COINCIDING_MEANS)
 
     gram = (s_d + s_h) / 2.0
     gram = (gram + gram.T) / 2.0

@@ -4,10 +4,10 @@ All three are plug-in estimators built from the empirical distribution and
 quantile functions of the scores, so they depend on the data only through
 ranks: any strictly increasing transformation of the scores leaves them
 unchanged.  Studies, ``analyze`` and the ``roc`` command evaluate through
-``harness.evaluate``, which scores each fitted index with ``score_sample``
-(so ``ScoreSample`` alone checks the scores) and then summarizes the k rows
-at once with ``summarize_sorted``.  ``roc_curve``, ``auc`` and ``youden``
-are its checked one-row calls on a ``ScoreSample``.  The empirical
+``harness.evaluate``, which scores the k fitted indexes into one score
+matrix per group, checks each matrix as ``ScoreSample`` checks one vector,
+and summarizes the k rows at once with ``summarize_sorted``.  ``roc_curve``,
+``auc`` and ``youden`` are its checked one-row calls on a ``ScoreSample``.  The empirical
 distribution and quantile functions serve only as test references.
 """
 

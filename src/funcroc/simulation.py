@@ -2,7 +2,9 @@
 
 Dense-kernel processes are sampled through a jittered Cholesky factor of
 the discretized covariance; the finite-rank process is sampled directly
-from its eigenfunction expansion.  Scenario generation is deterministic
+from its eigenfunction expansion.  One bounded, locked cache keeps what
+draws reuse: each process's mean curve and factor (or modes) per grid, and
+each scenario's grid and processes.  Scenario generation is deterministic
 given the full specification including the seed: a counter-based Philox
 stream keyed by the seed drives all draws, and study drivers derive
 per-replication substreams by XOR-ing the seed with the replication index
@@ -37,7 +39,7 @@ _KINDS = ("brownian", "exp_variogram", "ornstein_uhlenbeck", "finite_rank")
 
 _SEED_MASK = (1 << 64) - 1
 _FACTOR_CACHE_SIZE = 16
-_factor_cache: dict[tuple, np.ndarray] = {}
+_factor_cache: dict[tuple, object] = {}
 _factor_lock = threading.Lock()
 
 
@@ -95,11 +97,13 @@ def kernel_matrix(spec: ProcessSpec, grid: Grid) -> CovarianceKernel:
     elif spec.kind == "exp_variogram":
         matrix = np.exp(-np.abs(np.subtract.outer(t, t)) / spec.theta)
     elif spec.kind == "ornstein_uhlenbeck":
-        # zero-start process: variance vanishes at the origin; no factor can overflow
+        # zero-start process: variance vanishes at the origin.  No factor overflows while
+        # 2 theta is finite; past that, the kernel rounds to zero (no inf * 0 at t = 0).
         theta = spec.theta
         gap = np.abs(np.subtract.outer(t, t))
         earlier = np.minimum.outer(t, t)
-        matrix = np.exp(-theta * gap) * -np.expm1(-2.0 * theta * earlier) / (2.0 * theta)
+        with np.errstate(over="ignore"):
+            matrix = np.exp(-theta * gap) * -np.expm1(-2.0 * (theta * earlier)) / (2.0 * theta)
     else:
         matrix = np.zeros((t.size, t.size))
         for ell, lam in enumerate(spec.lambdas, start=1):
@@ -120,25 +124,45 @@ def _jittered_cholesky(matrix: np.ndarray) -> np.ndarray:
     )
 
 
-def _cholesky_factor(spec: ProcessSpec, grid: Grid) -> np.ndarray:
-    """Read-only jittered Cholesky factor of a process kernel on a grid.
+def _cached(key, build):
+    """The cache entry under ``key``, made by ``build()`` on a miss.
 
-    Factors are cached by (spec, grid points), so study replications that
-    redraw the same processes factor each kernel once.  The cache holds at
-    most ``_FACTOR_CACHE_SIZE`` factors and drops the oldest first.  The
-    lookup, the factorization and the eviction happen under one lock, so
-    threads that miss on the same kernel at once factor it once.
+    The one cache holds at most ``_FACTOR_CACHE_SIZE`` entries and drops the
+    oldest first.  The lookup, the build and the eviction happen under one
+    lock, so threads that miss on the same key at once build it once; a
+    build that raises caches nothing.
     """
-    key = (spec, grid.points.tobytes())
     with _factor_lock:
-        factor = _factor_cache.get(key)
-        if factor is None:
-            factor = _jittered_cholesky(kernel_matrix(spec, grid).matrix)
-            factor.setflags(write=False)
+        value = _factor_cache.get(key)
+        if value is None:
+            value = build()
             if len(_factor_cache) >= _FACTOR_CACHE_SIZE:
                 del _factor_cache[next(iter(_factor_cache))]
-            _factor_cache[key] = factor
-    return factor
+            _factor_cache[key] = value
+    return value
+
+
+def _process_inputs(spec: ProcessSpec, grid: Grid) -> tuple:
+    """Read-only (mean, basis, sd) of a process on a grid, cached by (spec, grid points),
+    so study replications that redraw the same processes factor each kernel once.
+
+    A dense kernel's basis is its jittered lower Cholesky factor and sd None; the
+    finite-rank process's basis holds its modes as columns and sd their coefficients' SDs.
+    """
+    def build() -> tuple:
+        if spec.kind == "finite_rank":
+            basis = np.column_stack([sine_eigenfunction(ell, grid.points)
+                                     for ell in range(1, len(spec.lambdas) + 1)])
+            sd = np.sqrt(spec.scale * np.asarray(spec.lambdas))
+        else:
+            basis, sd = _jittered_cholesky(kernel_matrix(spec, grid).matrix), None
+        inputs = (spec.mean_values(grid), basis, sd)
+        for array in inputs:
+            if array is not None:
+                array.setflags(write=False)
+        return inputs
+
+    return _cached((spec, grid.points.tobytes()), build)
 
 
 def sample_gaussian(
@@ -156,17 +180,11 @@ def sample_gaussian(
     """
     if n < 1:
         raise ValueError("n must be positive")
-    mean = spec.mean_values(grid)
-    if spec.kind == "finite_rank":
-        modes = np.column_stack(
-            [sine_eigenfunction(ell, grid.points) for ell in range(1, len(spec.lambdas) + 1)]
-        )
-        sd = np.sqrt(spec.scale * np.asarray(spec.lambdas))
-        coefficients = rng.standard_normal((n, len(spec.lambdas))) * sd
-        values = coefficients @ modes.T
+    mean, basis, sd = _process_inputs(spec, grid)
+    if sd is None:
+        values = rng.standard_normal((n, len(grid))) @ basis.T
     else:
-        factor = _cholesky_factor(spec, grid)
-        values = rng.standard_normal((n, len(grid))) @ factor.T
+        values = (rng.standard_normal((n, sd.size)) * sd) @ basis.T
     values += mean
     return FunctionalSample(grid, values)
 
@@ -249,14 +267,23 @@ def _scenario_processes(spec: ScenarioSpec) -> tuple[ProcessSpec, ProcessSpec]:
     return diseased, healthy
 
 
+def _scenario_inputs(spec: ScenarioSpec) -> tuple[Grid, ProcessSpec, ProcessSpec]:
+    """The grid and the (diseased, healthy) processes of a scenario.
+
+    Built once per scenario shape, everything of the spec that they depend
+    on (neither the seed nor the sample sizes), and kept in the factor cache.
+    """
+    key = (spec.name, spec.rho, spec.process, spec.grid_size)
+    return _cached(key, lambda: (make_uniform_grid(spec.grid_size), *_scenario_processes(spec)))
+
+
 def generate_scenario(spec: ScenarioSpec) -> tuple[FunctionalSample, FunctionalSample]:
     """Draw the (diseased, healthy) sample pair of a catalog scenario.
 
     Bit-identical output for identical specifications, including the seed.
     """
-    grid = make_uniform_grid(spec.grid_size)
+    grid, diseased_spec, healthy_spec = _scenario_inputs(spec)
     rng = np.random.Generator(np.random.Philox(key=spec.seed & _SEED_MASK))
-    diseased_spec, healthy_spec = _scenario_processes(spec)
     diseased = sample_gaussian(diseased_spec, grid, spec.n_d, rng)
     healthy = sample_gaussian(healthy_spec, grid, spec.n_h, rng)
     return diseased, healthy

@@ -213,6 +213,28 @@ class TestRocCommand:
             assert len(expected) == 101, name
             assert rows == [["p", "roc"], *expected], name
 
+    def test_penalty_and_flip_give_the_analyze_export_of_linear(self, curve_file, tmp_path,
+                                                                 capsys):
+        export, out, plain = (tmp_path / name for name in ("export.csv", "roc.csv", "plain.csv"))
+        fit = ["--lambda", "0.5", "--flip"]
+        assert main(["analyze", "--input", str(curve_file), *fit,
+                     "--export-roc", str(export)]) == 0
+        capsys.readouterr()
+        assert main(["roc", "--input", str(curve_file), "--index", "linear", *fit,
+                     "--out", str(out)]) == 0
+        assert main(["roc", "--input", str(curve_file), "--index", "linear",
+                     "--out", str(plain)]) == 0
+        with open(export, newline="") as handle:
+            expected = [[f"{float(p):.6f}", f"{float(value):.6f}"]
+                        for index, p, value in list(csv.reader(handle))[1:] if index == "linear"]
+        rows = []
+        for path in (out, plain):
+            with open(path, newline="") as handle:
+                rows.append(list(csv.reader(handle)))
+        assert len(expected) == 101
+        assert rows[0] == [["p", "roc"], *expected]
+        assert rows[1] != rows[0]  # the penalty moves the fitted direction
+
     def test_degenerate_direction_exits_with_three(self, tmp_path, capsys):
         # identical groups leave the mean-difference rule undefined
         lines = ["label,0.5,1.0", "D,1.0,2.0", "H,1.0,2.0"]

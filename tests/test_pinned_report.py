@@ -9,9 +9,10 @@ shares a single pair of group means and a single pooled eigensystem among
 its fitted indexes, that a draw of parameter-free indexes computes neither,
 that a draw with fewer curves than grid points solves only the N x N Gram
 eigenproblem, that a draw maps back only the k eigenfunctions its fits
-read, that a draw scores each fitted index through one ``score_sample``
-call, and that a study factors each process kernel once, also
-when threads miss the factor cache at the same time.
+read, that a draw scores each fitted index once per group with
+``index_scores`` and builds no ``ScoreSample``, and that a study factors
+each process kernel once, also when threads miss the factor cache at the
+same time.
 Machine-readable reports must not depend on how many threads ran a
 study's replications.
 
@@ -39,6 +40,7 @@ from funcroc import (
     harness,
     indexes,
     make_uniform_grid,
+    rocmetrics,
     run_replication,
     run_study,
     simulation,
@@ -155,15 +157,25 @@ def test_one_draw_maps_back_only_the_eigenfunctions_its_fits_read(monkeypatch):
     ("P1-25+25-m20-lambda0.5", [6, 6, 6]),
     ("P1-3+3-m15", [5, 6, 5]),  # quad fails to fit on two draws
 ])
-def test_each_fitted_index_is_scored_through_score_sample_once(monkeypatch, label, fitted):
-    samples = _record_results(monkeypatch, harness, "score_sample")
+def test_each_fitted_index_is_scored_once_per_group_and_no_score_sample_is_built(
+        monkeypatch, label, fitted):
+    scored = _record_results(monkeypatch, harness, "index_scores", len)
+    built = []
+    original = rocmetrics.ScoreSample.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(rocmetrics.ScoreSample, "__post_init__", counting)
     counts = []
     for replication in range(CONFIGS[label].reps):
-        samples.clear()
+        scored.clear()
         result = run_replication(CONFIGS[label], replication)
-        counts.append(len(samples))
-        assert len(samples) == len(result.auc)
+        counts.append(len(scored) // 2)
+        assert len(scored) == 2 * len(result.auc)
     assert counts == fitted
+    assert built == []
 
 
 def test_one_draw_computes_the_group_means_once(monkeypatch):
@@ -223,8 +235,12 @@ def test_study_factors_each_process_kernel_once(monkeypatch):
     warm = _report_bytes(config)
     diseased, healthy = simulation._scenario_processes(spec)
     assert kernels == [(diseased, 50), (healthy, 50)]
-    factors = list(simulation._factor_cache.values())
-    assert len(factors) == 2 and not any(f.flags.writeable for f in factors)
+    # one entry holds the scenario's grid and processes, one each process's draw inputs
+    grid, *processes = simulation._factor_cache[("D20", None, None, 50)]
+    assert len(grid) == 50 and processes == [diseased, healthy]
+    inputs = [simulation._factor_cache[(p, grid.points.tobytes())] for p in processes]
+    assert len(simulation._factor_cache) == 3
+    assert not any(a.flags.writeable for entry in inputs for a in entry if a is not None)
 
     draws = [generate_scenario(spec.substream(r)) for r in range(3)]
     simulation._factor_cache.clear()
@@ -252,7 +268,7 @@ def test_concurrent_cold_misses_factor_each_kernel_once(monkeypatch):
 
     def draw():
         start.wait(timeout=10)
-        factors.append(simulation._cholesky_factor(spec, grid))
+        factors.append(simulation._process_inputs(spec, grid))
 
     threads = [threading.Thread(target=draw) for _ in range(2)]
     for thread in threads:
@@ -289,7 +305,7 @@ def test_factor_cache_survives_concurrent_evictions(monkeypatch):
         try:
             for _ in range(5):
                 for spec in specs:
-                    simulation._cholesky_factor(spec, grid)
+                    simulation._process_inputs(spec, grid)
                     sizes.append(dict.__len__(simulation._factor_cache))
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)

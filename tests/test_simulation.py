@@ -130,6 +130,16 @@ class TestKernelMatrix:
         assert matrix[-1, -1] == 1.0 / (2.0 * theta)
         assert np.isfinite(sample.values).all()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("theta", [1e308, np.finfo(float).max])
+    def test_an_overflowing_zero_start_theta_at_the_origin_ends_typed(self, theta, monkeypatch):
+        # 2 theta overflows; theta * min(s, t) = 0 at t = 0 must not meet it as inf * 0
+        monkeypatch.setattr(simulation, "_factor_cache", {})
+        spec, grid = ProcessSpec("ornstein_uhlenbeck", theta=theta), Grid([0.0, 0.5, 1.0])
+        assert np.array_equal(kernel_matrix(spec, grid).matrix, np.zeros((3, 3)))
+        with pytest.raises(SimulationDegeneracyError, match="even after jitter$"):
+            sample_gaussian(spec, grid, 4, np.random.default_rng(5))
+
     def test_zero_start_kernel_is_the_product_form(self):
         # independent arithmetic: exp(-theta (s + t)) (exp(2 theta min(s, t)) - 1) / (2 theta)
         theta = 1.0 / 3.0
@@ -312,7 +322,52 @@ class TestScenarioSpecValidation:
             ScenarioSpec(name="P1", n_d=10, n_h=10, seed=0, rho=1.0, process="")
 
 
+# every scenario family, with both base processes of P0/P1 and the OU-healthy D1x
+FAMILY_SPECS = [
+    *(ScenarioSpec(name=name, n_d=6, n_h=8, seed=70 + i, rho=rho, process=process,
+                   grid_size=12)
+      for i, (name, rho, process) in enumerate([("P0", 2.0, "brownian"), ("P0", 2.0, "expvar"),
+                                                 ("P1", 1.5, "brownian"), ("P1", 1.5, "expvar")])),
+    *(ScenarioSpec(name=name, n_d=6, n_h=8, seed=80 + i, grid_size=12)
+      for i, name in enumerate(["C20", "C21", "D10", "D11", "D20", "D21"])),
+]
+
+
+def _fresh_draw(spec, monkeypatch):
+    """``sample_gaussian`` of processes and a grid built anew, through an empty cache."""
+    monkeypatch.setattr(simulation, "_factor_cache", {})
+    grid = make_uniform_grid(spec.grid_size)
+    diseased, healthy = simulation._scenario_processes(spec)
+    rng = np.random.Generator(np.random.Philox(key=spec.seed))
+    return (sample_gaussian(diseased, grid, spec.n_d, rng),
+            sample_gaussian(healthy, grid, spec.n_h, rng))
+
+
+def _evict_all(grid_size=4):
+    for i in range(simulation._FACTOR_CACHE_SIZE):
+        simulation.sample_gaussian(ProcessSpec("brownian", scale=1.0 + i),
+                                   make_uniform_grid(grid_size), 1, np.random.default_rng(0))
+
+
 class TestGenerateScenario:
+    @pytest.mark.parametrize("spec", FAMILY_SPECS,
+                             ids=lambda spec: f"{spec.name}-{spec.process or 'fixed'}")
+    def test_draws_equal_fresh_processes_cold_warm_and_after_eviction(self, spec,
+                                                                        monkeypatch):
+        specs = [spec.substream(r) for r in range(2)]
+        expected = [_fresh_draw(s, monkeypatch) for s in specs]
+        monkeypatch.setattr(simulation, "_factor_cache", {})
+        draws = [generate_scenario(s) for s in specs]  # cold, then warm
+        key = (spec.name, spec.rho, spec.process, spec.grid_size)
+        assert key in simulation._factor_cache
+        _evict_all()
+        assert key not in simulation._factor_cache
+        draws += [generate_scenario(s) for s in specs]
+        for (d, h), (fresh_d, fresh_h) in zip(draws, expected * 2):
+            assert d.grid.compatible_with(fresh_d.grid) and h.grid is d.grid
+            assert np.array_equal(d.values, fresh_d.values)
+            assert np.array_equal(h.values, fresh_h.values)
+
     def test_identical_specs_give_bit_identical_samples(self):
         spec = ScenarioSpec(name="C21", n_d=15, n_h=17, seed=987)
         d1, h1 = generate_scenario(spec)
