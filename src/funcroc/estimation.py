@@ -22,7 +22,7 @@ from .errors import (
     InvalidKernelError,
     NumericalDegeneracyError,
 )
-from .grids import Curve, FunctionalSample, Grid, frozen_finite
+from .grids import Curve, FunctionalSample, Grid, check_finite, frozen_finite
 
 __all__ = [
     "CovarianceKernel",
@@ -114,13 +114,12 @@ class EigenSystem:
     eigenvalues (every pair above the rounding floor) when they come from the
     N x N Gram form of N < m centered curves.
 
-    ``map_back(k)`` returns a new m x k matrix whose column l is the l-th
+    ``map_back(k)`` returns an m x k matrix whose column l is the l-th
     eigenfunction on the grid, the columns orthonormal under the quadrature
-    inner product.  ``leading(k)`` calls it on first use, fixes its signs in
-    place and checks it, keeping the widest set mapped (a wider request maps
-    again, it never solves again); ``eigenfunctions`` is ``leading(count)``.
-    A basis at hand is given as ``map_back=lambda k: functions[:, :k].copy()``,
-    the copy keeping the sign fix off the caller's matrix.  A non-finite
+    inner product.  ``leading(k)`` calls it on first use and keeps a checked,
+    sign-fixed copy, the widest set mapped (a wider request maps again, it
+    never solves again); ``eigenfunctions`` is ``leading(count)``.  A basis at
+    hand is given as ``map_back=lambda k: functions[:, :k]``.  A non-finite
     eigenvalue, total variance or eigenfunction raises ValueError, as does a
     map-back that is not m x k.
     """
@@ -130,10 +129,9 @@ class EigenSystem:
         self.eigenvalues = np.asarray(eigenvalues, dtype=float)
         if self.eigenvalues.ndim != 1:
             raise ValueError("eigenvalues must be one-dimensional")
-        for name, value in (("eigenvalues", self.eigenvalues), ("total_variance", total_variance)):
-            if not np.isfinite(value).all():
-                raise ValueError(f"{name} must be finite")
-        self.grid, self.total_variance, self._map_back = grid, total_variance, map_back
+        check_finite(self.eigenvalues, "eigenvalues")
+        self.total_variance = check_finite(total_variance, "total_variance")
+        self.grid, self._map_back = grid, map_back
         self._mapped = np.empty((len(grid), 0))  # the widest set mapped so far
 
     @property
@@ -156,10 +154,7 @@ class EigenSystem:
             mapped = self._map_back(k)
             if np.shape(mapped) != (len(self.grid), k):
                 raise ValueError("eigenfunctions must be an m x k matrix")
-            mapped = _fix_signs(mapped)
-            if not np.isfinite(mapped).all():
-                raise ValueError("eigenfunctions must be finite")
-            self._mapped = mapped
+            self._mapped = mapped = check_finite(_fix_signs(mapped), "eigenfunctions")
         return mapped[:, :k]
 
 
@@ -300,11 +295,9 @@ def _weighted_eigensystem(grid: Grid, symmetrized: np.ndarray, count: int) -> Ei
 
 
 def _fix_signs(functions: np.ndarray) -> np.ndarray:
-    """Flip columns in place so each one's largest-magnitude coordinate is positive."""
-    count = functions.shape[1]
-    peaks = functions[np.argmax(np.abs(functions), axis=0), np.arange(count)]
-    functions[:, peaks < 0] *= -1.0
-    return functions
+    """A copy of ``functions`` with each column's largest-magnitude coordinate made positive."""
+    peaks = functions[np.argmax(np.abs(functions), axis=0), np.arange(functions.shape[1])]
+    return functions * np.where(peaks < 0, -1.0, 1.0)
 
 
 def choose_dimension(e: EigenSystem, fraction: float) -> int:

@@ -25,16 +25,24 @@ __all__ = [
 ]
 
 
-def frozen_finite(values, what: str) -> np.ndarray:
-    """Read-only float copy of ``values``.
-
-    A NaN or infinite entry raises ``ValueError("<what> must be finite")``.
-    """
-    out = np.array(values, dtype=float, copy=True)
-    if not np.isfinite(out).all():
+def check_finite(values, what: str):
+    """``values``, uncopied; a NaN or an inf raises ``ValueError("<what> must be finite")``."""
+    if not np.isfinite(values).all():
         raise ValueError(f"{what} must be finite")
+    return values
+
+
+def frozen_finite(values, what: str) -> np.ndarray:
+    """Read-only float copy of ``values``, checked by ``check_finite``."""
+    out = check_finite(np.array(values, dtype=float, copy=True), what)
     out.setflags(write=False)
     return out
+
+
+def quadrature_norm(values: np.ndarray, weights: np.ndarray) -> float:
+    """sqrt(sum_i w_i v_i^2): 0 if the squares underflow, inf with no warning if they overflow."""
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(max(np.dot(values * values, weights), 0.0)))
 
 
 def store_plain(obj, names, kind: type) -> None:
@@ -157,5 +165,5 @@ def inner_product(f: Curve, g: Curve) -> float:
 
 
 def norm(f: Curve) -> float:
-    """Quadrature norm sqrt(<f, f>); zero when f vanishes on the grid or its squares underflow."""
-    return float(np.sqrt(max(inner_product(f, f), 0.0)))
+    """Quadrature norm sqrt(<f, f>); see ``quadrature_norm``."""
+    return quadrature_norm(f.values, f.grid.weights)

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CurveParseError, FuncrocError
-from .grids import FunctionalSample, Grid, store_plain
+from .grids import FunctionalSample, Grid, check_finite, store_plain
 from .indexes import (
     DiscriminantIndex,
     FitContext,
@@ -178,11 +178,11 @@ def evaluate(d: FunctionalSample, h: FunctionalSample, config: RunConfig) -> Rep
     matrix per group, a row per fitted index, and summarize the rows in one batch.
 
     A pair on two grids raises ``GridMismatchError``, and a non-finite score
-    ``ScoreSample``'s ``ValueError``.  A fit or scoring ``FuncrocError`` drops
-    that index's row and is stored in ``errors`` (see ``_detached``).  Each
-    row equals ``roc_curve`` of its ``score_sample`` bit for bit; ROC values
-    are computed only if ``keep_roc``.  Studies, ``analyze`` and the ``roc``
-    command all evaluate through here.
+    ``check_finite``'s ``ValueError``, worded as ``ScoreSample``'s.  A fit or
+    scoring ``FuncrocError`` drops that index's row and is stored in ``errors``
+    (see ``_detached``).  Each row equals ``roc_curve`` of its ``score_sample``
+    bit for bit; ROC values are computed only if ``keep_roc``.  Studies,
+    ``analyze`` and the ``roc`` command all evaluate through here.
     """
     result = ReplicationResult()
     ctx = FitContext(d, h)
@@ -203,8 +203,7 @@ def evaluate(d: FunctionalSample, h: FunctionalSample, config: RunConfig) -> Rep
 
     diseased, healthy = diseased[:len(fitted)], healthy[:len(fitted)]
     for group, scores in (("diseased", diseased), ("healthy", healthy)):
-        if not np.isfinite(scores).all():
-            raise ValueError(f"{group} scores must be finite")
+        check_finite(scores, f"{group} scores")
         scores.sort(axis=1)
     p_grid = default_p_grid(config.p_grid_size) if config.keep_roc else np.empty(0)
     rows = summarize_sorted(diseased, healthy, p_grid)
@@ -588,9 +587,9 @@ def emit_report(report: StudyReport, format: str = "table-text") -> bytes:
 
 
 def write_report(report: StudyReport, path) -> None:
-    """Write a report to disk: JSON for a .json suffix, the text table otherwise."""
+    """Write a report to disk: JSON for a .json suffix in any case, the text table otherwise."""
     path = Path(path)
-    format = "machine-readable" if path.suffix == ".json" else "table-text"
+    format = "machine-readable" if path.suffix.lower() == ".json" else "table-text"
     try:
         path.write_bytes(emit_report(report, format))
     except OSError as exc:

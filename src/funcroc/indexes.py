@@ -37,7 +37,7 @@ from .estimation import (
     spd_solve,
     symmetric_matrix,
 )
-from .grids import Curve, FunctionalSample, Grid, frozen_finite, norm
+from .grids import Curve, FunctionalSample, Grid, frozen_finite, quadrature_norm
 
 __all__ = [
     "MaxIndex",
@@ -148,17 +148,18 @@ class FitContext:
         if not d.grid.compatible_with(h.grid):
             raise GridMismatchError("samples live on different grids")
         self.d, self.h, self.grid = d, h, d.grid
-        self._group_curves = None  # ((mean_D, mean_H), (centered_D, centered_H))
-        self._mean_norms: tuple[float, float] | None = None
+        self._group_curves = None  # ((mean_D, mean_H), (norm_D, norm_H), (centered_D, centered_H))
         self._basis: EigenSystem | None = None
         self._moments: dict[float, tuple] = {}
 
-    def _curves(self) -> tuple[tuple[Curve, Curve], tuple[np.ndarray, np.ndarray]]:
-        """The group mean curves, and each group's curves minus its mean."""
+    def _curves(self) -> tuple[tuple[Curve, Curve], tuple[float, float],
+                               tuple[np.ndarray, np.ndarray]]:
+        """The group mean curves, their quadrature norms and each group's curves minus its mean."""
         if self._group_curves is None:
             means = sample_mean(self.d), sample_mean(self.h)
+            norms = tuple(quadrature_norm(mean.values, self.grid.weights) for mean in means)
             centered = tuple(s.values - mean.values for s, mean in zip((self.d, self.h), means))
-            self._group_curves = means, centered
+            self._group_curves = means, norms, centered
         return self._group_curves
 
     @property
@@ -169,9 +170,7 @@ class FitContext:
     @property
     def mean_norms(self) -> tuple[float, float]:
         """Quadrature norms of the diseased and healthy mean curves."""
-        if self._mean_norms is None:
-            self._mean_norms = tuple(map(norm, self.means))
-        return self._mean_norms
+        return self._curves()[1]
 
     @property
     def basis(self) -> EigenSystem:
@@ -179,7 +178,7 @@ class FitContext:
         if self._basis is None:
             if self.d.n < 2 or self.h.n < 2:
                 raise InsufficientSampleError("both groups need at least two curves")
-            means, centered = self._curves()
+            means, _, centered = self._curves()
             self._basis = pooled_eigensystem(self.grid, centered, tuple(m.values for m in means))
         return self._basis
 
@@ -194,7 +193,7 @@ class FitContext:
             k = choose_dimension(self.basis, var_fraction)
             weighted_phi = self.grid.weights[:, None] * self.basis.leading(k)
             means = tuple(mean.values @ weighted_phi for mean in self.means)
-            scores = (centered @ weighted_phi for centered in self._curves()[1])
+            scores = (centered @ weighted_phi for centered in self._curves()[2])
             covariances = tuple(a.T @ a / s.n for a, s in zip(scores, (self.d, self.h)))
             self._moments[var_fraction] = (k, means, covariances)
         return self._moments[var_fraction]
@@ -206,9 +205,7 @@ _COINCIDING_MEANS = "group mean curves coincide; no discriminating direction exi
 def _unit_index(ctx: FitContext, beta: np.ndarray, gap: np.ndarray, what: str) -> LinearIndex:
     """The index along ``beta`` at unit quadrature norm, turned to meet the mean ``gap``
     at a nonnegative inner product; a zero or overflowing norm raises DegenerateDirectionError."""
-    # the quadrature norm of ``grids.norm``, also for the non-finite values a Curve rejects
-    with np.errstate(over="ignore"):
-        length = float(np.sqrt(np.dot(beta * beta, ctx.grid.weights)))
+    length = quadrature_norm(beta, ctx.grid.weights)
     if not 0.0 < length < np.inf:  # NaN fails too
         raise DegenerateDirectionError(f"{what} direction collapsed to zero or overflowed")
     beta = beta / length
@@ -219,12 +216,9 @@ def _unit_index(ctx: FitContext, beta: np.ndarray, gap: np.ndarray, what: str) -
 
 def fit_mean_difference(ctx: FitContext) -> LinearIndex:
     """Linear index along the normalized difference of the group means."""
-    with np.errstate(over="ignore"):  # an overflowing gap is left for _unit_index to reject
+    with np.errstate(over="ignore"):  # an overflowing gap has an inf norm, left for _unit_index
         diff = ctx.means[0].values - ctx.means[1].values
-    if np.isfinite(diff).all():
-        # the expression of ``grids.norm``, without a Curve around the gap
-        gap = float(np.sqrt(max(np.dot(diff * diff, ctx.grid.weights), 0.0)))
-        check_mean_gap(gap, ctx.mean_norms, _COINCIDING_MEANS)
+    check_mean_gap(quadrature_norm(diff, ctx.grid.weights), ctx.mean_norms, _COINCIDING_MEANS)
     return _unit_index(ctx, diff, diff, "mean-difference")
 
 

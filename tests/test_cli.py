@@ -52,6 +52,13 @@ class TestSimulateCommand:
         assert set(payload["per_index"]) == {"integral", "meandiff"}
         assert payload["replications"] == 3
 
+    def test_a_json_suffix_in_any_case_writes_json(self, tmp_path):
+        out = tmp_path / "R.JSON"
+        assert main(["simulate", "--scenario", "P1", "--rho", "1", "--nd", "5", "--nh", "5",
+                     "--reps", "1", "--seed", "1", "--grid-size", "10", "--indexes", "max",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["replications"] == 1
+
     def test_scenario_parameter_errors_exit_with_two(self, capsys):
         code = main([
             "simulate", "--scenario", "P0", "--rho", "1", "--nd", "10", "--nh", "10",

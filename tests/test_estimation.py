@@ -388,6 +388,13 @@ class TestEigenSystem:
         assert np.array_equal(system.eigenfunctions, np.eye(4)[:, :2])
         assert widths == [1, 2]
 
+    def test_a_map_back_view_leaves_the_callers_matrix_unchanged(self):
+        functions = -np.eye(4)[:, :2]
+        system = EigenSystem(make_uniform_grid(4), np.array([1.0, 0.5]), 2.0,
+                             lambda k: functions[:, :k])
+        assert np.array_equal(system.leading(2), np.eye(4)[:, :2])
+        assert np.array_equal(functions, -np.eye(4)[:, :2])
+
     @pytest.mark.parametrize("k", [0, 3])
     def test_leading_rejects_a_count_outside_the_basis(self, k):
         with pytest.raises(ValueError, match="^k must lie between 1 and the basis count$"):

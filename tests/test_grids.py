@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,12 @@ class TestNorm:
         two = Curve(grid, np.full(400, 2.0))
         span = grid.points[-1] - grid.points[0]
         assert norm(two) == pytest.approx(2.0 * np.sqrt(span), abs=1e-12)
+
+    def test_overflowing_squares_give_inf_without_a_warning(self):
+        huge = Curve(make_uniform_grid(5), np.full(5, 1e200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert norm(huge) == np.inf
 
 
 class TestAlgebraicProperties:

@@ -31,6 +31,7 @@ import numpy as np
 import pytest
 
 from funcroc import (
+    INDEX_NAMES,
     ProcessSpec,
     RunConfig,
     ScenarioSpec,
@@ -185,9 +186,34 @@ def test_one_draw_computes_the_group_means_once(monkeypatch):
     assert len(means) == 2
 
 
+def _record_norms(monkeypatch):
+    """Record the values of every quadrature norm ``indexes`` takes."""
+    normed = []
+    original = indexes.quadrature_norm
+
+    def recording(values, weights):
+        normed.append(values)
+        return original(values, weights)
+
+    monkeypatch.setattr(indexes, "quadrature_norm", recording)
+    return normed
+
+
+@pytest.mark.parametrize("names", [INDEX_NAMES, ("meandiff",), ("linear",), ("quad",)],
+                         ids=["all", "meandiff", "linear", "quad"])
+def test_one_draw_computes_each_mean_norm_once(monkeypatch, names):
+    means = _record_results(monkeypatch, indexes, "sample_mean", lambda mean: mean.values)
+    normed = _record_norms(monkeypatch)
+    config = dataclasses.replace(CONFIGS["P1-25+25-m20-lambda0.5"], indexes=names)
+    assert set(run_replication(config, 0).auc) == set(names)
+    assert len(means) == 2
+    assert [sum(values is mean for values in normed) for mean in means] == [1, 1]
+
+
 def test_parameter_free_draw_computes_no_covariance(monkeypatch):
     pooled = _count_calls(monkeypatch, "pooled_eigensystem")
     means = _count_calls(monkeypatch, "sample_mean")
+    normed = _record_norms(monkeypatch)
     config = dataclasses.replace(
         CONFIGS["P1-25+25-m20-lambda0"], indexes=("max", "min", "integral")
     )
@@ -195,6 +221,7 @@ def test_parameter_free_draw_computes_no_covariance(monkeypatch):
     assert set(result.auc) == {"max", "min", "integral"}
     assert means == []
     assert pooled == []
+    assert normed == []
 
 
 def test_wide_grid_draw_builds_no_grid_sized_kernel(monkeypatch):
