@@ -176,9 +176,7 @@ def sample_covariance(s: FunctionalSample) -> CovarianceKernel:
     if s.n < 2:
         raise InsufficientSampleError("covariance estimation needs at least two curves")
     centered = s.values - s.values.mean(axis=0)
-    matrix = centered.T @ centered / s.n
-    matrix = (matrix + matrix.T) / 2.0
-    return CovarianceKernel(s.grid, matrix)
+    return CovarianceKernel(s.grid, centered.T @ centered / s.n)
 
 
 def combine_covariances(
@@ -219,6 +217,7 @@ def eigendecompose(kernel: CovarianceKernel, count: int) -> EigenSystem:
         raise ValueError("count must lie between 1 and the grid size")
     sqrt_w = np.sqrt(kernel.grid.weights)
     symmetrized = sqrt_w[:, None] * kernel.matrix * sqrt_w[None, :]
+    # a kernel from outside is symmetric only to symmetric_matrix's tolerance
     return _weighted_eigensystem(kernel.grid, (symmetrized + symmetrized.T) / 2.0, count)
 
 
@@ -238,7 +237,8 @@ def pooled_eigensystem(
     Z'u / (sqrt(lambda) sqrt(w)); this costs O(N^2 m) rather than O(m^3).
     Only the pairs above N * eps * lambda_max (the operator's rank) are
     kept, and ``total_variance`` is their sum, so a fraction of 1.0 is
-    always attained.  Both routes solve their symmetric matrix once with LAPACK's
+    always attained.  Both routes build their matrix exactly symmetric (X'X and
+    Z Z' are mirrored BLAS syrk products) and solve it once with LAPACK's
     divide-and-conquer dsyevd (``np.linalg.eigh``) and pass the system a map-back of
     the first k eigenvectors, so a fit maps only the k columns it reads.
 
@@ -252,12 +252,11 @@ def pooled_eigensystem(
     full = n >= len(grid)
     if full:
         matrix = sum(x.T @ x for x in centered)
-        matrix *= np.outer(sqrt_w, sqrt_w / n)
+        matrix *= np.outer(sqrt_w, sqrt_w) / n
     else:
         scaled = np.vstack(centered)
         scaled *= sqrt_w / np.sqrt(n)
         matrix = scaled @ scaled.T
-    matrix = (matrix + matrix.T) / 2.0
     trace = float(np.trace(matrix))
     # S is the trace plus the group means' share of the raw mean square
     mean_square = trace + sum(
@@ -286,11 +285,10 @@ def _weighted_eigensystem(grid: Grid, symmetrized: np.ndarray, count: int) -> Ei
     sqrt_w = np.sqrt(grid.weights)
     # LAPACK dsyevd (divide and conquer), 1.3-1.7x faster than dsyevr at m = 100
     values, vectors = np.linalg.eigh(symmetrized)
-    order = np.argsort(values)[::-1]
-    values = np.clip(values[order], 0.0, None)
+    values, vectors = np.clip(values[::-1], 0.0, None), vectors[:, ::-1]
 
     def map_back(k: int) -> np.ndarray:
-        return np.ascontiguousarray(vectors[:, order[:k]]) / sqrt_w[:, None]
+        return np.ascontiguousarray(vectors[:, :k]) / sqrt_w[:, None]
     return EigenSystem(grid, values[:count].copy(), float(values.sum()), map_back)
 
 

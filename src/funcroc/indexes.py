@@ -231,9 +231,8 @@ def second_difference_penalty(basis: EigenSystem, k: int) -> np.ndarray:
     points = basis.grid.points
     slopes = np.gradient(basis.leading(k), points, axis=0)
     curvatures = np.gradient(slopes, points, axis=0)
-    weighted = basis.grid.weights[:, None] * curvatures
-    gram = curvatures.T @ weighted
-    return (gram + gram.T) / 2.0
+    weighted = np.sqrt(basis.grid.weights)[:, None] * curvatures
+    return weighted.T @ weighted
 
 
 def fit_optimal_linear(
@@ -262,7 +261,6 @@ def fit_optimal_linear(
     check_mean_gap(float(np.linalg.norm(delta)), ctx.mean_norms, _COINCIDING_MEANS)
 
     gram = (s_d + s_h) / 2.0
-    gram = (gram + gram.T) / 2.0
     if penalty_lambda > 0.0:
         gram = gram + penalty_lambda * second_difference_penalty(ctx.basis, k)
 
@@ -296,6 +294,5 @@ def fit_quadratic(
                                           f"quadratic fit needs at least {k + 1}")
     inv_d, inv_h = (spd_inverse(sigma + ridge * np.eye(k), SingularCovarianceError(group))
                     for sigma, group in zip(covariances, groups))
-    lambda_mat = inv_d - inv_h
-    return QuadraticIndex(basis=ctx.basis, lambda_mat=(lambda_mat + lambda_mat.T) / 2.0,
+    return QuadraticIndex(basis=ctx.basis, lambda_mat=inv_d - inv_h,
                           alpha_vec=inv_d @ means[0] - inv_h @ means[1])

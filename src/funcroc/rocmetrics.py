@@ -7,8 +7,9 @@ unchanged.  Studies, ``analyze`` and the ``roc`` command evaluate through
 ``harness.evaluate``, which scores the k fitted indexes into one score
 matrix per group, checks each matrix as ``ScoreSample`` checks one vector,
 and summarizes the k rows at once with ``summarize_sorted``.  ``roc_curve``,
-``auc`` and ``youden`` are its checked one-row calls on a ``ScoreSample``.  The empirical
-distribution and quantile functions serve only as test references.
+``auc`` and ``youden`` are its checked one-row calls on a ``ScoreSample``.  The
+empirical distribution and quantile functions are not in the package: they are
+the test references ``ecdf`` and ``equantile``.
 """
 
 from __future__ import annotations

@@ -183,13 +183,11 @@ def pooled_eigenfunctions(grid, centered) -> np.ndarray:
     sqrt_w = np.sqrt(grid.weights)
     if n >= len(grid):
         matrix = sum(x.T @ x for x in centered)
-        matrix *= np.outer(sqrt_w, sqrt_w / n)
-        values, vectors = np.linalg.eigh((matrix + matrix.T) / 2.0)
-        functions = vectors[:, np.argsort(values)[::-1]] / sqrt_w[:, None]
+        matrix *= np.outer(sqrt_w, sqrt_w) / n
+        functions = np.linalg.eigh(matrix)[1][:, ::-1] / sqrt_w[:, None]
     else:
         scaled = np.vstack(centered) * (sqrt_w / np.sqrt(n))
-        matrix = scaled @ scaled.T
-        values, vectors = np.linalg.eigh((matrix + matrix.T) / 2.0)
+        values, vectors = np.linalg.eigh(scaled @ scaled.T)
         values, vectors = values[::-1], vectors[:, ::-1]
         count = int(np.count_nonzero(values > n * np.finfo(float).eps * max(values[0], 0.0)))
         functions = (scaled.T @ vectors[:, :count]) / (np.sqrt(values[:count]) * sqrt_w[:, None])
