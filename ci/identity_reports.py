@@ -7,6 +7,18 @@ on both checkouts and comparing the two directories:
     PYTHONPATH=<changed checkout>/src python ci/identity_reports.py /tmp/ids-change
     diff -r /tmp/ids-parent /tmp/ids-change
 
+``diff -r`` is the gate: a refactor that claims to change no number must
+leave it empty.  A change that cannot be byte-identical quotes instead what
+
+    PYTHONPATH=src python ci/identity_reports.py --compare /tmp/ids-parent /tmp/ids-change
+
+prints: for each JSON file, the largest absolute difference of an AUC value
+(a ``mean_auc``) and the largest relative difference of any other float.
+Its last line reads ``no difference`` when every such difference is zero
+and every file matched.  It exits 1 when a file exists on one side only, a
+text file differs, or two JSON files differ in structure (keys, lengths,
+types, or any value that is not a float), and 0 otherwise.
+
 Run the same copy of this script both times.  It uses only API that has
 been stable across refactors (``RunConfig``, ``ScenarioSpec``, ``run_study``,
 ``analyze``, ``ingest_curves``, ``emit_report``, ``generate_scenario`` and
@@ -37,6 +49,7 @@ import contextlib
 import dataclasses
 import io
 import itertools
+import json
 import os
 import sys
 from pathlib import Path
@@ -141,7 +154,58 @@ def main(outdir: str) -> int:
     return 0
 
 
+def _float_gaps(a, b, key=None) -> tuple[float, float] | None:
+    """(largest |a - b| of the AUC values, largest relative difference of the other
+    floats) of two parsed JSON values, or None if they differ in anything but floats."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        parts = [_float_gaps(a[name], b[name], name) for name in a]
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        parts = [_float_gaps(x, y, key) for x, y in zip(a, b)]
+    elif isinstance(a, float) and isinstance(b, float):
+        if key == "mean_auc":
+            return abs(a - b), 0.0
+        scale = max(abs(a), abs(b))
+        return 0.0, (abs(a - b) / scale if scale else 0.0)
+    else:
+        return (0.0, 0.0) if type(a) is type(b) and a == b else None
+    if None in parts:
+        return None
+    return max((p[0] for p in parts), default=0.0), max((p[1] for p in parts), default=0.0)
+
+
+def compare(left: str, right: str) -> int:
+    """Print how two identity sets differ; 1 if they differ in more than float values."""
+    roots = Path(left), Path(right)
+    files = [{path.relative_to(root) for path in root.rglob("*") if path.is_file()}
+             for root in roots]
+    status, worst = 0, (0.0, 0.0)
+    for name in sorted(files[0] | files[1]):
+        if name not in files[0] or name not in files[1]:
+            print(f"{name}: only in {roots[name in files[1]]}")
+            status = 1
+            continue
+        a, b = ((root / name).read_bytes() for root in roots)
+        if name.suffix != ".json":
+            if a != b:
+                print(f"{name}: text differs")
+                status = 1
+            continue
+        gaps = _float_gaps(json.loads(a), json.loads(b))
+        if gaps is None:
+            print(f"{name}: JSON differs in structure or in a value that is not a float")
+            status = 1
+            continue
+        print(f"{name}: largest AUC difference {gaps[0]:.3g}, "
+              f"largest relative difference {gaps[1]:.3g}")
+        worst = max(worst[0], gaps[0]), max(worst[1], gaps[1])
+    print("no difference" if status == 0 and worst == (0.0, 0.0) else "differences found")
+    return status
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        sys.exit(compare(sys.argv[2], sys.argv[3]))
     if len(sys.argv) != 2:
-        sys.exit("usage: python ci/identity_reports.py OUTDIR")
+        sys.exit("usage: python ci/identity_reports.py OUTDIR\n"
+                 "       python ci/identity_reports.py --compare DIR_A DIR_B")
     sys.exit(main(sys.argv[1]))

@@ -48,9 +48,11 @@ from .harness import (
     analyze,
     emit_report,
     evaluate,
+    fit_indexes,
     ingest_curves,
     run_replication,
     run_study,
+    summarize_pair,
 )
 from .indexes import (
     DiscriminantIndex,

@@ -2,14 +2,14 @@
 
 A study runs independent replications of one scenario: each replication
 draws a fresh sample pair from its own random substream and hands it to
-``evaluate``, which fits the requested discriminant indexes on that pair,
-scores the same pair, and records AUC and Youden summaries.  ``analyze``
-and the ``roc`` command evaluate a curve file's pair through the same
-function.  Index failures are isolated so one singular fit cannot poison
-the study.  When BLAS runs on one thread, a study's replications are
-spread over the CPUs in contiguous blocks of ids, one thread per block.
-Aggregation order is fixed by replication id, so results do not depend on
-scheduling or on the number of threads.
+``evaluate``: ``fit_indexes`` fits the requested discriminant indexes on that
+pair, and ``summarize_pair``, which scores any pair, records its AUC and
+Youden summaries.  ``analyze`` and the ``roc`` command evaluate a curve
+file's pair the same way.  Index failures are isolated so one singular fit
+cannot poison the study.  When BLAS runs on one thread, a study's
+replications are spread over the CPUs in contiguous blocks of ids, one
+thread per block.  Aggregation order is fixed by replication id, so results
+do not depend on scheduling or on the number of threads.
 """
 
 from __future__ import annotations
@@ -51,6 +51,8 @@ __all__ = [
     "ReplicationResult",
     "StudyReport",
     "evaluate",
+    "fit_indexes",
+    "summarize_pair",
     "run_replication",
     "run_study",
     "ingest_curves",
@@ -173,35 +175,34 @@ def _detached(error: FuncrocError) -> FuncrocError:
     return error
 
 
-def evaluate(d: FunctionalSample, h: FunctionalSample, config: RunConfig) -> ReplicationResult:
-    """Fit each index of ``config`` on one sample pair, score the pair into one
-    matrix per group, a row per fitted index, and summarize the rows in one batch.
-
-    A pair on two grids raises ``GridMismatchError``, and a non-finite score
-    ``check_finite``'s ``ValueError``, worded as ``ScoreSample``'s.  A fit or
-    scoring ``FuncrocError`` drops that index's row and is stored in ``errors``
-    (see ``_detached``).  Each row equals ``roc_curve`` of its ``score_sample``
-    bit for bit; ROC values are computed only if ``keep_roc``.  Studies,
-    ``analyze`` and the ``roc`` command all evaluate through here.
-    """
-    result = ReplicationResult()
-    ctx = FitContext(d, h)
-    diseased = np.empty((len(config.indexes), d.n))
-    healthy = np.empty((len(config.indexes), h.n))
-    fitted: list[str] = []
+def fit_indexes(ctx: FitContext, config: RunConfig) -> dict[str, DiscriminantIndex | FuncrocError]:
+    """Each index of ``config`` fitted on the context's pair, or the ``FuncrocError``
+    its fit raised (see ``_detached``), by name in ``config.indexes`` order."""
+    fitted = {}
     for name in config.indexes:
         try:
-            index = FITTERS[name](ctx, config)
-            diseased[len(fitted)] = index_scores(index, d)
-            healthy[len(fitted)] = index_scores(index, h)
+            fitted[name] = FITTERS[name](ctx, config)
         except FuncrocError as exc:
-            result.errors[name] = _detached(exc)
-        else:
-            fitted.append(name)
-    if not fitted:
-        return result
+            fitted[name] = _detached(exc)
+    return fitted
 
-    diseased, healthy = diseased[:len(fitted)], healthy[:len(fitted)]
+
+def summarize_pair(fitted: dict, d: FunctionalSample, h: FunctionalSample,
+                   config: RunConfig) -> ReplicationResult:
+    """Score any pair with ``fit_indexes``'s indexes into one matrix per group, a row per
+    index, and summarize the rows in one batch; each failed fit's error goes to ``errors``.
+    A pair off a ``LinearIndex``'s or ``QuadraticIndex``'s grid raises ``GridMismatchError``,
+    and a non-finite score ``check_finite``'s ``ValueError``, worded as ``ScoreSample``'s.
+    Each row equals ``roc_curve`` of its ``score_sample`` bit for bit; ROC values are
+    computed only if ``keep_roc``."""
+    result = ReplicationResult(errors={name: index for name, index in fitted.items()
+                                       if isinstance(index, FuncrocError)})
+    names = [name for name in fitted if name not in result.errors]
+    if not names:
+        return result
+    diseased, healthy = np.empty((len(names), d.n)), np.empty((len(names), h.n))
+    for row, name in enumerate(names):
+        diseased[row], healthy[row] = index_scores(fitted[name], d), index_scores(fitted[name], h)
     for group, scores in (("diseased", diseased), ("healthy", healthy)):
         check_finite(scores, f"{group} scores")
         scores.sort(axis=1)
@@ -213,11 +214,17 @@ def evaluate(d: FunctionalSample, h: FunctionalSample, config: RunConfig) -> Rep
         swapped = summarize_sorted(healthy[flip], diseased[flip], p_grid)
         rows.auc[flip], rows.youden[flip] = swapped.auc, swapped.youden
         rows.roc_values[flip] = swapped.roc_values
-    result.auc.update(zip(fitted, rows.auc.tolist()))
-    result.youden.update(zip(fitted, rows.youden.tolist()))
+    result.auc.update(zip(names, rows.auc.tolist()))
+    result.youden.update(zip(names, rows.youden.tolist()))
     if config.keep_roc:
-        result.roc_values.update(zip(fitted, rows.roc_values))
+        result.roc_values.update(zip(names, rows.roc_values))
     return result
+
+
+def evaluate(d: FunctionalSample, h: FunctionalSample, config: RunConfig) -> ReplicationResult:
+    """``summarize_pair`` of one pair with ``fit_indexes`` on it; a pair on two grids raises
+    ``GridMismatchError``.  Studies, ``analyze`` and the ``roc`` command evaluate here."""
+    return summarize_pair(fit_indexes(FitContext(d, h), config), d, h, config)
 
 
 def run_replication(config: RunConfig, replication: int) -> ReplicationResult:

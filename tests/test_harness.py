@@ -29,6 +29,7 @@ from funcroc import (
     default_p_grid,
     emit_report,
     evaluate,
+    fit_indexes,
     generate_scenario,
     index_scores,
     ingest_curves,
@@ -38,6 +39,7 @@ from funcroc import (
     run_study,
     sample_gaussian,
     score_sample,
+    summarize_pair,
 )
 from funcroc import harness
 from funcroc.harness import roc_export_rows
@@ -274,6 +276,32 @@ class TestBatchedSummary:
                 analyze(d, h, config)
             with pytest.raises(ValueError, match="^diseased scores must be finite$"):
                 score_sample(huge, d, h)
+
+
+class TestHeldOutScoring:
+    """Indexes fitted on one draw summarize another draw through ``summarize_pair``."""
+
+    def test_rows_equal_the_roc_curve_of_the_other_draws_scores(self):
+        config = RunConfig(scenario=small_scenario(), keep_roc=True)
+        fitted = fit_indexes(FitContext(*generate_scenario(config.scenario.substream(0))), config)
+        d, h = generate_scenario(config.scenario.substream(1))
+        result = summarize_pair(fitted, d, h, config)
+        assert not result.errors
+        assert list(result.auc) == list(fitted) == list(INDEX_NAMES)
+        for name, index in fitted.items():
+            summary = roc_curve(score_sample(index, d, h), default_p_grid(config.p_grid_size))
+            assert result.auc[name] == summary.auc
+            assert result.youden[name] == summary.youden
+            assert np.array_equal(result.roc_values[name], summary.roc_values)
+
+    @pytest.mark.parametrize("name", ["linear", "quad"])
+    def test_a_pair_on_another_grid_is_rejected(self, name):
+        config = RunConfig(scenario=small_scenario(), indexes=(name,))
+        fitted = fit_indexes(FitContext(*generate_scenario(config.scenario)), config)
+        assert not isinstance(fitted[name], FuncrocError)
+        d, h = generate_scenario(small_scenario(grid_size=26))
+        with pytest.raises(GridMismatchError, match="different grids"):
+            summarize_pair(fitted, d, h, config)
 
 
 def singular_pair():

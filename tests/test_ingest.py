@@ -19,6 +19,7 @@ that it sees only the lines from the refused chunk on.
 
 import io
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,6 +194,17 @@ def test_cli_exits_with_two_on_invalid_utf8(tmp_path, capsys):
     code = main(["analyze", "--input", str(path)])
     assert code == 2
     assert "invalid UTF-8 at byte offset 24" in capsys.readouterr().err
+
+
+def test_invalid_byte_gone_on_the_second_read_names_the_file_as_changed(tmp_path, monkeypatch):
+    # the offset is sought in a second read of the file's bytes; when that read
+    # decodes cleanly, the file changed between the two reads
+    path = _write(tmp_path, HEADER.encode() + b"\nD,1,2\nH,3,\xff4\n")
+    monkeypatch.setattr(Path, "read_bytes", lambda self: f"{HEADER}\nD,1,2\nH,3,4\n".encode())
+    with pytest.raises(CurveParseError) as excinfo:
+        ingest_curves(path)
+    assert str(excinfo.value) == f"line 3: {path} changed while it was read"
+    assert excinfo.value.line == 3
 
 
 MUTATIONS = ["nan", "inf", "-inf", "1e999", "", " ", "x", "1_0", '"2.5"', "1e308", '"1\n5"',
