@@ -6,10 +6,11 @@ draws a fresh sample pair from its own random substream and hands it to
 pair, and ``summarize_pair``, which scores any pair, records its AUC and
 Youden summaries.  ``analyze`` and the ``roc`` command evaluate a curve
 file's pair the same way.  Index failures are isolated so one singular fit
-cannot poison the study.  When BLAS runs on one thread, a study's
-replications are spread over the CPUs in contiguous blocks of ids, one
-thread per block.  Aggregation order is fixed by replication id, so results
-do not depend on scheduling or on the number of threads.
+cannot poison the study.  When BLAS runs on one thread and two CPUs are
+usable, the caller runs the first half of a study's replication ids and one
+helper thread the second half; the two share the GIL, so a third thread
+waits for a host with more CPUs to be measured.  Aggregation order is fixed
+by replication id, so results do not depend on scheduling or on the helper.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CurveParseError, FuncrocError
+from .errors import CurveParseError, FuncrocError, GridMismatchError
 from .grids import FunctionalSample, Grid, check_finite, store_plain
 from .indexes import (
     DiscriminantIndex,
@@ -191,10 +192,12 @@ def summarize_pair(fitted: dict, d: FunctionalSample, h: FunctionalSample,
                    config: RunConfig) -> ReplicationResult:
     """Score any pair with ``fit_indexes``'s indexes into one matrix per group, a row per
     index, and summarize the rows in one batch; each failed fit's error goes to ``errors``.
-    A pair off a ``LinearIndex``'s or ``QuadraticIndex``'s grid raises ``GridMismatchError``,
-    and a non-finite score ``check_finite``'s ``ValueError``, worded as ``ScoreSample``'s.
-    Each row equals ``roc_curve`` of its ``score_sample`` bit for bit; ROC values are
-    computed only if ``keep_roc``."""
+    A pair on two grids, whatever was fitted, or off a ``LinearIndex``'s or ``QuadraticIndex``'s
+    grid raises ``GridMismatchError``, and a non-finite score ``check_finite``'s ``ValueError``,
+    worded as ``ScoreSample``'s.  Each row equals ``roc_curve`` of its ``score_sample`` bit for
+    bit; ROC values are computed only if ``keep_roc``."""
+    if not d.grid.compatible_with(h.grid):
+        raise GridMismatchError("samples live on different grids")
     result = ReplicationResult(errors={name: index for name, index in fitted.items()
                                        if isinstance(index, FuncrocError)})
     names = [name for name in fitted if name not in result.errors]
@@ -292,89 +295,81 @@ def _aggregate(
     )
 
 
-# The most CPUs a study's speed-up and memory cost were measured on; more
-# threads are not started until a larger host has been measured.
-_MEASURED_CPUS = 2
+def _use_helper(reps: int) -> bool:
+    """Whether a study of ``reps`` replications runs half of them on a helper thread.
 
-
-def _worker_count(reps: int) -> int:
-    """Threads to run ``reps`` replications on: one per usable CPU, if BLAS is pinned.
-
-    BLAS counts as pinned to one thread when ``OPENBLAS_NUM_THREADS`` is 1,
-    or it is unset and ``OMP_NUM_THREADS`` is 1.  Otherwise a study runs
-    serially: a multithreaded BLAS already spreads each solve over the
-    cores, and replication threads competing with its threads made a study
-    slower than running it serially.  The count is capped at
-    ``_MEASURED_CPUS``.
+    It does when BLAS is pinned to one thread, there are at least two
+    replications and the process may use at least two CPUs.  BLAS counts as
+    pinned when ``OPENBLAS_NUM_THREADS`` is 1, or it is unset and
+    ``OMP_NUM_THREADS`` is 1.  Otherwise a study runs serially: a
+    multithreaded BLAS already spreads each solve over the cores, and
+    replication threads competing with its threads made a study slower than
+    running it serially.
     """
     blas_threads = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
-    if blas_threads != "1":
-        return 1
+    if blas_threads != "1" or reps < 2:
+        return False
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
         cpus = os.cpu_count() or 1
-    return min(reps, cpus, _MEASURED_CPUS)
+    return cpus >= 2
 
 
-def _run_replications(config: RunConfig, workers: int) -> list[ReplicationResult]:
-    """Every replication of a study, in id order, run as ``workers`` blocks of ids.
+def _run_replications(config: RunConfig, helper: bool) -> list[ReplicationResult]:
+    """Every replication of a study, in id order.
 
-    The ids are cut into contiguous blocks.  The calling thread runs the
-    first and one helper thread each later block, under the caller's numpy
-    error state.  Every helper is joined before this returns or raises, and
-    the exception raised is the lowest failing id's, as in a serial run.
-    If the caller itself stops (an error in its block, or Ctrl-C), the
-    helpers stop after their current replication.
+    With ``helper``, the calling thread runs ids ``[0, reps // 2)`` and one
+    helper thread ``[reps // 2, reps)``, under the caller's numpy error
+    state.  The helper is joined before this returns or raises, and the
+    exception raised is the lowest failing id's, as in a serial run.  If the
+    caller itself stops (an error in its half, or Ctrl-C), the helper stops
+    after its current replication.
     """
-    bounds = [config.reps * block // workers for block in range(workers + 1)]
-    outcomes: list[list[ReplicationResult] | BaseException] = [[] for _ in range(workers)]
+    if not helper:
+        return [run_replication(config, rep) for rep in range(config.reps)]
+    half = config.reps // 2
+    tail: list[ReplicationResult] = []
+    failed: list[BaseException] = []
     errors = dict(np.geterr(), call=np.geterrcall())
     stop = threading.Event()
 
-    def run_block(block: int) -> None:
+    def run_tail() -> None:
         try:
             with np.errstate(**errors):
-                for rep in range(bounds[block], bounds[block + 1]):
+                for rep in range(half, config.reps):
                     if stop.is_set():
                         return
-                    outcomes[block].append(run_replication(config, rep))
+                    tail.append(run_replication(config, rep))
         except BaseException as exc:  # re-raised by the caller below
-            outcomes[block] = exc
+            failed.append(exc)
 
-    helpers = []
+    thread = threading.Thread(target=run_tail)
+    thread.start()
     try:
-        for block in range(1, workers):
-            helper = threading.Thread(target=run_block, args=(block,))
-            helper.start()
-            helpers.append(helper)
-        results = [run_replication(config, rep) for rep in range(bounds[0], bounds[1])]
-        for helper in helpers:
-            helper.join()
+        results = [run_replication(config, rep) for rep in range(half)]
+        thread.join()
     except BaseException:
         stop.set()
-        for helper in helpers:
-            helper.join()
+        thread.join()
         raise
-    for outcome in outcomes[1:]:
-        if isinstance(outcome, BaseException):
-            raise outcome
-        results += outcome
-    return results
+    if failed:
+        raise failed[0]
+    return results + tail
 
 
 def run_study(config: RunConfig) -> StudyReport:
     """Run all replications of a config and aggregate their summaries.
 
-    The replications run on ``_worker_count(config.reps)`` threads; the
-    report is the same for any number.  File-backed configs delegate to a
-    single ``analyze`` pass.
+    Half the replications run on a helper thread when ``_use_helper``
+    allows it; the report is the same either way.  File-backed configs
+    delegate to a single ``analyze`` pass.
     """
     if not isinstance(config.scenario, ScenarioSpec):
         d, h = ingest_curves(config.scenario)
         return analyze(d, h, config)
     start = time.perf_counter()
-    results = _run_replications(config, _worker_count(config.reps))
+    results = _run_replications(config, _use_helper(config.reps))
     return _aggregate(config, results, time.perf_counter() - start)
 
 

@@ -303,6 +303,17 @@ class TestHeldOutScoring:
         with pytest.raises(GridMismatchError, match="different grids"):
             summarize_pair(fitted, d, h, config)
 
+    @pytest.mark.parametrize("indexes", [("max", "min"), ()])
+    def test_a_pair_on_two_grids_is_rejected_whatever_was_fitted(self, indexes):
+        # max and min check no grid, and an empty fit scores nothing
+        config = RunConfig(scenario=small_scenario(grid_size=10), indexes=("max", "min"))
+        fitted = fit_indexes(FitContext(*generate_scenario(config.scenario)), config)
+        fitted = {name: fitted[name] for name in indexes}
+        d, _ = generate_scenario(config.scenario.substream(1))
+        _, h = generate_scenario(small_scenario(grid_size=12))
+        with pytest.raises(GridMismatchError, match="^samples live on different grids$"):
+            summarize_pair(fitted, d, h, config)
+
 
 def singular_pair():
     """Diseased curves that repeat two curves, so quad's diseased covariance is singular."""
@@ -420,36 +431,34 @@ class TestParallelReplications:
             monkeypatch.delenv(name, raising=False)
         return monkeypatch
 
-    @pytest.mark.parametrize("openblas, omp, workers", [
-        (None, None, 1),
-        ("1", None, 2),
-        ("2", None, 1),
-        (None, "1", 2),
-        (None, "2", 1),
-        ("2", "1", 1),  # OpenBLAS reads its own variable first
-        ("1", "4", 2),
+    @pytest.mark.parametrize("openblas, omp, helper", [
+        (None, None, False),
+        ("1", None, True),
+        ("2", None, False),
+        (None, "1", True),
+        (None, "2", False),
+        ("2", "1", False),  # OpenBLAS reads its own variable first
+        ("1", "4", True),
     ])
-    def test_threads_only_when_blas_is_pinned(self, four_cpus, openblas, omp, workers):
+    def test_threads_only_when_blas_is_pinned(self, four_cpus, openblas, omp, helper):
         for name, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
             if value is not None:
                 four_cpus.setenv(name, value)
-        assert harness._worker_count(200) == workers
+        assert harness._use_helper(200) is helper
 
-    def test_threads_follow_the_affinity_size_and_reps_up_to_the_cap(self, four_cpus):
+    def test_a_helper_needs_two_replications_and_two_cpus(self, four_cpus):
         four_cpus.setenv("OPENBLAS_NUM_THREADS", "1")
-        assert [harness._worker_count(reps) for reps in (1, 2, 3, 200)] == [1, 2, 2, 2]
-        four_cpus.setattr(harness, "_MEASURED_CPUS", 8)
-        assert [harness._worker_count(reps) for reps in (1, 3, 4, 5)] == [1, 3, 4, 4]
+        assert [harness._use_helper(reps) for reps in (1, 2, 3, 200)] == [False, True, True, True]
         four_cpus.setattr(os, "sched_getaffinity", lambda pid: {2})
-        assert harness._worker_count(200) == 1
+        assert harness._use_helper(200) is False
 
     def test_cpu_count_serves_where_affinity_is_missing(self, four_cpus):
         four_cpus.setenv("OPENBLAS_NUM_THREADS", "1")
         four_cpus.delattr(os, "sched_getaffinity")
         four_cpus.setattr(os, "cpu_count", lambda: 6)
-        assert harness._worker_count(200) == 2
+        assert harness._use_helper(200) is True
         four_cpus.setattr(os, "cpu_count", lambda: None)
-        assert harness._worker_count(200) == 1
+        assert harness._use_helper(200) is False
 
     @staticmethod
     def record_threads(monkeypatch):
@@ -467,21 +476,22 @@ class TestParallelReplications:
         monkeypatch.setattr(harness, "run_replication", recording)
         return ran
 
-    def test_caller_runs_the_first_block_and_helpers_the_rest(self, monkeypatch):
-        monkeypatch.setattr(harness, "_worker_count", lambda reps: 3)
+    @pytest.mark.parametrize("helper", [False, True])
+    def test_caller_runs_the_first_half_and_the_helper_the_rest(self, monkeypatch, helper):
+        monkeypatch.setattr(harness, "_use_helper", lambda reps: helper)
         ran = self.record_threads(monkeypatch)
         config = RunConfig(scenario=small_scenario(), indexes=("max",), reps=7)
         report = run_study(config)
         assert report.replications == 7
         threads = dict(ran)
         assert sorted(threads) == list(range(7))
-        blocks = [{threads[rep] for rep in block} for block in ((0, 1), (2, 3), (4, 5, 6))]
-        assert blocks[0] == {threading.current_thread()}
-        assert all(len(block) == 1 for block in blocks)
-        assert len(set.union(*blocks)) == 3
+        halves = [{threads[rep] for rep in half} for half in ((0, 1, 2), (3, 4, 5, 6))]
+        assert halves[0] == {threading.current_thread()}
+        assert len(halves[1]) == 1
+        assert (halves[1] == halves[0]) is not helper
 
-    def test_helpers_inherit_the_callers_numpy_error_state(self, monkeypatch):
-        monkeypatch.setattr(harness, "_worker_count", lambda reps: 2)
+    def test_the_helper_inherits_the_callers_numpy_error_state(self, monkeypatch):
+        monkeypatch.setattr(harness, "_use_helper", lambda reps: True)
         states = []
         original = harness.run_replication
 
@@ -495,16 +505,17 @@ class TestParallelReplications:
         assert states == ["ignore"] * 4
 
     @pytest.mark.parametrize("failing, raised", [
-        ({7}, 7),        # only in the last helper's block
-        ({4, 6}, 4),     # in both helpers' blocks
-        ({1, 5, 8}, 1),  # in every block, the caller's too
-        ({3, 4}, 3),     # twice in one helper's block
+        ({2}, 2),        # only in the caller's half, ids 0-3
+        ({7}, 7),        # only in the helper's half, ids 4-8
+        ({4, 6}, 4),     # twice in the helper's half
+        ({1, 5, 8}, 1),  # in both halves
+        ({3, 4}, 3),     # in both halves, on either side of the cut
     ])
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_lowest_failing_replication_raises_after_every_helper_ends(
-        self, monkeypatch, workers, failing, raised
+    @pytest.mark.parametrize("helper", [False, True])
+    def test_lowest_failing_replication_raises_after_the_helper_ends(
+        self, monkeypatch, helper, failing, raised
     ):
-        monkeypatch.setattr(harness, "_worker_count", lambda reps: workers)
+        monkeypatch.setattr(harness, "_use_helper", lambda reps: helper)
         original = harness.run_replication
 
         def failing_replication(config, replication_id):
@@ -519,8 +530,8 @@ class TestParallelReplications:
             run_study(config)
         assert threading.active_count() == before
 
-    def test_an_interrupt_while_joining_stops_the_helpers(self, monkeypatch):
-        monkeypatch.setattr(harness, "_worker_count", lambda reps: 2)
+    def test_an_interrupt_while_joining_stops_the_helper(self, monkeypatch):
+        monkeypatch.setattr(harness, "_use_helper", lambda reps: True)
         original_replication = harness.run_replication
         original_join = threading.Thread.join
         joins = []

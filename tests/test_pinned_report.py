@@ -358,10 +358,10 @@ PARALLEL_CONFIGS = {
         scenario=ScenarioSpec(name="D20", n_d=40, n_h=40, seed=88, grid_size=40),
         reps=5, keep_roc=True, flip_orientation=True,
     ),
-    # fewer replications than threads
+    # one id per thread; with the helper forced on, reps 1 leaves the caller none
     "P1-25+25-m20-reps2": RunConfig(scenario=P1_BALANCED, reps=2, keep_roc=True),
     "P1-25+25-m20-reps1": RunConfig(scenario=P1_BALANCED, reps=1, keep_roc=True),
-    # replications not divisible by 2 or 3
+    # halves of unequal length
     "C20-20+20-m20-reps7": RunConfig(
         scenario=ScenarioSpec(name="C20", n_d=20, n_h=20, seed=6, grid_size=20),
         reps=7, keep_roc=True, penalty_lambda=0.5,
@@ -373,13 +373,12 @@ PARALLEL_CONFIGS = {
 def test_reports_do_not_depend_on_the_thread_count(monkeypatch, label):
     config = PARALLEL_CONFIGS[label]
     reports = {}
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(harness, "_worker_count", lambda reps, workers=workers: workers)
-        reports[workers] = _report_bytes(config)
-    assert reports[2] == reports[1]
-    assert reports[3] == reports[1]
+    for helper in (False, True):
+        monkeypatch.setattr(harness, "_use_helper", lambda reps, helper=helper: helper)
+        reports[helper] = _report_bytes(config)
+    assert reports[True] == reports[False]
     if label == "P1-3+3-m15":
-        quad = json.loads(reports[1])["per_index"]["quad"]
+        quad = json.loads(reports[False])["per_index"]["quad"]
         assert (quad["n_ok"], quad["n_failed"]) == (1, 2)
 
 
