@@ -7,10 +7,11 @@ pair, and ``summarize_pair``, which scores any pair, records its AUC and
 Youden summaries.  ``analyze`` and the ``roc`` command evaluate a curve
 file's pair the same way.  Index failures are isolated so one singular fit
 cannot poison the study.  When BLAS runs on one thread and two CPUs are
-usable, the caller runs the first half of a study's replication ids and one
-helper thread the second half; the two share the GIL, so a third thread
-waits for a host with more CPUs to be measured.  Aggregation order is fixed
-by replication id, so results do not depend on scheduling or on the helper.
+usable, one helper process, started at the first such study and kept for the
+life of the process, runs the upper half of the replication ids that remain
+once it has booted (see ``_helper``); a process, unlike a thread, does not
+share the caller's GIL.  Aggregation order is fixed by replication id, so
+results do not depend on scheduling or on the helper.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import csv
 import json
 import math
 import os
-import threading
 import time
 from array import array
 from dataclasses import asdict, dataclass, field, fields
@@ -296,14 +296,14 @@ def _aggregate(
 
 
 def _use_helper(reps: int) -> bool:
-    """Whether a study of ``reps`` replications runs half of them on a helper thread.
+    """Whether a study of ``reps`` replications may run some of them on the helper process.
 
-    It does when BLAS is pinned to one thread, there are at least two
+    It may when BLAS is pinned to one thread, there are at least two
     replications and the process may use at least two CPUs.  BLAS counts as
     pinned when ``OPENBLAS_NUM_THREADS`` is 1, or it is unset and
     ``OMP_NUM_THREADS`` is 1.  Otherwise a study runs serially: a
     multithreaded BLAS already spreads each solve over the cores, and
-    replication threads competing with its threads made a study slower than
+    replication workers competing with its threads made a study slower than
     running it serially.
     """
     blas_threads = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
@@ -316,60 +316,23 @@ def _use_helper(reps: int) -> bool:
     return cpus >= 2
 
 
-def _run_replications(config: RunConfig, helper: bool) -> list[ReplicationResult]:
-    """Every replication of a study, in id order.
-
-    With ``helper``, the calling thread runs ids ``[0, reps // 2)`` and one
-    helper thread ``[reps // 2, reps)``, under the caller's numpy error
-    state.  The helper is joined before this returns or raises, and the
-    exception raised is the lowest failing id's, as in a serial run.  If the
-    caller itself stops (an error in its half, or Ctrl-C), the helper stops
-    after its current replication.
-    """
-    if not helper:
-        return [run_replication(config, rep) for rep in range(config.reps)]
-    half = config.reps // 2
-    tail: list[ReplicationResult] = []
-    failed: list[BaseException] = []
-    errors = dict(np.geterr(), call=np.geterrcall())
-    stop = threading.Event()
-
-    def run_tail() -> None:
-        try:
-            with np.errstate(**errors):
-                for rep in range(half, config.reps):
-                    if stop.is_set():
-                        return
-                    tail.append(run_replication(config, rep))
-        except BaseException as exc:  # re-raised by the caller below
-            failed.append(exc)
-
-    thread = threading.Thread(target=run_tail)
-    thread.start()
-    try:
-        results = [run_replication(config, rep) for rep in range(half)]
-        thread.join()
-    except BaseException:
-        stop.set()
-        thread.join()
-        raise
-    if failed:
-        raise failed[0]
-    return results + tail
-
-
 def run_study(config: RunConfig) -> StudyReport:
     """Run all replications of a config and aggregate their summaries.
 
-    Half the replications run on a helper thread when ``_use_helper``
-    allows it; the report is the same either way.  File-backed configs
-    delegate to a single ``analyze`` pass.
+    Some replications run on the helper process (see ``_helper``) when
+    ``_use_helper`` allows it; the report is the same either way.  File-backed
+    configs delegate to a single ``analyze`` pass.
     """
     if not isinstance(config.scenario, ScenarioSpec):
         d, h = ingest_curves(config.scenario)
         return analyze(d, h, config)
     start = time.perf_counter()
-    results = _run_replications(config, _use_helper(config.reps))
+    if _use_helper(config.reps):
+        from ._helper import run_replications  # loaded only once a study may use the helper
+
+        results = run_replications(config)
+    else:
+        results = [run_replication(config, rep) for rep in range(config.reps)]
     return _aggregate(config, results, time.perf_counter() - start)
 
 

@@ -1,10 +1,14 @@
+import contextlib
 import dataclasses
 import json
 import os
+import signal
+import sys
 import threading
 import time
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,10 +45,13 @@ from funcroc import (
     score_sample,
     summarize_pair,
 )
-from funcroc import harness
+from funcroc import _helper, harness
 from funcroc.harness import roc_export_rows
+import helper_shim
 
 DATA_DIR = Path(__file__).parent / "data"
+SHIM = Path(helper_shim.__file__).resolve()
+HELPER_SOURCE = str(Path(harness.__file__).resolve().parents[1])  # where funcroc is imported from
 
 
 def write_curve_file(path, points, rows):
@@ -59,6 +66,10 @@ def small_scenario(**overrides):
     base = dict(name="P1", n_d=30, n_h=30, seed=321, rho=1.0, grid_size=25)
     base.update(overrides)
     return ScenarioSpec(**base)
+
+
+def study_config(reps, seed=321):
+    return RunConfig(scenario=small_scenario(seed=seed), indexes=("max",), reps=reps)
 
 
 class TestRunConfigValidation:
@@ -460,49 +471,135 @@ class TestParallelReplications:
         four_cpus.setattr(os, "cpu_count", lambda: None)
         assert harness._use_helper(200) is False
 
-    @staticmethod
-    def record_threads(monkeypatch):
-        """Replace run_replication with one that records (id, thread) pairs.
+    @pytest.fixture(scope="class")
+    def shim(self, tmp_path_factory):
+        """Every helper started in this class is a ``tests/helper_shim.py`` process that
+        reads its options from the returned file; the last one is killed at the end."""
+        options = tmp_path_factory.mktemp("shim") / "helper.json"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_helper, "_COMMAND", [sys.executable, str(SHIM), HELPER_SOURCE,
+                                                str(options)])
+            helper_shim.stop()
+            yield options
+            helper_shim.stop()
 
-        Thread objects, unlike thread ids, are not reused once a thread ends.
-        """
-        ran = []
-        original = harness.run_replication
-
-        def recording(config, replication_id):
-            ran.append((replication_id, threading.current_thread()))
-            return original(config, replication_id)
-
-        monkeypatch.setattr(harness, "run_replication", recording)
-        return ran
-
-    @pytest.mark.parametrize("helper", [False, True])
-    def test_caller_runs_the_first_half_and_the_helper_the_rest(self, monkeypatch, helper):
-        monkeypatch.setattr(harness, "_use_helper", lambda reps: helper)
-        ran = self.record_threads(monkeypatch)
-        config = RunConfig(scenario=small_scenario(), indexes=("max",), reps=7)
-        report = run_study(config)
-        assert report.replications == 7
-        threads = dict(ran)
-        assert sorted(threads) == list(range(7))
-        halves = [{threads[rep] for rep in half} for half in ((0, 1, 2), (3, 4, 5, 6))]
-        assert halves[0] == {threading.current_thread()}
-        assert len(halves[1]) == 1
-        assert (halves[1] == halves[0]) is not helper
-
-    def test_the_helper_inherits_the_callers_numpy_error_state(self, monkeypatch):
+    @pytest.fixture
+    def helper(self, shim, monkeypatch, tmp_path):
+        """``helper.start(caller=None, wait=True, **options)`` gives the shim helper
+        ``options`` and the caller's ``run_replication`` the same wrapping with the
+        ``caller`` options.  It keeps a booted helper; any other is replaced, and the
+        new one is left to boot in the test's first study if ``wait`` is false.
+        ``helper.ran()`` reads the log the two processes share, and ``helper.pid`` is
+        the booted helper's pid.  Every study may use the helper."""
+        log, caller_options = tmp_path / "ran.jsonl", tmp_path / "caller.json"
         monkeypatch.setattr(harness, "_use_helper", lambda reps: True)
-        states = []
-        original = harness.run_replication
+        state = SimpleNamespace(pid=None, ran=lambda: [
+            json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()
+        ] if log.exists() else [])
 
-        def recording(config, replication_id):
-            states.append(np.geterr()["over"])
-            return original(config, replication_id)
+        def start(caller=None, wait=True, **options):
+            shim.write_text(json.dumps({"log": str(log), **options}), encoding="utf-8")
+            caller_options.write_text(json.dumps({"log": str(log), **(caller or {})}),
+                                      encoding="utf-8")
+            running = _helper._helper
+            if wait and running and running.ready:
+                state.pid = running.pid
+            else:
+                helper_shim.stop()
+                if wait:  # its first study runs in the caller alone, so logs nothing
+                    state.pid = helper_shim.boot(study_config(reps=2))
+            monkeypatch.setattr(harness, "run_replication",
+                                helper_shim.recording(str(caller_options), run_replication))
 
-        monkeypatch.setattr(harness, "run_replication", recording)
-        with np.errstate(over="ignore"):
-            run_study(RunConfig(scenario=small_scenario(), indexes=("max",), reps=4))
-        assert states == ["ignore"] * 4
+        state.start = start
+        return state
+
+    @staticmethod
+    def pids(lines, seed=None):
+        """Which pid ran each id, from the log lines of the study seeded ``seed``."""
+        return {line["id"]: line["pid"] for line in lines
+                if seed is None or line["seed"] == seed}
+
+    @pytest.mark.parametrize("allowed", [False, True])
+    def test_caller_runs_the_first_half_and_the_helper_the_rest(self, helper, monkeypatch,
+                                                               allowed):
+        helper.start()
+        monkeypatch.setattr(harness, "_use_helper", lambda reps: allowed)
+        assert run_study(study_config(reps=7)).replications == 7
+        pids = self.pids(helper.ran())
+        assert sorted(pids) == list(range(7))
+        assert {pids[rep] for rep in (0, 1, 2)} == {os.getpid()}
+        assert {pids[rep] for rep in (3, 4, 5, 6)} == {helper.pid if allowed else os.getpid()}
+
+    def test_a_helper_found_ready_late_takes_half_of_the_ids_that_remain(self, helper,
+                                                                         monkeypatch):
+        helper.start()
+        original, polls = _helper._Helper.poll, []
+
+        def poll(self):  # as if the helper booted while the caller ran ids 0-3
+            polls.append(self)
+            return len(polls) > 4 and original(self)
+
+        monkeypatch.setattr(_helper._Helper, "poll", poll)
+        run_study(study_config(reps=9))
+        pids = self.pids(helper.ran())
+        assert [pids[rep] for rep in range(9)] == [os.getpid()] * 6 + [helper.pid] * 3
+
+    def test_a_booting_helper_leaves_every_id_to_the_caller_without_a_wait(self, helper):
+        helper.start(wait=False, boot=60)
+        began = time.monotonic()
+        assert run_study(study_config(reps=6)).replications == 6
+        assert time.monotonic() - began < 30
+        assert self.pids(helper.ran()) == {rep: os.getpid() for rep in range(6)}
+        assert _helper._helper.ready is False
+
+    def test_the_helper_runs_under_the_callers_numpy_error_state_and_warning_filters(
+            self, helper):
+        helper.start()
+        with np.errstate(over="ignore", under="raise", divide="print"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            warnings.filterwarnings("ignore", category=DeprecationWarning)
+            errors = np.geterr()
+            filters = [[f[0], f[2].__name__] for f in warnings.filters[:2]]
+            run_study(study_config(reps=4))
+        lines = helper.ran()
+        assert self.pids(lines) == {0: os.getpid(), 1: os.getpid(), 2: helper.pid, 3: helper.pid}
+        assert filters == [["ignore", "DeprecationWarning"], ["error", "UserWarning"]]
+        assert [(line["errors"], line["filters"]) for line in lines] == [(errors, filters)] * 4
+
+    @pytest.mark.parametrize("mode", ["print", "ignore"])
+    def test_what_the_helper_prints_does_not_reach_its_replies(self, helper, capfd, mode):
+        helper.start(noise=True)
+        with np.errstate(over=mode):
+            report = run_study(study_config(reps=4))
+        assert report.replications == 4
+        assert set(self.pids(helper.ran()).values()) == {os.getpid(), helper.pid}
+
+    @pytest.mark.parametrize("state", ["call", "log", "local-warning-class", "other-thread"])
+    def test_unsupported_caller_state_runs_the_study_serially(self, helper, state):
+        helper.start(sleep={"1": 0.5})
+        sink = SimpleNamespace(write=lambda message: None)
+        local = type("Local", (UserWarning,), {})  # defined here, so it does not pickle
+        holder = threading.Thread(target=run_study, args=(study_config(reps=2, seed=5),))
+        with contextlib.ExitStack() as stack:
+            if state == "call":
+                stack.enter_context(np.errstate(over="call", call=lambda kind, flag: None))
+            elif state == "log":
+                stack.enter_context(np.errstate(all="log", call=sink))
+            elif state == "local-warning-class":
+                stack.enter_context(warnings.catch_warnings())
+                warnings.simplefilter("ignore", local)
+            else:  # a study on another thread holds the helper while its id 1 sleeps
+                holder.start()
+                stack.callback(holder.join)
+                deadline = time.monotonic() + 30
+                while helper.pid not in self.pids(helper.ran(), seed=5).values():
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+            report = run_study(study_config(reps=4))
+        assert report.replications == 4
+        assert self.pids(helper.ran(), seed=321) == {rep: os.getpid() for rep in range(4)}
 
     @pytest.mark.parametrize("failing, raised", [
         ({2}, 2),        # only in the caller's half, ids 0-3
@@ -511,54 +608,64 @@ class TestParallelReplications:
         ({1, 5, 8}, 1),  # in both halves
         ({3, 4}, 3),     # in both halves, on either side of the cut
     ])
-    @pytest.mark.parametrize("helper", [False, True])
+    @pytest.mark.parametrize("allowed", [False, True])
     def test_lowest_failing_replication_raises_after_the_helper_ends(
-        self, monkeypatch, helper, failing, raised
+        self, helper, monkeypatch, allowed, failing, raised
     ):
-        monkeypatch.setattr(harness, "_use_helper", lambda reps: helper)
-        original = harness.run_replication
-
-        def failing_replication(config, replication_id):
-            if replication_id in failing:
-                raise ValueError(f"replication {replication_id} failed")
-            return original(config, replication_id)
-
-        monkeypatch.setattr(harness, "run_replication", failing_replication)
-        config = RunConfig(scenario=small_scenario(), indexes=("max",), reps=9)
+        failures = {str(rep): "ValueError" for rep in failing}
+        helper.start(caller={"raise": failures}, **{"raise": failures})
+        monkeypatch.setattr(harness, "_use_helper", lambda reps: allowed)
         before = threading.active_count()
         with pytest.raises(ValueError, match=f"^replication {raised} failed$"):
-            run_study(config)
+            run_study(study_config(reps=9))
         assert threading.active_count() == before
+        pids = self.pids(helper.ran())
+        assert pids[raised] == (helper.pid if allowed and raised >= 4 else os.getpid())
+        # a failure in the helper's share leaves it serving; one in the caller's kills it
+        assert (_helper._helper is not None) is (raised >= 4 or not allowed)
 
-    def test_an_interrupt_while_joining_stops_the_helper(self, monkeypatch):
-        monkeypatch.setattr(harness, "_use_helper", lambda reps: True)
-        original_replication = harness.run_replication
-        original_join = threading.Thread.join
-        joins = []
-        released = threading.Event()
-        ran = []
+    @staticmethod
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
 
-        def replication(config, replication_id):
-            ran.append(replication_id)
-            if replication_id == 3:  # the helper's first id waits for the second join
-                assert released.wait(timeout=30)
-            return original_replication(config, replication_id)
-
-        def join(thread, timeout=None):
-            joins.append(thread)
-            if len(joins) == 1:
-                raise KeyboardInterrupt
-            released.set()
-            return original_join(thread, timeout)
-
-        monkeypatch.setattr(harness, "run_replication", replication)
-        monkeypatch.setattr(threading.Thread, "join", join)
-        config = RunConfig(scenario=small_scenario(), indexes=("max",), reps=6)
-        before = threading.active_count()
-        with pytest.raises(KeyboardInterrupt):
-            run_study(config)
+    @pytest.mark.parametrize("stop", ["error", "interrupt", "interrupt-while-waiting"])
+    def test_an_error_or_interrupt_in_the_caller_kills_the_helper(self, helper, monkeypatch,
+                                                                  stop):
+        if stop == "interrupt-while-waiting":  # the helper's first id outlasts the alarm
+            helper.start(sleep={"3": 60})
+            previous = signal.signal(signal.SIGALRM, self.interrupt)
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+        else:
+            helper.start(caller={"raise": {
+                "1": "ValueError" if stop == "error" else "KeyboardInterrupt"}})
+        pid, before, began = _helper._helper.pid, threading.active_count(), time.monotonic()
+        try:
+            with pytest.raises(ValueError if stop == "error" else KeyboardInterrupt):
+                run_study(study_config(reps=6))
+        finally:
+            if stop == "interrupt-while-waiting":
+                signal.setitimer(signal.ITIMER_REAL, 0)
+                signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - began < 30
+        assert _helper._helper is None
+        with pytest.raises(ProcessLookupError):  # killed and reaped
+            os.kill(pid, 0)
         assert threading.active_count() == before
-        assert sorted(ran) == [0, 1, 2, 3]
+        helper.start(wait=False, sleep={"3": 60})  # the caller fails no id now
+        fresh = helper_shim.boot(study_config(reps=2, seed=11))
+        assert fresh != pid
+        assert self.pids(helper.ran(), seed=11) == {0: os.getpid(), 1: os.getpid()}  # cold
+        run_study(study_config(reps=2, seed=7))
+        assert self.pids(helper.ran(), seed=7) == {0: os.getpid(), 1: fresh}
+
+    def test_a_study_inside_the_helper_runs_there_and_starts_no_helper(self, helper):
+        helper.start(nest=True)
+        run_study(study_config(reps=4))
+        lines = helper.ran()
+        inside = [line for line in lines if line["pid"] == helper.pid]
+        # ids 2 and 3 each run a 2-replication study of their own, inside the helper
+        assert [line["id"] for line in inside] == [2, 0, 1, 3, 0, 1]
+        assert not any(line["helper"] for line in inside)
 
 
 class TestAnalyze:

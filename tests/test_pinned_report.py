@@ -13,8 +13,8 @@ read, that a draw scores each fitted index once per group with
 ``index_scores`` and builds no ``ScoreSample``, and that a study factors
 each process kernel once, also when threads miss the factor cache at the
 same time.
-Machine-readable reports must not depend on how many threads ran a
-study's replications.
+Machine-readable reports must not depend on whether the helper process ran
+part of a study's replications.
 
 Regenerate the fixture (only when a change of numbers is intended) with
 ``OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_pinned_report.py``.
@@ -46,6 +46,7 @@ from funcroc import (
     run_study,
     simulation,
 )
+from helper_shim import boot as boot_helper
 
 FIXTURE = Path(__file__).parent / "data" / "pinned_per_index.json"
 NUMBERS = ("mean_auc", "sd_auc", "mean_youden")
@@ -248,6 +249,7 @@ def _report_bytes(config):
 
 
 def test_study_factors_each_process_kernel_once(monkeypatch):
+    monkeypatch.setattr(harness, "_use_helper", lambda reps: False)  # the patch stays here
     monkeypatch.setattr(simulation, "_factor_cache", {})
     kernels = []
     original = simulation.kernel_matrix
@@ -358,7 +360,7 @@ PARALLEL_CONFIGS = {
         scenario=ScenarioSpec(name="D20", n_d=40, n_h=40, seed=88, grid_size=40),
         reps=5, keep_roc=True, flip_orientation=True,
     ),
-    # one id per thread; with the helper forced on, reps 1 leaves the caller none
+    # one id each for the caller and the helper; reps 1 leaves the helper none
     "P1-25+25-m20-reps2": RunConfig(scenario=P1_BALANCED, reps=2, keep_roc=True),
     "P1-25+25-m20-reps1": RunConfig(scenario=P1_BALANCED, reps=1, keep_roc=True),
     # halves of unequal length
@@ -369,8 +371,16 @@ PARALLEL_CONFIGS = {
 }
 
 
+@pytest.fixture(scope="module")
+def booted_helper():
+    """A booted helper process, so that a study may use it from its first id."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_use_helper", lambda reps: True)
+        boot_helper(PARALLEL_CONFIGS["P1-25+25-m20-reps2"])
+
+
 @pytest.mark.parametrize("label", sorted(PARALLEL_CONFIGS))
-def test_reports_do_not_depend_on_the_thread_count(monkeypatch, label):
+def test_reports_do_not_depend_on_the_helper_process(monkeypatch, booted_helper, label):
     config = PARALLEL_CONFIGS[label]
     reports = {}
     for helper in (False, True):

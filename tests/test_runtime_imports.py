@@ -1,6 +1,7 @@
 """funcroc runs on numpy alone: studies, analyses, the CLI, the binormal oracles and the
 test suite's direction oracles all run with every scipy import blocked.  scipy is a test
-dependency only, an independent reference for the other test modules."""
+dependency only, an independent reference for the other test modules.  Importing funcroc
+and its CLI loads neither ``subprocess`` nor the helper-process module."""
 
 import json
 import os
@@ -32,7 +33,10 @@ SCRIPT = textwrap.dedent("""
         return sorted(name for name, module in sys.modules.items()
                       if module is not None and (name == "scipy" or name.startswith("scipy.")))
 
-    out = {"after_import": scipy_modules(), "n_ok": {}, "exit_codes": []}
+    out = {"after_import": scipy_modules(), "n_ok": {}, "exit_codes": [],
+           # only a study loads the helper-process module
+           "lazy_after_import": [name for name in ("subprocess", "funcroc._helper")
+                                 if name in sys.modules]}
     # N >= m (the m x m pooled kernel) and N < m (the N x N Gram form)
     for spec in (ScenarioSpec(name="P1", n_d=30, n_h=30, seed=1, rho=1.0, grid_size=20),
                  ScenarioSpec(name="C20", n_d=15, n_h=15, seed=1, grid_size=60)):
@@ -83,6 +87,7 @@ def test_studies_analyses_and_cli_load_no_scipy_module(tmp_path):
                           capture_output=True, text=True, timeout=120, check=True)
     out = json.loads(done.stdout.splitlines()[-1])
     assert out["after_import"] == []
+    assert out["lazy_after_import"] == []
     assert out["after_runs"] == []
     assert out["after_oracles"] == []
     for direction in out["directions"]:
