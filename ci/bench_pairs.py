@@ -18,7 +18,9 @@ than the parent's interquartile range.  Run lengths are the same on both
 sides.  Checkout paths of different lengths draw a warning: the child's
 peak RSS moves with the length of its path (about 1 MB on mc-widegrid).
 The exit status is 1 when a run, the warm-up runs included, fails or
-reports a failed check or fit.
+reports a failed check or fit; each such run is named on stderr by its pair,
+seed and side, with its ``check failed:`` lines and its failed fit count, so
+that a seed that lands below a check's fixed floor can be told from a fault.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from pathlib import Path
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The last stdout line of one ``bench/run.py`` run, as a dict."""
+    """The last stdout line of one ``bench/run.py`` run, as a dict, with the run's
+    ``check failed:`` lines added under ``checks``."""
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -43,7 +46,19 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if done.returncode != 0:
         raise RuntimeError(f"{checkout}: bench/run.py exited {done.returncode}: "
                            f"{done.stderr.strip()}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    lines = done.stdout.strip().splitlines()
+    return {**json.loads(lines[-1]),
+            "checks": [line for line in lines if line.startswith("check failed:")]}
+
+
+def healthy_run(result: dict, run: str) -> bool:
+    """Whether a run passed every check and fit; if not, ``run`` names it on stderr
+    with the checks that failed and its failed fit count."""
+    if result["correct"] is True and result["failed"] == 0:
+        return True
+    print(f"error: {run}: {result['failed']} of {result['attempted']} fits failed",
+          *result["checks"], sep="\n  ", file=sys.stderr, flush=True)
+    return False
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -76,16 +91,15 @@ def main() -> int:
     values = {side: {m["name"]: [] for m in metrics} for side in sides}
     healthy = True
     for side in sides:
-        result = run_once(sides[side], args.workload, warm_up_seed, args.seconds)
-        ok = result["correct"] is True and result["failed"] == 0
+        run = f"warm-up run in the {side} checkout (seed {warm_up_seed})"
+        ok = healthy_run(run_once(sides[side], args.workload, warm_up_seed, args.seconds), run)
         healthy &= ok
-        print(f"warm-up run in the {side} checkout (seed {warm_up_seed}): "
-              f"{'ok' if ok else 'failed'}, not counted", flush=True)
+        print(f"{run}: {'ok' if ok else 'failed'}, not counted", flush=True)
     for pair, seed in enumerate(seeds):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
             result = run_once(sides[side], args.workload, seed, args.seconds)
-            healthy &= result["correct"] is True and result["failed"] == 0
+            healthy &= healthy_run(result, f"pair {pair + 1} (seed {seed}), {side} run")
             for name, entry in result["metrics"].items():
                 values[side][name].append(entry["value"])
         print(f"pair {pair + 1} (seed {seed}, {order[0]} first): " + ", ".join(
@@ -110,7 +124,7 @@ def main() -> int:
               f"gain rule ({needed} of {args.pairs} wins, median gap > parent IQR): "
               f"{'holds' if gain else 'does not hold'}")
     if not healthy:
-        print("error: a run reported a failed check or fit", file=sys.stderr)
+        print("error: a run reported a failed check or fit (named above)", file=sys.stderr)
     return 0 if healthy else 1
 
 

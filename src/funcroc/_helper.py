@@ -1,10 +1,11 @@
 """The helper process that runs part of a study's replications (see ``harness``).
 
-The first study that ``harness._use_helper`` allows imports this module and spawns the
+``harness.run_study`` hands every simulation study to ``run_replications``, which alone
+decides whether the study uses the helper.  The first study that may use it spawns the
 helper with ``os.posix_spawn``; ``subprocess`` alone would take 4 ms to import.  The
 helper serves the process for its life and never starts a helper of its own.  It replies
 on a pipe of its own, so what it prints cannot reach the caller's reads, and it exits on
-EOF or a broken pipe.
+EOF or a broken pipe.  The process that started it kills and reaps it at exit.
 """
 
 import atexit
@@ -15,7 +16,6 @@ import select
 import signal
 import sys
 import threading
-import time
 import warnings
 
 import numpy as np
@@ -28,7 +28,7 @@ _COMMAND = [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); 
             os.path.dirname(os.path.dirname(os.path.abspath(__file__)))]
 _lock = threading.Lock()  # held while a study uses the helper, and for good inside one
 _helper = None
-atexit.register(lambda: _helper and _helper.close(kill=False))
+atexit.register(lambda: _helper and _helper.close())
 
 
 class _Helper:
@@ -64,19 +64,35 @@ class _Helper:
         except Exception:
             self.ready = None
 
-    def close(self, kill: bool) -> None:
-        """Close the pipes; in the process that started the helper, give it 5 s to exit on
-        their EOF if it is idle, and kill it otherwise."""
+    def close(self) -> None:
+        """Close the pipes and, in the process that started the helper, kill and reap it:
+        it flushes every reply, so it holds nothing that needs a clean exit."""
         with contextlib.suppress(OSError):
             self.requests.close()
         self.replies.close()
         if self.owner == os.getpid():  # a fork's copy only closes its pipes
-            for _ in range(500 if self.ready and not kill else 0):
-                if os.waitpid(self.pid, os.WNOHANG)[0]:
-                    return
-                time.sleep(0.01)
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
+
+
+def _use_helper(reps: int) -> bool:
+    """Whether a study of ``reps`` replications may run some of them on the helper process.
+
+    It may on a POSIX system (the helper is started with ``os.posix_spawn``) when BLAS
+    is pinned to one thread, there are at least two replications and the process may
+    use at least two CPUs.  BLAS counts as pinned when ``OPENBLAS_NUM_THREADS`` is 1, or
+    it is unset and ``OMP_NUM_THREADS`` is 1.  Otherwise a study runs serially: a
+    multithreaded BLAS already spreads each solve over the cores, and replication
+    workers competing with its threads made a study slower than running it serially.
+    """
+    blas_threads = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
+    if os.name != "posix" or blas_threads != "1" or reps < 2:
+        return False
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return cpus >= 2
 
 
 def run_replications(config) -> list:
@@ -84,21 +100,20 @@ def run_replications(config) -> list:
     lowest failing id's.  The caller runs ids from 0 upward, and once a check between two
     of them finds the helper booted, the helper runs the upper half of the ids that remain
     under the caller's numpy error state and warning filters.  The study runs serially
-    under an error mode of ``'call'`` or ``'log'``, with filters that do not pickle, or
-    while another thread holds the helper.  An error or Ctrl-C in the caller kills the
-    helper, and the next study starts a new one; if it is lost, the caller runs its ids."""
+    unless ``_use_helper`` allows the helper, and also under an error mode of ``'call'``
+    or ``'log'``, with filters that do not pickle, or while another thread holds the
+    helper.  An error or Ctrl-C in the caller kills the helper, and the next study starts
+    a new one; if it is lost, the caller runs its ids."""
     global _helper
-    errors, results = np.geterr(), []
-    try:
-        state = pickle.dumps((config, errors, warnings.filters))
-    except Exception:  # e.g. a warning category defined in a function
-        state = None
-    if (state is None or os.name != "posix" or {"call", "log"} & set(errors.values())
-            or not _lock.acquire(False)):
+    errors, results, state = np.geterr(), [], None
+    if _use_helper(config.reps) and not {"call", "log"} & set(errors.values()):
+        with contextlib.suppress(Exception):  # e.g. a warning category defined in a function
+            state = pickle.dumps((config, errors, warnings.filters))
+    if state is None or not _lock.acquire(False):
         return [harness.run_replication(config, rep) for rep in range(config.reps)]
     try:
         if _helper and (_helper.owner != os.getpid() or _helper.ready is None):
-            _helper.close(kill=True)
+            _helper.close()
             _helper = None
         _helper = _helper or _Helper()
         for rep in range(config.reps):
@@ -115,7 +130,7 @@ def run_replications(config) -> list:
             results.append(harness.run_replication(config, rep))
     except BaseException:
         if _helper:
-            _helper.close(kill=True)
+            _helper.close()
             _helper = None
         raise
     finally:

@@ -6,12 +6,14 @@ draws a fresh sample pair from its own random substream and hands it to
 pair, and ``summarize_pair``, which scores any pair, records its AUC and
 Youden summaries.  ``analyze`` and the ``roc`` command evaluate a curve
 file's pair the same way.  Index failures are isolated so one singular fit
-cannot poison the study.  When BLAS runs on one thread and two CPUs are
-usable, one helper process, started at the first such study and kept for the
-life of the process, runs the upper half of the replication ids that remain
-once it has booted (see ``_helper``); a process, unlike a thread, does not
-share the caller's GIL.  Aggregation order is fixed by replication id, so
-results do not depend on scheduling or on the helper.
+cannot poison the study.  ``run_study`` hands a study's replications to
+``_helper.run_replications``, which alone decides whether they run serially:
+on a POSIX system with BLAS on one thread and two usable CPUs, one helper
+process, started at the first such study and kept for the life of the
+process, runs the upper half of the replication ids that remain once it has
+booted; a process, unlike a thread, does not share the caller's GIL.
+Aggregation order is fixed by replication id, so results do not depend on
+scheduling or on the helper.
 """
 
 from __future__ import annotations
@@ -295,45 +297,20 @@ def _aggregate(
     )
 
 
-def _use_helper(reps: int) -> bool:
-    """Whether a study of ``reps`` replications may run some of them on the helper process.
-
-    It may when BLAS is pinned to one thread, there are at least two
-    replications and the process may use at least two CPUs.  BLAS counts as
-    pinned when ``OPENBLAS_NUM_THREADS`` is 1, or it is unset and
-    ``OMP_NUM_THREADS`` is 1.  Otherwise a study runs serially: a
-    multithreaded BLAS already spreads each solve over the cores, and
-    replication workers competing with its threads made a study slower than
-    running it serially.
-    """
-    blas_threads = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
-    if blas_threads != "1" or reps < 2:
-        return False
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        cpus = os.cpu_count() or 1
-    return cpus >= 2
-
-
 def run_study(config: RunConfig) -> StudyReport:
     """Run all replications of a config and aggregate their summaries.
 
-    Some replications run on the helper process (see ``_helper``) when
-    ``_use_helper`` allows it; the report is the same either way.  File-backed
-    configs delegate to a single ``analyze`` pass.
+    ``_helper.run_replications`` runs them, some on the helper process when its
+    rule allows; the report is the same either way.  File-backed configs
+    delegate to a single ``analyze`` pass.
     """
     if not isinstance(config.scenario, ScenarioSpec):
         d, h = ingest_curves(config.scenario)
         return analyze(d, h, config)
-    start = time.perf_counter()
-    if _use_helper(config.reps):
-        from ._helper import run_replications  # loaded only once a study may use the helper
+    from ._helper import run_replications  # loaded by the first study, not at import
 
-        results = run_replications(config)
-    else:
-        results = [run_replication(config, rep) for rep in range(config.reps)]
-    return _aggregate(config, results, time.perf_counter() - start)
+    start = time.perf_counter()
+    return _aggregate(config, run_replications(config), time.perf_counter() - start)
 
 
 def analyze(d: FunctionalSample, h: FunctionalSample, config: RunConfig) -> StudyReport:

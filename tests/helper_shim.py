@@ -38,7 +38,7 @@ def stop():
     from funcroc import _helper
 
     if _helper._helper:
-        _helper._helper.close(kill=True)
+        _helper._helper.close()
         _helper._helper = None
 
 
@@ -86,6 +86,6 @@ if __name__ == "__main__":
     time.sleep(json.loads(Path(sys.argv[2]).read_text(encoding="utf-8")).get("boot", 0))
     from funcroc import _helper, harness
 
-    harness._use_helper = lambda reps: True  # so that a nested study may ask for a helper
+    _helper._use_helper = lambda reps: True  # so that a nested study may ask for a helper
     harness.run_replication = recording(sys.argv[2], harness.run_replication)
     _helper.serve()

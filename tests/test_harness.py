@@ -455,21 +455,24 @@ class TestParallelReplications:
         for name, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
             if value is not None:
                 four_cpus.setenv(name, value)
-        assert harness._use_helper(200) is helper
+        assert _helper._use_helper(200) is helper
 
     def test_a_helper_needs_two_replications_and_two_cpus(self, four_cpus):
         four_cpus.setenv("OPENBLAS_NUM_THREADS", "1")
-        assert [harness._use_helper(reps) for reps in (1, 2, 3, 200)] == [False, True, True, True]
+        assert [_helper._use_helper(reps) for reps in (1, 2, 3, 200)] == [False, True, True, True]
+        with pytest.MonkeyPatch.context() as patch:  # and a POSIX system, for os.posix_spawn
+            patch.setattr(os, "name", "nt")
+            assert _helper._use_helper(200) is False
         four_cpus.setattr(os, "sched_getaffinity", lambda pid: {2})
-        assert harness._use_helper(200) is False
+        assert _helper._use_helper(200) is False
 
     def test_cpu_count_serves_where_affinity_is_missing(self, four_cpus):
         four_cpus.setenv("OPENBLAS_NUM_THREADS", "1")
         four_cpus.delattr(os, "sched_getaffinity")
         four_cpus.setattr(os, "cpu_count", lambda: 6)
-        assert harness._use_helper(200) is True
+        assert _helper._use_helper(200) is True
         four_cpus.setattr(os, "cpu_count", lambda: None)
-        assert harness._use_helper(200) is False
+        assert _helper._use_helper(200) is False
 
     @pytest.fixture(scope="class")
     def shim(self, tmp_path_factory):
@@ -492,7 +495,7 @@ class TestParallelReplications:
         ``helper.ran()`` reads the log the two processes share, and ``helper.pid`` is
         the booted helper's pid.  Every study may use the helper."""
         log, caller_options = tmp_path / "ran.jsonl", tmp_path / "caller.json"
-        monkeypatch.setattr(harness, "_use_helper", lambda reps: True)
+        monkeypatch.setattr(_helper, "_use_helper", lambda reps: True)
         state = SimpleNamespace(pid=None, ran=lambda: [
             json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()
         ] if log.exists() else [])
@@ -524,7 +527,7 @@ class TestParallelReplications:
     def test_caller_runs_the_first_half_and_the_helper_the_rest(self, helper, monkeypatch,
                                                                allowed):
         helper.start()
-        monkeypatch.setattr(harness, "_use_helper", lambda reps: allowed)
+        monkeypatch.setattr(_helper, "_use_helper", lambda reps: allowed)
         assert run_study(study_config(reps=7)).replications == 7
         pids = self.pids(helper.ran())
         assert sorted(pids) == list(range(7))
@@ -614,7 +617,7 @@ class TestParallelReplications:
     ):
         failures = {str(rep): "ValueError" for rep in failing}
         helper.start(caller={"raise": failures}, **{"raise": failures})
-        monkeypatch.setattr(harness, "_use_helper", lambda reps: allowed)
+        monkeypatch.setattr(_helper, "_use_helper", lambda reps: allowed)
         before = threading.active_count()
         with pytest.raises(ValueError, match=f"^replication {raised} failed$"):
             run_study(study_config(reps=9))

@@ -26,9 +26,9 @@ pytestmark = pytest.mark.skipif(not Path("/proc/self/stat").exists(),
 
 PREAMBLE = textwrap.dedent("""
     import json, os, sys, time
-    from funcroc import RunConfig, ScenarioSpec, _helper, harness, run_study
+    from funcroc import RunConfig, ScenarioSpec, _helper, run_study
 
-    harness._use_helper = lambda reps: True  # whatever the CPU count of the host
+    _helper._use_helper = lambda reps: True  # whatever the CPU count of the host
     SPEC = ScenarioSpec(name="P1", n_d=20, n_h=20, seed=1, rho=1.0, grid_size=15)
 
     def booted_helper():
@@ -44,7 +44,7 @@ PREAMBLE = textwrap.dedent("""
 def start_child(body):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=SOURCE)
     return subprocess.Popen([sys.executable, "-c", PREAMBLE + textwrap.dedent(body)],
-                            env=env, stdout=subprocess.PIPE, text=True)
+                            env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
 
 
 def gone_within(pid, seconds):
@@ -63,18 +63,22 @@ def gone_within(pid, seconds):
 
 @pytest.mark.parametrize("end", ["exit", "sigkill"])
 def test_the_helper_ends_with_its_caller(end):
+    # the child keeps its helper until its stdin ends, so the first check cannot race its exit
     child = start_child("print(json.dumps([booted_helper()]), flush=True)\n"
-                        + ("time.sleep(60)\n" if end == "sigkill" else ""))
+                        "sys.stdin.readline()\n")
     try:
         (pid,) = json.loads(child.stdout.readline())
         assert not gone_within(pid, 0)
         if end == "sigkill":  # the helper then reads EOF from its caller's end of the pipe
             child.send_signal(signal.SIGKILL)
+        child.stdin.close()
         assert child.wait(timeout=60) == (-signal.SIGKILL if end == "sigkill" else 0)
     finally:
         child.kill()
+        child.stdin.close()
         child.stdout.close()
-    assert gone_within(pid, 5)
+    # an exiting caller kills and reaps its helper before it ends
+    assert gone_within(pid, 0 if end == "exit" else 5)
 
 
 def test_a_fork_starts_a_helper_of_its_own_and_leaves_its_parents_serving():
@@ -96,6 +100,7 @@ def test_a_fork_starts_a_helper_of_its_own_and_leaves_its_parents_serving():
         assert child.wait(timeout=60) == 0
     finally:
         child.kill()
+        child.stdin.close()
         child.stdout.close()
     assert forked != first and owned
     assert again == first

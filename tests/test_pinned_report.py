@@ -35,6 +35,7 @@ from funcroc import (
     ProcessSpec,
     RunConfig,
     ScenarioSpec,
+    _helper,
     emit_report,
     estimation,
     generate_scenario,
@@ -249,7 +250,7 @@ def _report_bytes(config):
 
 
 def test_study_factors_each_process_kernel_once(monkeypatch):
-    monkeypatch.setattr(harness, "_use_helper", lambda reps: False)  # the patch stays here
+    monkeypatch.setattr(_helper, "_use_helper", lambda reps: False)  # the patch stays here
     monkeypatch.setattr(simulation, "_factor_cache", {})
     kernels = []
     original = simulation.kernel_matrix
@@ -375,7 +376,7 @@ PARALLEL_CONFIGS = {
 def booted_helper():
     """A booted helper process, so that a study may use it from its first id."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(harness, "_use_helper", lambda reps: True)
+        patch.setattr(_helper, "_use_helper", lambda reps: True)
         boot_helper(PARALLEL_CONFIGS["P1-25+25-m20-reps2"])
 
 
@@ -384,7 +385,7 @@ def test_reports_do_not_depend_on_the_helper_process(monkeypatch, booted_helper,
     config = PARALLEL_CONFIGS[label]
     reports = {}
     for helper in (False, True):
-        monkeypatch.setattr(harness, "_use_helper", lambda reps, helper=helper: helper)
+        monkeypatch.setattr(_helper, "_use_helper", lambda reps, helper=helper: helper)
         reports[helper] = _report_bytes(config)
     assert reports[True] == reports[False]
     if label == "P1-3+3-m15":
