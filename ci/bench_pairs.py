@@ -14,7 +14,9 @@ For every end-to-end metric of the parent's ``BENCHMARK.json`` the script
 prints each side's median and quartiles and the number of pairs each side
 won (ties count for neither).  A gain holds when the change wins at least
 nine tenths of the pairs and its median is better than the parent's by more
-than the parent's interquartile range.  Run lengths are the same on both
+than the parent's interquartile range.  A loss line then gives the relative
+change of the medians next to the metric's ``bound`` and flags a change
+worse than the bound; it does not change the exit status.  Run lengths are the same on both
 sides.  Checkout paths of different lengths draw a warning: the child's
 peak RSS moves with the length of its path (about 1 MB on mc-widegrid).
 The exit status is 1 when a run, the warm-up runs included, fails or
@@ -123,6 +125,10 @@ def main() -> int:
               f"pairs won parent {won['parent']}, change {won['change']}; "
               f"gain rule ({needed} of {args.pairs} wins, median gap > parent IQR): "
               f"{'holds' if gain else 'does not hold'}")
+        change = (c_median - p_median) / abs(p_median) if p_median else math.inf
+        worse = -sign * change > metric["bound"]
+        print(f"  loss: median {change:+.2%} against a bound of {metric['bound']:.0%}: "
+              f"{'WORSE THAN THE BOUND' if worse else 'within the bound'}")
     if not healthy:
         print("error: a run reported a failed check or fit (named above)", file=sys.stderr)
     return 0 if healthy else 1

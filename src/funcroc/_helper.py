@@ -1,15 +1,18 @@
-"""The helper process that runs part of a study's replications (see ``harness``).
+"""The helper process that runs part of a study, or parses part of a curve file (see
+``harness``).
 
-``harness.run_study`` hands every simulation study to ``run_replications``, which alone
-decides whether the study uses the helper.  The first study that may use it spawns the
-helper with ``os.posix_spawn``; ``subprocess`` alone would take 4 ms to import.  The
-helper serves the process for its life and never starts a helper of its own.  It replies
-on a pipe of its own, so what it prints cannot reach the caller's reads, and it exits on
-EOF or a broken pipe.  The process that started it kills and reaps it at exit.
+``harness.run_study`` hands every simulation study to ``run_replications``, and
+``ingest_curves`` every file's data lines to ``read_body``; each alone decides whether to
+use the helper.  The first one that may use it spawns the helper with ``os.posix_spawn``;
+``subprocess`` alone would take 4 ms to import.  The helper serves the process for its
+life and never starts a helper of its own.  It replies on a pipe of its own, so what it
+prints cannot reach the caller's reads, and it exits on EOF or a broken pipe.  The process
+that started it kills and reaps it at exit.
 """
 
 import atexit
 import contextlib
+import csv
 import os
 import pickle
 import select
@@ -17,6 +20,9 @@ import signal
 import sys
 import threading
 import warnings
+from array import array
+from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -84,6 +90,8 @@ def _use_helper(reps: int) -> bool:
     it is unset and ``OMP_NUM_THREADS`` is 1.  Otherwise a study runs serially: a
     multithreaded BLAS already spreads each solve over the cores, and replication
     workers competing with its threads made a study slower than running it serially.
+    ``read_body`` asks for a curve file's two halves: parsing uses no BLAS, but one
+    setting then turns the helper on or off for all work.
     """
     blas_threads = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
     if os.name != "posix" or blas_threads != "1" or reps < 2:
@@ -95,6 +103,22 @@ def _use_helper(reps: int) -> bool:
     return cpus >= 2
 
 
+def _start() -> None:
+    """Start a helper unless one of this process's runs and has not been lost."""
+    global _helper
+    if _helper and (_helper.owner != os.getpid() or _helper.ready is None):
+        _stop()
+    _helper = _helper or _Helper()
+
+
+def _stop() -> None:
+    """Kill the helper, if one runs; the next study or ingest that may use one starts it."""
+    global _helper
+    if _helper:
+        _helper.close()
+        _helper = None
+
+
 def run_replications(config) -> list:
     """Every replication of ``config``'s study in id order; the exception raised is the
     lowest failing id's.  The caller runs ids from 0 upward, and once a check between two
@@ -104,7 +128,6 @@ def run_replications(config) -> list:
     or ``'log'``, with filters that do not pickle, or while another thread holds the
     helper.  An error or Ctrl-C in the caller kills the helper, and the next study starts
     a new one; if it is lost, the caller runs its ids."""
-    global _helper
     errors, results, state = np.geterr(), [], None
     if _use_helper(config.reps) and not {"call", "log"} & set(errors.values()):
         with contextlib.suppress(Exception):  # e.g. a warning category defined in a function
@@ -112,10 +135,7 @@ def run_replications(config) -> list:
     if state is None or not _lock.acquire(False):
         return [harness.run_replication(config, rep) for rep in range(config.reps)]
     try:
-        if _helper and (_helper.owner != os.getpid() or _helper.ready is None):
-            _helper.close()
-            _helper = None
-        _helper = _helper or _Helper()
+        _start()
         for rep in range(config.reps):
             cut = (rep + config.reps) // 2
             if cut > rep and _helper.poll():
@@ -129,15 +149,104 @@ def run_replications(config) -> list:
                 break
             results.append(harness.run_replication(config, rep))
     except BaseException:
-        if _helper:
-            _helper.close()
-            _helper = None
+        _stop()
         raise
     finally:
         _lock.release()
     if isinstance(results, BaseException):  # the helper's lowest failing id's
         raise results
     return results
+
+
+def read_body(handle, path, line: int, grid, groups: dict) -> None:
+    """Append the values of the data lines left in ``handle``, the text handle of the curve
+    file ``path`` at line ``line + 1``, to ``groups``, as ``harness._read_body`` would alone.
+
+    With more than one bulk chunk of a regular file left and the helper allowed and free,
+    the caller starts it if none runs and reads on; once a check between two chunks finds
+    it booted, the caller reads up to the split, the first newline past the midpoint of the
+    bytes left, and the helper bulk-parses the rest.  If it refused or was lost, the caller
+    reads on from the split; if the caller refused a chunk, its row parser read to the end
+    and the reply is dropped.  Any error but ``CurveParseError`` kills the helper."""
+    chunk, status = harness._BULK_CHUNK, os.fstat(handle.fileno())
+    chunks = iter(partial(handle.readlines, chunk), [])
+    position = handle.tell() if handle.seekable() else status.st_size
+    # a cookie of more than 64 bits holds decoder state: it is not a byte offset
+    if (status.st_size - position <= chunk or position >> 64 or not _use_helper(2)
+            or not _lock.acquire(False)):
+        harness._read_body(chunks, handle, path, line, grid, groups)
+        return
+    split, leftover, asked, pending = float("inf"), [], False, False
+
+    def read() -> list:
+        """The caller's next chunk of lines; once a split is sent, none past it."""
+        nonlocal position, split, asked, pending
+        if not asked and status.st_size - position > chunk and _helper.poll():
+            asked, middle = True, (position + status.st_size) // 2
+            newline = os.pread(handle.fileno(), chunk, middle).find(b"\n")
+            if newline >= 0:  # else the caller reads on alone
+                split, pending = middle + newline + 1, True
+                with contextlib.suppress(OSError):  # a lost helper's reply then reads as EOF
+                    _helper.requests.write(pickle.dumps((str(path.absolute()), split,
+                        _identity(status), len(grid), csv.field_size_limit())))
+                    _helper.requests.flush()
+        if position >= split:
+            return []
+        lines = handle.readlines(chunk)
+        width = len("".join(lines).encode("utf-8", "surrogateescape"))
+        if position + width <= split:
+            position += width
+            return lines
+        for count, text in enumerate(lines, start=1):  # keep the lines past the split for later
+            position += len(text.encode("utf-8", "surrogateescape"))
+            if position >= split:
+                break
+        leftover[:] = lines[count:]
+        return lines[:count]
+
+    try:
+        _start()
+        try:
+            line = harness._read_body(iter(read, []), chain(leftover, handle), path, line,
+                                      grid, groups)
+            sent, reply = pending, pending and _helper.receive()
+            pending = False
+            if reply and line is not None and position == split:
+                for label, values in zip("DH", reply):
+                    groups[label].frombytes(values)
+            elif sent and line is not None:  # refused, lost, or the file changed: read on
+                harness._read_body(chain([leftover], chunks), handle, path, line, grid, groups)
+        except harness.CurveParseError:  # the caller's error: drop the reply, keep the helper
+            if pending:
+                _helper.receive()
+            raise
+    except BaseException as exc:
+        if not isinstance(exc, harness.CurveParseError):
+            _stop()
+        raise
+    finally:
+        _lock.release()
+
+
+def _identity(status) -> tuple:
+    """What tells one version of a file from another: its device, inode, size and mtime."""
+    return status.st_dev, status.st_ino, status.st_size, status.st_mtime_ns
+
+
+def _upper_half(path: str, split: int, identity: tuple, m: int, limit: int):
+    """The helper's side of ``read_body``: the raw float bytes of the values of groups D and
+    H from byte ``split`` of the file on, decoded as ``ingest_curves`` does; False if the
+    file is not the caller's, no line ends at the split or ``_read_bulk`` refuses a chunk."""
+    csv.field_size_limit(limit)
+    groups = {"D": array("d"), "H": array("d")}
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as handle:
+        handle.buffer.seek(split - 1)  # the text layer has read nothing yet
+        if _identity(os.fstat(handle.fileno())) != identity or handle.buffer.read(1) != b"\n":
+            return False
+        for lines in iter(partial(handle.readlines, harness._BULK_CHUNK), []):
+            if not harness._read_bulk(lines, m, groups):
+                return False
+    return groups["D"].tobytes(), groups["H"].tobytes()
 
 
 def serve() -> None:
@@ -150,6 +259,12 @@ def serve() -> None:
             replies.write(pickle.dumps(reply))
             replies.flush()
             start = pickle.load(sys.stdin.buffer)
+            if isinstance(start, tuple):  # the upper half of a curve file
+                try:
+                    reply = _upper_half(*start)
+                except OSError:  # e.g. the file is gone
+                    reply = False
+                continue
             config, errors, warnings.filters = pickle.load(sys.stdin.buffer)
             with np.errstate(**errors), warnings.catch_warnings():  # filters take effect
                 try:

@@ -13,7 +13,11 @@ process, started at the first such study and kept for the life of the
 process, runs the upper half of the replication ids that remain once it has
 booted; a process, unlike a thread, does not share the caller's GIL.
 Aggregation order is fixed by replication id, so results do not depend on
-scheduling or on the helper.
+scheduling or on the helper.  ``ingest_curves`` hands a curve file's data
+lines to ``_helper.read_body`` the same way: under the same rule, the booted
+helper parses the upper half of a large file while the caller reads the
+lower half, and wherever either half is refused the caller reads on alone,
+so the arrays and errors do not depend on the helper either.
 """
 
 from __future__ import annotations
@@ -435,6 +439,24 @@ def _checked(lines, path: Path, first: int):
         yield text
 
 
+def _read_body(chunks, rest, path: Path, line: int, grid: Grid, groups: dict[str, array]):
+    """Append the values of the data lines from line ``line + 1`` on to ``groups``: each
+    chunk of ``chunks`` (lists of lines) in bulk, until one is refused, from whose first
+    line the row parser reads to the end, that chunk and then the lines of ``rest``.
+    Returns the number of lines read once ``chunks`` end, or None once the row parser ran."""
+    for lines in chunks:
+        if not _read_bulk(lines, len(grid), groups):
+            reader = csv.reader(_checked(chain(lines, rest), path, line + 1))
+            try:
+                _parse_rows(reader, line, grid, groups)
+            except csv.Error as exc:  # e.g. a field over csv's size limit
+                raise CurveParseError(f"malformed CSV: {exc}",
+                                      line=line + reader.line_num) from exc
+            return None
+        line += len(lines)
+    return line
+
+
 def ingest_curves(path) -> tuple[FunctionalSample, FunctionalSample]:
     """Read a labeled curve file into (diseased, healthy) samples.
 
@@ -447,28 +469,27 @@ def ingest_curves(path) -> tuple[FunctionalSample, FunctionalSample]:
     cannot read exactly as the csv row parser would (quotes, malformed or
     unusual cells, invalid UTF-8), the row parser reads to the end of the
     file and raises the first error in file order as ``CurveParseError``.
+    With BLAS pinned, a booted helper process bulk-parses the upper half of
+    a large file's data lines meanwhile (``_helper.read_body``); the arrays
+    and errors are those of the caller reading alone.
     """
     path = Path(path)
-    line = 0  # lines read before the current csv reader's first line
     try:
         with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as handle:
-            reader = csv.reader(_checked(handle, path, 1))
+            # read by readline, so that the handle can tell where the data lines start
+            reader = csv.reader(_checked(iter(handle.readline, ""), path, 1))
             header = next((row for row in reader if row), None)
             if header is None:
                 raise CurveParseError("file is empty", line=1)
             grid = _parse_header(header, reader.line_num)
             groups = {"D": array("d"), "H": array("d")}
-            line = reader.line_num
-            while lines := handle.readlines(_BULK_CHUNK):
-                if not _read_bulk(lines, len(grid), groups):
-                    reader = csv.reader(_checked(chain(lines, handle), path, line + 1))
-                    _parse_rows(reader, line, grid, groups)
-                    break
-                line += len(lines)
+            from ._helper import read_body  # loaded by the first ingest, not at import
+
+            read_body(handle, path, reader.line_num, grid, groups)
     except OSError as exc:
         raise CurveParseError(f"cannot read {path}: {exc}") from exc
     except csv.Error as exc:  # e.g. a field over csv's size limit
-        raise CurveParseError(f"malformed CSV: {exc}", line=line + reader.line_num) from exc
+        raise CurveParseError(f"malformed CSV: {exc}", line=reader.line_num) from exc
 
     for label in ("D", "H"):
         if not groups[label]:

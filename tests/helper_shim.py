@@ -37,9 +37,7 @@ def stop():
     """Kill the helper, if one runs; the next study that may use one starts a new one."""
     from funcroc import _helper
 
-    if _helper._helper:
-        _helper._helper.close()
-        _helper._helper = None
+    _helper._stop()
 
 
 def recording(options, run):

@@ -548,14 +548,6 @@ class TestParallelReplications:
         pids = self.pids(helper.ran())
         assert [pids[rep] for rep in range(9)] == [os.getpid()] * 6 + [helper.pid] * 3
 
-    def test_a_booting_helper_leaves_every_id_to_the_caller_without_a_wait(self, helper):
-        helper.start(wait=False, boot=60)
-        began = time.monotonic()
-        assert run_study(study_config(reps=6)).replications == 6
-        assert time.monotonic() - began < 30
-        assert self.pids(helper.ran()) == {rep: os.getpid() for rep in range(6)}
-        assert _helper._helper.ready is False
-
     def test_the_helper_runs_under_the_callers_numpy_error_state_and_warning_filters(
             self, helper):
         helper.start()
@@ -669,6 +661,15 @@ class TestParallelReplications:
         # ids 2 and 3 each run a 2-replication study of their own, inside the helper
         assert [line["id"] for line in inside] == [2, 0, 1, 3, 0, 1]
         assert not any(line["helper"] for line in inside)
+
+    # last: the helper it leaves never boots, so a test after it would wait for a new one
+    def test_a_booting_helper_leaves_every_id_to_the_caller_without_a_wait(self, helper):
+        helper.start(wait=False, boot=60)
+        began = time.monotonic()
+        assert run_study(study_config(reps=6)).replications == 6
+        assert time.monotonic() - began < 30
+        assert self.pids(helper.ran()) == {rep: os.getpid() for rep in range(6)}
+        assert _helper._helper.ready is False
 
 
 class TestAnalyze:

@@ -14,11 +14,22 @@ it refuses, from whose first line the csv row parser reads to the end.
 The differential tests require the outcome to equal the row parser's
 alone (every chunk refused) on every file, to the bit or to the message
 and line; the route tests check that clean files skip the row parser and
-that it sees only the lines from the refused chunk on.
+that it sees only the lines from the refused chunk on.  They read every
+file serially.  The helper-route tests share one booted helper process,
+which bulk-parses the upper half of a large file while the caller reads
+the lower half: the same defect corpus, with defects in either half, a
+replaced file, a killed helper and a lowered csv field size limit must
+give the row parser's outcome too.
 """
 
+import csv
+import functools
 import io
+import os
 import random
+import re
+import signal
+import time
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +37,7 @@ import pytest
 
 from funcroc import CurveParseError
 from funcroc.cli import main
-from funcroc import harness
+from funcroc import _helper, harness
 from funcroc.harness import _parse_cells, _parse_rows, _read_bulk, ingest_curves
 
 HEADER = "label,0.5,1.0"
@@ -285,16 +296,26 @@ def _outcome(path):
             h.values.shape, h.values.tobytes())
 
 
+def _row_parsers_outcome(monkeypatch, path):
+    """``_outcome`` with the bulk pass refusing every chunk, which leaves the csv row
+    parser alone (the header is always read by csv), and the helper process unused."""
+    with monkeypatch.context() as patch:
+        patch.setattr(_helper, "_use_helper", lambda reps: False)
+        patch.setattr(harness, "_read_bulk", lambda lines, m, groups: False)
+        return _outcome(path)
+
+
 class _Routes:
     """Patches the per-chunk bulk pass to count its results, or to refuse every chunk.
 
-    The header is always read by csv, so a bulk pass that refuses every
-    chunk leaves the csv row parser alone.
+    The helper process would parse the upper half of a large file with a bulk pass
+    of its own, which the counts cannot see, so every file is read serially.
     """
 
     def __init__(self, monkeypatch):
         self.monkeypatch = monkeypatch
         self.bulk = self.refused = 0
+        monkeypatch.setattr(_helper, "_use_helper", lambda reps: False)
 
     def _counting(self, lines, m, groups):
         accepted = _read_bulk(lines, m, groups)
@@ -309,9 +330,7 @@ class _Routes:
         with self.monkeypatch.context() as patch:
             patch.setattr(harness, "_read_bulk", self._counting)
             got = _outcome(path)
-        with self.monkeypatch.context() as patch:
-            patch.setattr(harness, "_read_bulk", lambda lines, m, groups: False)
-            return got, _outcome(path)
+        return got, _row_parsers_outcome(self.monkeypatch, path)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -335,30 +354,32 @@ def _encode(rows, line_ending):
     return "".join(",".join(row) + line_ending for row in rows).encode("utf-8")
 
 
-def _defect(rows, rng, kind):
-    late = rows[rng.randrange(len(rows) - 100, len(rows))]
+def _defect(rows, rng, kind, early):
+    """``rows`` with a defect of ``kind`` in one of the last 100, or if ``early`` the first
+    100, data rows: those the helper process reads, or those the caller does."""
+    row = rows[rng.randrange(1, 101) if early else rng.randrange(len(rows) - 100, len(rows))]
     if kind == "bad-cell":
-        late[3] = "x"
+        row[3] = "x"
     elif kind == "non-finite-cell":
-        late[3] = "-inf"
+        row[3] = "-inf"
     elif kind == "ragged-row":
-        late.pop()
+        row.pop()
     elif kind == "unknown-label":
-        late[0] = "X"
+        row[0] = "X"
     elif kind == "quoted-cell":
-        late[3] = '"' + late[3] + '"'
+        row[3] = '"' + row[3] + '"'
     elif kind == "quoted-label":
-        late[0] = '"' + late[0] + '"'
+        row[0] = '"' + row[0] + '"'
     elif kind == "field-over-the-csv-limit":
-        late[3] = "4" * 200_000
+        row[3] = "4" * 200_000
     elif kind == "line-over-the-csv-limit":  # every field under the limit, the line over it
-        late[1:] = [" " * 20_000 + cell for cell in late[1:]]
+        row[1:] = [" " * 20_000 + cell for cell in row[1:]]
     elif kind == "blank-lines":
-        rows.insert(rows.index(late), [])
+        rows.insert(rows.index(row), [])
     elif kind == "space-only-line":  # csv reads a one-cell row, not a blank one
-        rows.insert(rows.index(late), [" "])
+        rows.insert(rows.index(row), [" "])
     elif kind == "underscore-digits":
-        late[3] = "1_5"
+        row[3] = "1_5"
     return rows
 
 
@@ -367,21 +388,89 @@ DEFECTS = ["clean", "bad-cell", "non-finite-cell", "ragged-row", "unknown-label"
            "space-only-line", "underscore-digits", "invalid-utf8"]
 
 
+@functools.lru_cache(maxsize=2)
+def _seeded_rows(seed):
+    """``_big_rows`` of a generator seeded with ``seed``, and the generator's state after."""
+    rng = random.Random(seed)
+    return _big_rows(rng), rng.getstate()
+
+
+def _defective_file(kind, line_ending, early=False):
+    """``_big_rows`` with a defect of ``kind`` (``_defect``), or an invalid byte near the
+    start or the end of the file, as bytes.  Early defects share their rows per line ending."""
+    rows, state = _seeded_rows(f"early{line_ending}" if early else f"{kind}{line_ending}")
+    rng = random.Random()
+    rng.setstate(state)
+    data = _encode(_defect([row[:] for row in rows], rng, kind, early), line_ending)
+    if kind == "invalid-utf8":
+        k = rng.randrange(1_000, 6_000) if early else rng.randrange(len(data) - 5_000, len(data))
+        data = data[:k] + b"\xff" + data[k:]
+    return data
+
+
+# The helper route: with a booted helper, the caller reads the lower half of a large
+# file's data lines and the helper the upper half, unless either refuses a chunk.
+
+@pytest.fixture(scope="module")
+def real_helper():
+    """One helper process for the helper-route tests of this module, killed at the end."""
+    yield
+    _helper._stop()
+
+
+@pytest.fixture
+def helper_route(real_helper, monkeypatch):
+    """Every file may use the helper, which has booted (a new one if a test killed it).
+    Returns the list of the replies the caller receives: "accepted" with the upper half's
+    values, "refused", or "lost" when the helper ended without a reply."""
+    monkeypatch.setattr(_helper, "_use_helper", lambda reps: True)
+    _helper._start()
+    deadline = time.monotonic() + 60
+    while not _helper._helper.poll():
+        assert _helper._helper.ready is False and time.monotonic() < deadline, "no helper booted"
+        time.sleep(0.01)
+    replies, receive = [], _helper._Helper.receive
+
+    def recording(self):
+        reply = receive(self)
+        replies.append("lost" if reply is None else "accepted" if reply else "refused")
+        return reply
+
+    monkeypatch.setattr(_helper._Helper, "receive", recording)
+    return replies
+
+
 @pytest.mark.parametrize("line_ending", ["\n", "\r\n", "\r"])
 @pytest.mark.parametrize("kind", DEFECTS)
 def test_defect_past_the_first_bulk_chunk_gives_the_row_parsers_outcome(
-        tmp_path, monkeypatch, kind, line_ending):
-    rng = random.Random(f"{kind}{line_ending}")
-    data = _encode(_defect(_big_rows(rng), rng, kind), line_ending)
+        tmp_path, monkeypatch, helper_route, kind, line_ending):
+    data = _defective_file(kind, line_ending)
     assert len(data) > 3 * harness._BULK_CHUNK
-    if kind == "invalid-utf8":
-        k = rng.randrange(len(data) - 5_000, len(data))
-        data = data[:k] + b"\xff" + data[k:]
     routes = _Routes(monkeypatch)
-    got, expected = routes.both(_write(tmp_path, data))
+    path = _write(tmp_path, data)
+    got, expected = routes.both(path)
     assert got == expected
     # the row parser reads on from the first refused chunk, so no second one is refused
-    assert routes.refused == (0 if kind in ("clean", "blank-lines") else 1)
+    clean = kind in ("clean", "blank-lines")
+    assert routes.refused == (0 if clean else 1)
+    # on the helper route, the helper reads the defect and refuses; the caller reads on
+    monkeypatch.setattr(_helper, "_use_helper", lambda reps: True)
+    assert _outcome(path) == expected
+    # no line of a file with "\r" line endings ends in a newline, so no split is found
+    assert helper_route == ([] if line_ending == "\r" else ["accepted" if clean else "refused"])
+
+
+# a file with "\r" line endings, read by the caller alone, is in the test above
+@pytest.mark.parametrize("line_ending", ["\n", "\r\n"])
+@pytest.mark.parametrize("kind", DEFECTS[1:])
+def test_defect_in_the_callers_half_gives_the_row_parsers_outcome(
+        tmp_path, monkeypatch, helper_route, kind, line_ending):
+    path = _write(tmp_path, _defective_file(kind, line_ending, early=True))
+    expected = _row_parsers_outcome(monkeypatch, path)
+    assert _outcome(path) == expected
+    # the helper accepts the clean upper half, and the reply is dropped where the caller's
+    # row parser read to the end
+    assert helper_route == ["accepted"]
 
 
 def test_file_whose_only_quote_is_in_a_label_gives_the_row_parsers_arrays(tmp_path, monkeypatch):
@@ -391,7 +480,13 @@ def test_file_whose_only_quote_is_in_a_label_gives_the_row_parsers_arrays(tmp_pa
     assert got[2] == np.array([[1.0, 2.0]]).tobytes()
 
 
-def test_clean_repr_float_file_never_reaches_the_row_parser(tmp_path, monkeypatch):
+@pytest.fixture
+def serial(monkeypatch):
+    """Every file is read by the caller alone, whatever BLAS pinning allows."""
+    monkeypatch.setattr(_helper, "_use_helper", lambda reps: False)
+
+
+def test_clean_repr_float_file_never_reaches_the_row_parser(tmp_path, monkeypatch, serial):
     def refuse(*args):
         raise AssertionError("the row parser ran on a clean file")
 
@@ -402,7 +497,7 @@ def test_clean_repr_float_file_never_reaches_the_row_parser(tmp_path, monkeypatc
     assert len(d.values) + len(h.values) == len(rows) - 1
 
 
-def test_file_refused_in_its_last_chunk_is_parsed_once(tmp_path, monkeypatch):
+def test_file_refused_in_its_last_chunk_is_parsed_once(tmp_path, monkeypatch, serial):
     rows = _big_rows(random.Random(11))
     rows[-1][3] = "1_5"  # float reads it, loadtxt does not
     text = _encode(rows, "\n").decode("utf-8")
@@ -442,3 +537,87 @@ def test_quoted_or_underscore_file_parses_through_the_row_parser(
     assert len(calls) == 1
     assert d.values.tobytes() == np.array(expected[0]).tobytes()
     assert h.values.tobytes() == np.array(expected[1]).tobytes()
+
+
+def test_a_file_replaced_before_the_helper_opens_it_is_read_by_the_caller(
+        tmp_path, monkeypatch, helper_route):
+    path = _write(tmp_path, _defective_file("clean", "\n"))
+    expected = _row_parsers_outcome(monkeypatch, path)
+    identity = _helper._identity
+
+    def replacing(status):  # after the caller's fstat, before the request is sent
+        other = tmp_path / "other.csv"  # other values, every newline where it was
+        other.write_bytes(path.read_bytes().replace(b"5", b"6"))
+        other.replace(path)
+        return identity(status)
+
+    monkeypatch.setattr(_helper, "_identity", replacing)
+    assert _outcome(path) == expected
+    assert helper_route == ["refused"]
+
+
+def test_a_refusal_in_the_callers_half_leaves_the_helper_in_step(
+        tmp_path, monkeypatch, helper_route):
+    bad = _write(tmp_path, _defective_file("bad-cell", "\n", early=True))
+    with pytest.raises(CurveParseError, match="not a number: 'x'"):
+        ingest_curves(bad)
+    good = tmp_path / "good.csv"
+    good.write_bytes(_defective_file("clean", "\r\n"))
+    expected = _row_parsers_outcome(monkeypatch, good)
+    assert _outcome(good) == expected
+    assert helper_route == ["accepted", "accepted"]  # the first reply was dropped
+
+
+def test_the_helper_applies_the_callers_csv_field_size_limit(tmp_path, monkeypatch,
+                                                             helper_route):
+    rows = _big_rows(random.Random(3))
+    rows[-10][3] = "1." + "0" * 1_500  # a number under the default limit, over the lowered one
+    path = _write(tmp_path, _encode(rows, "\n"))
+    limit = csv.field_size_limit(1_000)
+    try:
+        expected = _row_parsers_outcome(monkeypatch, path)
+        line = len(rows) - 9
+        assert expected == (f"line {line}: malformed CSV: field larger than field limit (1000)",
+                            line)
+        assert _outcome(path) == expected
+    finally:
+        csv.field_size_limit(limit)
+    assert helper_route == ["refused"]
+
+
+def test_a_refusal_in_the_callers_last_chunk_drops_the_reply(tmp_path, monkeypatch,
+                                                             helper_route):
+    data = bytearray(_defective_file("clean", "\n"))
+    start = data.index(b"\n") + 1
+    split = data.index(b"\n", (start + len(data)) // 2) + 1  # as the caller picks it
+    # an underscore in a number of the caller's last line: float reads it, loadtxt does not
+    digits = re.compile(rb"\d(\d)\d").search(data, data.rindex(b"\n", 0, split - 1))
+    assert digits.end() < split
+    data[digits.start(1)] = ord("_")
+    path = _write(tmp_path, bytes(data))
+    expected = _row_parsers_outcome(monkeypatch, path)
+    assert _outcome(path) == expected
+    assert helper_route == ["accepted"]
+
+
+# last, so that no other test waits for a new helper to boot
+def test_a_helper_killed_mid_parse_leaves_the_caller_to_read_on(
+        tmp_path, monkeypatch, helper_route):
+    rows = _big_rows(random.Random(9))
+    # the helper's reply, about 256 KB, outgrows the pipe, so it is never whole before the
+    # caller reads it, however early the helper ends its parse
+    path = _write(tmp_path, _encode(rows + rows[1:] * 3, "\n"))
+    expected = _row_parsers_outcome(monkeypatch, path)
+
+    chunks = []
+
+    def killing(lines, m, groups):  # the request is sent before the caller's first chunk
+        if not chunks:
+            os.kill(_helper._helper.pid, signal.SIGKILL)
+        chunks.append(len(lines))
+        return _read_bulk(lines, m, groups)
+
+    monkeypatch.setattr(harness, "_read_bulk", killing)
+    assert _outcome(path) == expected
+    assert helper_route == ["lost"] and _helper._helper.ready is None
+    assert len(chunks) > 12  # the caller's half, then the helper's read serially
