@@ -37,9 +37,10 @@ Cases:
 - ``analyze`` of a seeded C20 curve file at lambda 0 and 0.5, and at ridge
   0.1, as JSON;
 - ``analyze`` of a seeded C20 file of 400+400 curves (m=20, more than four
-  bulk chunks of ``ingest_curves``), as JSON.  It runs after the studies,
-  which have booted the helper process when BLAS is pinned, so that the
-  helper parses the upper half of the file;
+  bulk chunks of ``ingest_curves``), read twice, as JSON.  It runs after the
+  studies, which have booted the helper process when BLAS is pinned: the
+  process's first large file is read alone, and the helper parses the upper
+  half of the second;
 - the stdout, stderr, exit code and written files of CLI runs: ``simulate``,
   ``analyze`` (plain, ``--lambda 0.5``, ``--flip``, ``--lambda -1``,
   ``--ridge 0.1``, ``--ridge -1``) on the seeded file and on a file whose two
@@ -138,7 +139,9 @@ def main(outdir: str) -> int:
     large = "inputs/C20-400+400-m20.csv"
     _write_curves(Path(large), ScenarioSpec(name="C20", n_d=400, n_h=400, seed=22, grid_size=20))
     config = RunConfig(scenario=large, reps=1, keep_roc=True)
-    Path("analyze-large.json").write_bytes(_json(analyze(*ingest_curves(large), config)))
+    for read in ("first", "second"):
+        Path(f"analyze-large-{read}.json").write_bytes(_json(analyze(*ingest_curves(large),
+                                                                     config)))
 
     _cli("simulate-P1", ["simulate", "--scenario", "P1", "--rho", "1", "--nd", "10", "--nh", "10",
                          "--reps", "2", "--seed", "1", "--grid-size", "10"])

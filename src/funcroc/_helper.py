@@ -2,12 +2,12 @@
 ``harness``).
 
 ``harness.run_study`` hands every simulation study to ``run_replications``, and
-``ingest_curves`` every file's data lines to ``read_body``; each alone decides whether to
-use the helper.  The first one that may use it spawns the helper with ``os.posix_spawn``;
-``subprocess`` alone would take 4 ms to import.  The helper serves the process for its
-life and never starts a helper of its own.  It replies on a pipe of its own, so what it
-prints cannot reach the caller's reads, and it exits on EOF or a broken pipe.  The process
-that started it kills and reaps it at exit.
+``ingest_curves`` a process's second large file and those after it to ``read_body``; each
+alone decides whether to use the helper.  The first one that may use it spawns the helper
+with ``os.posix_spawn``; ``subprocess`` alone would take 4 ms to import.  The helper serves
+the process for its life and never starts a helper of its own.  It replies on a pipe of
+its own, so what it prints cannot reach the caller's reads, and it exits on EOF or a broken
+pipe.  The process that started it kills and reaps it at exit.
 """
 
 import atexit
@@ -49,6 +49,10 @@ class _Helper:
         try:
             self.pid = os.posix_spawn(_COMMAND[0], _COMMAND + [str(write)], os.environ,
                                       file_actions=[(os.POSIX_SPAWN_DUP2, stdin, 0)], setsid=True)
+        except OSError:
+            self.replies.close()
+            self.requests.close()
+            raise
         finally:
             os.close(write)
             os.close(stdin)
@@ -104,11 +108,14 @@ def _use_helper(reps: int) -> bool:
 
 
 def _start() -> None:
-    """Start a helper unless one of this process's runs and has not been lost."""
+    """Start a helper unless one of this process's runs and has not been lost; if none
+    can be spawned (e.g. at the process limit), none runs and the work stays serial."""
     global _helper
     if _helper and (_helper.owner != os.getpid() or _helper.ready is None):
         _stop()
-    _helper = _helper or _Helper()
+    if not _helper:
+        with contextlib.suppress(OSError):
+            _helper = _Helper()
 
 
 def _stop() -> None:
@@ -138,7 +145,7 @@ def run_replications(config) -> list:
         _start()
         for rep in range(config.reps):
             cut = (rep + config.reps) // 2
-            if cut > rep and _helper.poll():
+            if cut > rep and _helper and _helper.poll():
                 with contextlib.suppress(OSError):  # a lost helper's reply then reads as EOF
                     _helper.requests.write(pickle.dumps(cut) + state)
                     _helper.requests.flush()
@@ -158,68 +165,64 @@ def run_replications(config) -> list:
     return results
 
 
-def read_body(handle, path, line: int, grid, groups: dict) -> None:
-    """Append the values of the data lines left in ``handle``, the text handle of the curve
-    file ``path`` at line ``line + 1``, to ``groups``, as ``harness._read_body`` would alone.
-
-    With more than one bulk chunk of a regular file left and the helper allowed and free,
-    the caller starts it if none runs and reads on; once a check between two chunks finds
-    it booted, the caller reads up to the split, the first newline past the midpoint of the
-    bytes left, and the helper bulk-parses the rest.  If it refused or was lost, the caller
+def read_body(chunks, handle, path, line: int, grid, groups: dict) -> None:
+    """``harness._read_body(chunks, handle, path, line, grid, groups)``, with the helper's
+    help when more than one bulk chunk of a regular file is left and the helper is allowed
+    and free.  The caller starts the helper if none runs; if it had booted already, the
+    caller reads up to the split, the first newline past the midpoint of the bytes left,
+    and the helper bulk-parses the rest.  If the helper refused or was lost, the caller
     reads on from the split; if the caller refused a chunk, its row parser read to the end
     and the reply is dropped.  Any error but ``CurveParseError`` kills the helper."""
     chunk, status = harness._BULK_CHUNK, os.fstat(handle.fileno())
-    chunks = iter(partial(handle.readlines, chunk), [])
     position = handle.tell() if handle.seekable() else status.st_size
     # a cookie of more than 64 bits holds decoder state: it is not a byte offset
     if (status.st_size - position <= chunk or position >> 64 or not _use_helper(2)
             or not _lock.acquire(False)):
         harness._read_body(chunks, handle, path, line, grid, groups)
         return
-    split, leftover, asked, pending = float("inf"), [], False, False
-
-    def read() -> list:
-        """The caller's next chunk of lines; once a split is sent, none past it."""
-        nonlocal position, split, asked, pending
-        if not asked and status.st_size - position > chunk and _helper.poll():
-            asked, middle = True, (position + status.st_size) // 2
-            newline = os.pread(handle.fileno(), chunk, middle).find(b"\n")
-            if newline >= 0:  # else the caller reads on alone
-                split, pending = middle + newline + 1, True
-                with contextlib.suppress(OSError):  # a lost helper's reply then reads as EOF
-                    _helper.requests.write(pickle.dumps((str(path.absolute()), split,
-                        _identity(status), len(grid), csv.field_size_limit())))
-                    _helper.requests.flush()
-        if position >= split:
-            return []
-        lines = handle.readlines(chunk)
-        width = len("".join(lines).encode("utf-8", "surrogateescape"))
-        if position + width <= split:
-            position += width
-            return lines
-        for count, text in enumerate(lines, start=1):  # keep the lines past the split for later
-            position += len(text.encode("utf-8", "surrogateescape"))
-            if position >= split:
-                break
-        leftover[:] = lines[count:]
-        return lines[:count]
-
     try:
         _start()
+        middle, newline = (position + status.st_size) // 2, -1
+        if _helper and _helper.poll():
+            newline = os.pread(handle.fileno(), chunk, middle).find(b"\n")
+        if newline < 0:  # no booted helper, or no newline to split at (a "\r"-only file)
+            harness._read_body(chunks, handle, path, line, grid, groups)
+            return
+        split, leftover = middle + newline + 1, []
+        with contextlib.suppress(OSError):  # a lost helper's reply then reads as EOF
+            _helper.requests.write(pickle.dumps((str(path.absolute()), split, _identity(status),
+                                                 len(grid), csv.field_size_limit())))
+            _helper.requests.flush()
+
+        def read() -> list:
+            """The caller's next chunk of lines, none past the split."""
+            nonlocal position
+            if position >= split:
+                return []
+            lines = next(chunks, [])
+            width = len("".join(lines).encode("utf-8", "surrogateescape"))
+            if position + width <= split:
+                position += width
+                return lines
+            for count, text in enumerate(lines, start=1):  # keep the lines past the split
+                position += len(text.encode("utf-8", "surrogateescape"))
+                if position >= split:
+                    break
+            leftover[:] = lines[count:]
+            return lines[:count]
+
         try:
             line = harness._read_body(iter(read, []), chain(leftover, handle), path, line,
                                       grid, groups)
-            sent, reply = pending, pending and _helper.receive()
-            pending = False
-            if reply and line is not None and position == split:
-                for label, values in zip("DH", reply):
-                    groups[label].frombytes(values)
-            elif sent and line is not None:  # refused, lost, or the file changed: read on
-                harness._read_body(chain([leftover], chunks), handle, path, line, grid, groups)
         except harness.CurveParseError:  # the caller's error: drop the reply, keep the helper
-            if pending:
-                _helper.receive()
+            _helper.receive()
             raise
+        reply = _helper.receive()
+        if reply and line is not None and position == split:
+            for label, values in zip("DH", reply):
+                groups[label].frombytes(values)
+        elif line is not None:  # refused, lost, or the file changed: read on from the split
+            harness._read_body(chain([leftover], chunks), handle, path, line, grid, groups)
     except BaseException as exc:
         if not isinstance(exc, harness.CurveParseError):
             _stop()

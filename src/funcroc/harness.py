@@ -13,11 +13,10 @@ process, started at the first such study and kept for the life of the
 process, runs the upper half of the replication ids that remain once it has
 booted; a process, unlike a thread, does not share the caller's GIL.
 Aggregation order is fixed by replication id, so results do not depend on
-scheduling or on the helper.  ``ingest_curves`` hands a curve file's data
-lines to ``_helper.read_body`` the same way: under the same rule, the booted
-helper parses the upper half of a large file while the caller reads the
-lower half, and wherever either half is refused the caller reads on alone,
-so the arrays and errors do not depend on the helper either.
+scheduling or on the helper.  From a process's second large curve file on,
+``ingest_curves`` hands the data lines to ``_helper.read_body``: a booted
+helper parses the upper half under the same rule, and the arrays and errors
+are those of the caller reading alone.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ import os
 import time
 from array import array
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from itertools import chain
 from pathlib import Path
 from typing import Callable
@@ -457,6 +457,12 @@ def _read_body(chunks, rest, path: Path, line: int, grid: Grid, groups: dict[str
     return line
 
 
+# Whether this process has ingested a file of more than one bulk chunk.  The helper
+# lives as long as the process, so only a process that reads such files again repays
+# its start; a race between two threads at most reads one more file serially.
+_large_ingested = False
+
+
 def ingest_curves(path) -> tuple[FunctionalSample, FunctionalSample]:
     """Read a labeled curve file into (diseased, healthy) samples.
 
@@ -469,10 +475,11 @@ def ingest_curves(path) -> tuple[FunctionalSample, FunctionalSample]:
     cannot read exactly as the csv row parser would (quotes, malformed or
     unusual cells, invalid UTF-8), the row parser reads to the end of the
     file and raises the first error in file order as ``CurveParseError``.
-    With BLAS pinned, a booted helper process bulk-parses the upper half of
-    a large file's data lines meanwhile (``_helper.read_body``); the arrays
-    and errors are those of the caller reading alone.
+    A process's second file of more than one bulk chunk, and every later
+    one, goes to ``_helper.read_body``, where a booted helper process may
+    parse the upper half: the arrays and errors stay those of reading alone.
     """
+    global _large_ingested
     path = Path(path)
     try:
         with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as handle:
@@ -483,9 +490,12 @@ def ingest_curves(path) -> tuple[FunctionalSample, FunctionalSample]:
                 raise CurveParseError("file is empty", line=1)
             grid = _parse_header(header, reader.line_num)
             groups = {"D": array("d"), "H": array("d")}
-            from ._helper import read_body  # loaded by the first ingest, not at import
-
-            read_body(handle, path, reader.line_num, grid, groups)
+            large, read_body = os.fstat(handle.fileno()).st_size > _BULK_CHUNK, _read_body
+            if large and _large_ingested:
+                from ._helper import read_body
+            _large_ingested |= large
+            read_body(iter(partial(handle.readlines, _BULK_CHUNK), []), handle, path,
+                      reader.line_num, grid, groups)
     except OSError as exc:
         raise CurveParseError(f"cannot read {path}: {exc}") from exc
     except csv.Error as exc:  # e.g. a field over csv's size limit

@@ -671,6 +671,18 @@ class TestParallelReplications:
         assert self.pids(helper.ran()) == {rep: os.getpid() for rep in range(6)}
         assert _helper._helper.ready is False
 
+    def test_a_helper_that_cannot_be_spawned_leaves_every_id_to_the_caller(self, helper,
+                                                                          monkeypatch):
+        helper.start(wait=False)
+
+        def refuse(*args, **kwargs):
+            raise BlockingIOError(11, "Resource temporarily unavailable")  # e.g. RLIMIT_NPROC
+
+        monkeypatch.setattr(os, "posix_spawn", refuse)
+        assert run_study(study_config(reps=4)).replications == 4
+        assert self.pids(helper.ran()) == {rep: os.getpid() for rep in range(4)}
+        assert _helper._helper is None
+
 
 class TestAnalyze:
     def test_null_dataset_keeps_linear_indexes_near_half(self, tmp_path):

@@ -19,7 +19,9 @@ file serially.  The helper-route tests share one booted helper process,
 which bulk-parses the upper half of a large file while the caller reads
 the lower half: the same defect corpus, with defects in either half, a
 replaced file, a killed helper and a lowered csv field size limit must
-give the row parser's outcome too.
+give the row parser's outcome too.  A process's first large file starts
+no helper, a helper that has not booted or cannot be spawned leaves the
+file to the caller, and the outcome is again the row parser's.
 """
 
 import csv
@@ -420,10 +422,12 @@ def real_helper():
 
 @pytest.fixture
 def helper_route(real_helper, monkeypatch):
-    """Every file may use the helper, which has booted (a new one if a test killed it).
-    Returns the list of the replies the caller receives: "accepted" with the upper half's
-    values, "refused", or "lost" when the helper ended without a reply."""
+    """Every file may use the helper, which has booted (a new one if a test killed it),
+    as if the process had read a large file before.  Returns the list of the replies the
+    caller receives: "accepted" with the upper half's values, "refused", or "lost" when
+    the helper ended without a reply."""
     monkeypatch.setattr(_helper, "_use_helper", lambda reps: True)
+    monkeypatch.setattr(harness, "_large_ingested", True)
     _helper._start()
     deadline = time.monotonic() + 60
     while not _helper._helper.poll():
@@ -600,6 +604,49 @@ def test_a_refusal_in_the_callers_last_chunk_drops_the_reply(tmp_path, monkeypat
     assert helper_route == ["accepted"]
 
 
+def test_a_process_starts_the_helper_at_its_second_large_file_and_uses_it_once_booted(
+        tmp_path, monkeypatch, helper_route):
+    path = _write(tmp_path, _defective_file("clean", "\n"))
+    expected = _row_parsers_outcome(monkeypatch, path)
+    _helper._stop()
+    monkeypatch.setattr(harness, "_large_ingested", False)
+    assert _outcome(path) == expected
+    assert _helper._helper is None and harness._large_ingested
+    # the second starts the helper, which has not booted when the ingest begins
+    assert _outcome(path) == expected
+    assert _helper._helper is not None and _helper._helper.ready is False
+    assert helper_route == []
+    deadline = time.monotonic() + 60
+    while not _helper._helper.poll():
+        assert _helper._helper.ready is False and time.monotonic() < deadline, "no helper booted"
+        time.sleep(0.01)
+    helper_route.clear()  # the boot's reply
+    assert _outcome(path) == expected
+    assert helper_route == ["accepted"]
+
+
+def test_the_split_is_chosen_before_the_first_chunk_or_not_at_all(
+        tmp_path, monkeypatch, helper_route):
+    path = _write(tmp_path, _defective_file("clean", "\n"))
+    expected = _row_parsers_outcome(monkeypatch, path)
+    polls = []
+
+    def booting(self):  # the helper boots once the caller has read a chunk
+        polls.append(len(chunks))
+        return bool(chunks)
+
+    chunks = []
+
+    def counting(lines, m, groups):
+        chunks.append(len(lines))
+        return _read_bulk(lines, m, groups)
+
+    monkeypatch.setattr(_helper._Helper, "poll", booting)
+    monkeypatch.setattr(harness, "_read_bulk", counting)
+    assert _outcome(path) == expected
+    assert polls == [0] and helper_route == []
+
+
 # last, so that no other test waits for a new helper to boot
 def test_a_helper_killed_mid_parse_leaves_the_caller_to_read_on(
         tmp_path, monkeypatch, helper_route):
@@ -621,3 +668,18 @@ def test_a_helper_killed_mid_parse_leaves_the_caller_to_read_on(
     assert _outcome(path) == expected
     assert helper_route == ["lost"] and _helper._helper.ready is None
     assert len(chunks) > 12  # the caller's half, then the helper's read serially
+
+
+def test_a_helper_that_cannot_be_spawned_leaves_the_file_to_the_caller(tmp_path, monkeypatch):
+    path = _write(tmp_path, _defective_file("clean", "\r\n"))
+    expected = _row_parsers_outcome(monkeypatch, path)
+    _helper._stop()
+    monkeypatch.setattr(_helper, "_use_helper", lambda reps: True)
+    monkeypatch.setattr(harness, "_large_ingested", True)
+
+    def refuse(*args, **kwargs):
+        raise BlockingIOError(11, "Resource temporarily unavailable")  # e.g. RLIMIT_NPROC
+
+    monkeypatch.setattr(os, "posix_spawn", refuse)
+    assert _outcome(path) == expected
+    assert _helper._helper is None

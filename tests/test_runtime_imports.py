@@ -1,7 +1,8 @@
 """funcroc runs on numpy alone: studies, analyses, the CLI, the binormal oracles and the
 test suite's direction oracles all run with every scipy import blocked.  scipy is a test
 dependency only, an independent reference for the other test modules.  Importing funcroc
-and its CLI loads neither ``subprocess`` nor the helper-process module."""
+and its CLI, or reading the first large curve file of a process, loads neither
+``subprocess`` nor the helper-process module."""
 
 import json
 import os
@@ -33,23 +34,33 @@ SCRIPT = textwrap.dedent("""
         return sorted(name for name, module in sys.modules.items()
                       if module is not None and (name == "scipy" or name.startswith("scipy.")))
 
+    def lazy_modules():
+        return [name for name in ("subprocess", "funcroc._helper") if name in sys.modules]
+
+    def write_curves(path, d, h):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("label," + ",".join(map(repr, d.grid.points.tolist())) + "\\n")
+            for label, sample in (("D", d), ("H", h)):
+                for row in sample.values.tolist():
+                    handle.write(label + "," + ",".join(map(repr, row)) + "\\n")
+
     out = {"after_import": scipy_modules(), "n_ok": {}, "exit_codes": [],
-           # only a study loads the helper-process module
-           "lazy_after_import": [name for name in ("subprocess", "funcroc._helper")
-                                 if name in sys.modules]}
+           "lazy_after_import": lazy_modules()}
+    # a study or a process's second large curve file loads the helper-process module;
+    # the first large file, of more than one 64 KiB chunk, does not
+    workdir = sys.argv[1]
+    write_curves(f"{workdir}/large.csv", *generate_scenario(
+        ScenarioSpec(name="C20", n_d=200, n_h=200, seed=3, grid_size=20)))
+    funcroc.ingest_curves(f"{workdir}/large.csv")
+    out["lazy_after_large_ingest"] = lazy_modules()
     # N >= m (the m x m pooled kernel) and N < m (the N x N Gram form)
     for spec in (ScenarioSpec(name="P1", n_d=30, n_h=30, seed=1, rho=1.0, grid_size=20),
                  ScenarioSpec(name="C20", n_d=15, n_h=15, seed=1, grid_size=60)):
         report = run_study(RunConfig(scenario=spec, indexes=INDEX_NAMES, reps=3))
         out["n_ok"][spec.name] = {name: report.per_index[name]["n_ok"] for name in INDEX_NAMES}
 
-    workdir = sys.argv[1]
-    d, h = generate_scenario(ScenarioSpec(name="C20", n_d=20, n_h=25, seed=2, grid_size=15))
-    with open(f"{workdir}/curves.csv", "w", encoding="utf-8") as handle:
-        handle.write("label," + ",".join(map(repr, d.grid.points.tolist())) + "\\n")
-        for label, sample in (("D", d), ("H", h)):
-            for row in sample.values.tolist():
-                handle.write(label + "," + ",".join(map(repr, row)) + "\\n")
+    write_curves(f"{workdir}/curves.csv", *generate_scenario(
+        ScenarioSpec(name="C20", n_d=20, n_h=25, seed=2, grid_size=15)))
     for argv in (["analyze", "--input", f"{workdir}/curves.csv", "--lambda", "0.5",
                   "--export-roc", f"{workdir}/roc_samples.csv", "--out", f"{workdir}/report.json"],
                  ["roc", "--input", f"{workdir}/curves.csv", "--index", "quad",
@@ -88,6 +99,8 @@ def test_studies_analyses_and_cli_load_no_scipy_module(tmp_path):
     out = json.loads(done.stdout.splitlines()[-1])
     assert out["after_import"] == []
     assert out["lazy_after_import"] == []
+    assert (tmp_path / "large.csv").stat().st_size > 2 * 65_536
+    assert out["lazy_after_large_ingest"] == []
     assert out["after_runs"] == []
     assert out["after_oracles"] == []
     for direction in out["directions"]:
