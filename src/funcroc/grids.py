@@ -126,13 +126,27 @@ class FunctionalSample:
     grid: Grid
     values: np.ndarray
 
-    def __post_init__(self):
-        values = frozen_finite(self.values, "sample values")
+    def __post_init__(self, adopt: bool = False):
+        if adopt:  # the package's own fresh array: checked and frozen in place
+            values = check_finite(self.values, "sample values")
+            values.setflags(write=False)
+        else:
+            values = frozen_finite(self.values, "sample values")
         if values.ndim != 2 or values.shape[0] < 1:
             raise ValueError("a sample needs at least one curve")
         if values.shape[1] != len(self.grid):
             raise ValueError("sample columns must match the grid length")
         object.__setattr__(self, "values", values)
+
+    @classmethod
+    def _adopt(cls, grid: Grid, values: np.ndarray) -> "FunctionalSample":
+        """The sample of ``values``, a float array just made that nothing else holds, checked
+        and frozen as the constructor's copy is but not copied (draws and ingested files)."""
+        sample = cls.__new__(cls)
+        object.__setattr__(sample, "grid", grid)
+        object.__setattr__(sample, "values", values)
+        sample.__post_init__(adopt=True)
+        return sample
 
     @property
     def n(self) -> int:

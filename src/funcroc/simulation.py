@@ -186,7 +186,7 @@ def sample_gaussian(
     else:
         values = (rng.standard_normal((n, sd.size)) * sd) @ basis.T
     values += mean
-    return FunctionalSample(grid, values)
+    return FunctionalSample._adopt(grid, values)
 
 
 @dataclass(frozen=True)

@@ -46,9 +46,10 @@ def recording(options, run):
     Each call appends one JSON line to the file named by ``log``: the id, the study's
     seed, the pid, numpy's error state, the first two warning filters as (action,
     category name) and whether this process holds a helper of its own.  Then the
-    call sleeps ``sleep[id]`` seconds, raises the builtin exception named by
-    ``raise[id]`` with the message ``"replication {id} failed"``, runs a 2-replication
-    study of its own first when ``nest`` is set and the study is larger, and writes to
+    call sleeps ``sleep[id]`` seconds, waits until the file ``hold[id]`` exists (for
+    at most 60 seconds), raises the builtin exception named by ``raise[id]`` with the
+    message ``"replication {id} failed"``, runs a 2-replication study of its own
+    first when ``nest`` is set and the study is larger, and writes to
     stdout and stderr and overflows a float under numpy's error state when ``noise``
     is set.  Ids are JSON object keys, so strings.
     """
@@ -66,6 +67,9 @@ def recording(options, run):
         with open(settings["log"], "a", encoding="utf-8") as log:
             log.write(json.dumps(line) + "\n")
         time.sleep(settings.get("sleep", {}).get(key, 0))
+        hold, deadline = settings.get("hold", {}).get(key), time.monotonic() + 60
+        while hold and not os.path.exists(hold) and time.monotonic() < deadline:
+            time.sleep(0.005)
         if key in settings.get("raise", {}):
             raise getattr(builtins, settings["raise"][key])(f"replication {key} failed")
         if settings.get("nest") and config.reps > 2:

@@ -11,6 +11,9 @@ there.  ``pooled_eigenfunctions`` maps every retained pooled eigenfunction
 back at once, as the runtime did before it mapped only the columns a fit
 reads, and ``quadratic_scores`` forms the quadratic score with a
 three-operand ``np.einsum`` in place of the runtime's row-wise matmul.
+``study_entry`` summarizes one index of a study from its own vectors, as the
+runtime did before it summarized the indexes that share a success count as
+the rows of one matrix.
 """
 
 import numpy as np
@@ -203,3 +206,24 @@ def quadratic_scores(index, s) -> np.ndarray:
     the quadratic form summed by ``np.einsum("ij,jk,ik->i", x, L, x)``."""
     x = project_scores(s, index.basis, index.k)
     return -np.einsum("ij,jk,ik->i", x, index.lambda_mat, x) + 2.0 * x @ index.alpha_vec
+
+
+def study_entry(results, name) -> dict:
+    """The report entry of index ``name`` over the replication ``results``: the mean and
+    SD (ddof 1, 0.0 for one replication) of its AUC vector, the mean of its Youden
+    vector, ``n_ok`` and, after some failures, ``n_failed``; or, when every replication
+    failed, no numbers and the first failure as ``error``."""
+    aucs = np.asarray([r.auc[name] for r in results if name in r.auc])
+    failures = [r.errors[name] for r in results if name in r.errors]
+    if not aucs.size:
+        return {"mean_auc": None, "sd_auc": None, "mean_youden": None, "n_ok": 0,
+                "error": f"{type(failures[0]).__name__}: {failures[0]}"}
+    entry = {
+        "mean_auc": float(aucs.mean()),
+        "sd_auc": float(aucs.std(ddof=1)) if aucs.size > 1 else 0.0,
+        "mean_youden": float(np.mean([r.youden[name] for r in results if name in r.youden])),
+        "n_ok": int(aucs.size),
+    }
+    if failures:
+        entry["n_failed"] = len(failures)
+    return entry

@@ -9,10 +9,16 @@ from funcroc import (
     FunctionalSample,
     Grid,
     GridMismatchError,
+    ProcessSpec,
+    ScenarioSpec,
+    generate_scenario,
+    ingest_curves,
     inner_product,
     make_uniform_grid,
     norm,
+    sample_gaussian,
 )
+from funcroc import grids, simulation
 
 
 def curve_on(grid, fn):
@@ -103,6 +109,57 @@ class TestCurveAndSample:
         sample = FunctionalSample(grid, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         assert sample.n == 2
         assert np.allclose(sample.values[1], [4.0, 5.0, 6.0])
+
+
+class TestAdoptedArrays:
+    """Draws and ingested files hand their fresh n x m arrays to the sample uncopied;
+    the public constructor still copies."""
+
+    @staticmethod
+    def samples(tmp_path):
+        """A drawn pair, 7 and 9 curves on 11 points, and an ingested pair, 5 and 6 curves
+        on 4 points."""
+        path = tmp_path / "curves.csv"
+        rows = [f"{'DH'[row >= 5]},{row},{row + 0.5},-1e-3,{row * 7}" for row in range(11)]
+        path.write_text("label,0.25,0.5,0.75,1\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        spec = ScenarioSpec(name="P1", n_d=7, n_h=9, seed=3, rho=1.0, grid_size=11)
+        return (*generate_scenario(spec), *ingest_curves(path))
+
+    def test_no_frozen_finite_call_receives_a_drawn_or_ingested_array(self, monkeypatch,
+                                                                     tmp_path):
+        shapes, original = [], grids.frozen_finite
+
+        def counting(values, what):
+            shapes.append(np.shape(values))
+            return original(values, what)
+
+        monkeypatch.setattr(grids, "frozen_finite", counting)
+        samples = self.samples(tmp_path)
+        assert [s.values.shape for s in samples] == [(7, 11), (9, 11), (5, 4), (6, 4)]
+        assert (4,) in shapes  # the ingested header's grid: the patch is live
+        assert not {(7, 11), (9, 11), (5, 4), (6, 4)} & set(shapes)
+
+    def test_drawn_and_ingested_values_are_read_only(self, tmp_path):
+        for sample in self.samples(tmp_path):
+            assert not sample.values.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                sample.values[0, 0] = 1.0
+
+    def test_a_non_finite_draw_raises_the_public_message(self, monkeypatch):
+        spec, grid = ProcessSpec("brownian"), make_uniform_grid(6)
+        mean, factor, sd = simulation._process_inputs(spec, grid)
+        factor = factor.copy()
+        factor[0, 0] = np.inf
+        monkeypatch.setattr(simulation, "_process_inputs", lambda spec, grid: (mean, factor, sd))
+        with pytest.raises(ValueError, match="^sample values must be finite$"):
+            sample_gaussian(spec, grid, 4, np.random.default_rng(1))
+
+    def test_the_public_constructor_still_copies(self):
+        values = np.arange(6.0).reshape(2, 3)
+        sample = FunctionalSample(make_uniform_grid(3), values)
+        values[0, 0] = 99.0
+        assert sample.values[0, 0] == 0.0 and values.flags.writeable
+        assert not sample.values.flags.writeable
 
 
 class TestIdentityEquality:

@@ -25,6 +25,7 @@ from funcroc import (
     InsufficientSampleError,
     LinearIndex,
     ProcessSpec,
+    ReplicationResult,
     RunConfig,
     ScenarioSpec,
     ScoreSample,
@@ -48,6 +49,7 @@ from funcroc import (
 from funcroc import _helper, harness
 from funcroc.harness import roc_export_rows
 import helper_shim
+from reference import study_entry
 
 DATA_DIR = Path(__file__).parent / "data"
 SHIM = Path(helper_shim.__file__).resolve()
@@ -434,6 +436,35 @@ class TestRunStudy:
         assert 2.0 <= ratio <= 8.0
 
 
+class TestStudySummary:
+    """``_aggregate`` summarizes the indexes that share a success count as the rows of
+    one matrix; each entry must equal the one summarized from the index's own vectors."""
+
+    def test_entries_equal_the_per_index_summary_bit_for_bit(self):
+        # an index that fails every replication, single rows of 1, 2 and 9 successes,
+        # and two rows of 200, past numpy's pairwise-sum block of 128
+        successes = {"max": 0, "min": 1, "integral": 2, "meandiff": 9, "linear": 200,
+                     "quad": 200}
+        rng = np.random.default_rng(38)
+        results = [ReplicationResult() for _ in range(200)]
+        for name, n_ok in successes.items():
+            fits = set(rng.choice(200, n_ok, replace=False).tolist())
+            for rep, result in enumerate(results):
+                if rep in fits:
+                    result.auc[name], result.youden[name] = rng.uniform(size=2).tolist()
+                else:
+                    result.errors[name] = InsufficientSampleError(f"replication {rep}")
+        config = RunConfig(scenario=small_scenario(), reps=200)
+        report = harness._aggregate(config, results, 0.0)
+        assert list(report.per_index) == list(INDEX_NAMES)
+        for name, n_ok in successes.items():
+            entry = report.per_index[name]
+            assert list(entry.items()) == list(study_entry(results, name).items()), name
+            assert entry["n_ok"] == n_ok
+        assert report.per_index["min"]["sd_auc"] == 0.0
+        assert report.per_index["max"]["error"].startswith("InsufficientSampleError: ")
+
+
 class TestParallelReplications:
     @pytest.fixture
     def four_cpus(self, monkeypatch):
@@ -572,8 +603,9 @@ class TestParallelReplications:
         assert set(self.pids(helper.ran()).values()) == {os.getpid(), helper.pid}
 
     @pytest.mark.parametrize("state", ["call", "log", "local-warning-class", "other-thread"])
-    def test_unsupported_caller_state_runs_the_study_serially(self, helper, state):
-        helper.start(sleep={"1": 0.5})
+    def test_unsupported_caller_state_runs_the_study_serially(self, helper, state, tmp_path):
+        release = tmp_path / "release"
+        helper.start(hold={"1": str(release)})
         sink = SimpleNamespace(write=lambda message: None)
         local = type("Local", (UserWarning,), {})  # defined here, so it does not pickle
         holder = threading.Thread(target=run_study, args=(study_config(reps=2, seed=5),))
@@ -585,9 +617,10 @@ class TestParallelReplications:
             elif state == "local-warning-class":
                 stack.enter_context(warnings.catch_warnings())
                 warnings.simplefilter("ignore", local)
-            else:  # a study on another thread holds the helper while its id 1 sleeps
+            else:  # a study on another thread holds the helper until this study ends
                 holder.start()
                 stack.callback(holder.join)
+                stack.callback(release.touch)  # runs first: the helper's id 1 may end
                 deadline = time.monotonic() + 30
                 while helper.pid not in self.pids(helper.ran(), seed=5).values():
                     assert time.monotonic() < deadline
