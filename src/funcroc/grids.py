@@ -39,6 +39,18 @@ def frozen_finite(values, what: str) -> np.ndarray:
     return out
 
 
+def _buffer(kept: dict | None, name: str, shape: tuple[int, int]) -> np.ndarray:
+    """A writable C-contiguous float64 array of ``shape``: new if ``kept`` is None, else a view
+    of the buffer ``kept[name]``, replaced only by a larger one (``harness.run_replication``)."""
+    if kept is None:
+        return np.empty(shape)
+    size = shape[0] * shape[1]
+    buffer = kept.get(name)
+    if buffer is None or buffer.size < size:
+        buffer = kept[name] = np.empty(size)
+    return buffer[:size].reshape(shape)
+
+
 def quadrature_norm(values: np.ndarray, weights: np.ndarray) -> float:
     """sqrt(sum_i w_i v_i^2): 0 if the squares underflow, inf with no warning if they overflow."""
     with np.errstate(over="ignore"):
@@ -120,7 +132,8 @@ class FunctionalSample:
 
     ``values`` has one row per subject and one column per grid point.  A
     sample carries no group label: the caller's argument order says which
-    sample is diseased and which healthy.
+    sample is diseased and which healthy.  ``values`` is read-only, and nothing
+    writes its memory while the sample lives (the constructor copies; see ``_adopt``).
     """
 
     grid: Grid
@@ -140,8 +153,9 @@ class FunctionalSample:
 
     @classmethod
     def _adopt(cls, grid: Grid, values: np.ndarray) -> "FunctionalSample":
-        """The sample of ``values``, a float array just made that nothing else holds, checked
-        and frozen as the constructor's copy is but not copied (draws and ingested files)."""
+        """The sample of ``values``, a float array just made, checked and frozen as the
+        constructor's copy is but not copied (draws and ingested files).  It may view a
+        writable buffer (``_buffer``): nothing may write that while the sample lives."""
         sample = cls.__new__(cls)
         object.__setattr__(sample, "grid", grid)
         object.__setattr__(sample, "values", values)

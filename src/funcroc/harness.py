@@ -25,6 +25,7 @@ import csv
 import json
 import math
 import os
+import threading
 import time
 from array import array
 from dataclasses import dataclass, field, fields
@@ -230,22 +231,33 @@ def summarize_pair(fitted: dict, d: FunctionalSample, h: FunctionalSample,
     return result
 
 
-def evaluate(d: FunctionalSample, h: FunctionalSample, config: RunConfig) -> ReplicationResult:
+def evaluate(d: FunctionalSample, h: FunctionalSample, config: RunConfig, *,
+             _kept: dict | None = None) -> ReplicationResult:
     """``summarize_pair`` of one pair with ``fit_indexes`` on it; a pair on two grids raises
     ``GridMismatchError``.  Studies, ``analyze`` and the ``roc`` command evaluate here."""
-    return summarize_pair(fit_indexes(FitContext(d, h), config), d, h, config)
+    return summarize_pair(fit_indexes(FitContext(d, h, _kept=_kept), config), d, h, config)
+
+
+# ``kept``: the buffers (see ``grids._buffer``) that the thread's last replication gave back
+_thread = threading.local()
 
 
 def run_replication(config: RunConfig, replication: int) -> ReplicationResult:
     """One scenario draw with all requested indexes fitted and scored.
 
     Deterministic given (config, replication); the draw uses the
-    substream keyed by seed XOR replication.
+    substream keyed by seed XOR replication.  It draws and centers in the
+    buffers its thread kept (``grids._buffer``; no ``FITTERS`` entry may keep the
+    samples) and gives them back only if it returns, so one run inside another,
+    or after one that raised, gets new ones.
     """
     if not isinstance(config.scenario, ScenarioSpec):
         raise ValueError("run_replication needs a simulation scenario")
-    d, h = generate_scenario(config.scenario.substream(replication))
-    return evaluate(d, h, config)
+    kept = vars(_thread).pop("kept", {})
+    d, h = generate_scenario(config.scenario.substream(replication), _kept=kept)
+    result = evaluate(d, h, config, _kept=kept)
+    _thread.kept = kept
+    return result
 
 
 def _config_echo(config: RunConfig) -> dict:

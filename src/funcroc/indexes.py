@@ -37,7 +37,7 @@ from .estimation import (
     spd_solve,
     symmetric_matrix,
 )
-from .grids import Curve, FunctionalSample, Grid, frozen_finite, quadrature_norm
+from .grids import Curve, FunctionalSample, Grid, _buffer, frozen_finite, quadrature_norm
 
 __all__ = [
     "MaxIndex",
@@ -141,13 +141,14 @@ class FitContext:
     into plain per-instance slots.  A failing access fills no slot and
     raises its typed error every time.
     The basis maps back only the k eigenfunctions the fits read; a larger
-    fraction later widens that mapping from the same eigensolve.
+    fraction later widens that mapping from the same eigensolve.  Private: the
+    centered curves are written in ``_buffer(_kept, "centered <group>", ...)``.
     """
 
-    def __init__(self, d: FunctionalSample, h: FunctionalSample):
+    def __init__(self, d: FunctionalSample, h: FunctionalSample, *, _kept: dict | None = None):
         if not d.grid.compatible_with(h.grid):
             raise GridMismatchError("samples live on different grids")
-        self.d, self.h, self.grid = d, h, d.grid
+        self.d, self.h, self.grid, self._kept = d, h, d.grid, _kept
         self._group_curves = None  # ((mean_D, mean_H), (norm_D, norm_H), (centered_D, centered_H))
         self._basis: EigenSystem | None = None
         self._moments: dict[float, tuple] = {}
@@ -158,7 +159,10 @@ class FitContext:
         if self._group_curves is None:
             means = sample_mean(self.d), sample_mean(self.h)
             norms = tuple(quadrature_norm(mean.values, self.grid.weights) for mean in means)
-            centered = tuple(s.values - mean.values for s, mean in zip((self.d, self.h), means))
+            centered = tuple(
+                np.subtract(s.values, mean.values,
+                            out=_buffer(self._kept, f"centered {group}", s.values.shape))
+                for s, mean, group in zip((self.d, self.h), means, ("diseased", "healthy")))
             self._group_curves = means, norms, centered
         return self._group_curves
 

@@ -14,6 +14,7 @@ so replications are order independent.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass, replace
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import SimulationDegeneracyError
 from .estimation import CovarianceKernel
-from .grids import FunctionalSample, Grid, make_uniform_grid, store_plain
+from .grids import FunctionalSample, Grid, _buffer, make_uniform_grid, store_plain
 
 __all__ = [
     "ProcessSpec",
@@ -170,21 +171,28 @@ def sample_gaussian(
     grid: Grid,
     n: int,
     rng: np.random.Generator,
+    *, _kept: dict | None = None, _name: str = "draw",
 ) -> FunctionalSample:
     """Draw n independent process paths on the grid.
 
     Dense kernels go through a lower Cholesky factor with escalating
     diagonal jitter, computed once per (spec, grid points) and then reused;
     the finite-rank process sums its eigenfunction expansion with
-    independent normal coefficients of variance scale * lambda_l.
+    independent normal coefficients of variance scale * lambda_l.  ``n`` is an
+    integer, not a bool, of at least 1.  Private: the paths are written in
+    ``_buffer(_kept, _name, ...)``, a dense kernel's normals in ``_buffer(_kept, "normals", ...)``.
     """
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+        raise ValueError("n must be an integer")
     if n < 1:
         raise ValueError("n must be positive")
     mean, basis, sd = _process_inputs(spec, grid)
+    values = _buffer(_kept, _name, (int(n), len(grid)))
     if sd is None:
-        values = rng.standard_normal((n, len(grid))) @ basis.T
+        normals = rng.standard_normal(out=_buffer(_kept, "normals", values.shape))
     else:
-        values = (rng.standard_normal((n, sd.size)) * sd) @ basis.T
+        normals = rng.standard_normal((values.shape[0], sd.size)) * sd
+    np.matmul(normals, basis.T, out=values)
     values += mean
     return FunctionalSample._adopt(grid, values)
 
@@ -277,13 +285,15 @@ def _scenario_inputs(spec: ScenarioSpec) -> tuple[Grid, ProcessSpec, ProcessSpec
     return _cached(key, lambda: (make_uniform_grid(spec.grid_size), *_scenario_processes(spec)))
 
 
-def generate_scenario(spec: ScenarioSpec) -> tuple[FunctionalSample, FunctionalSample]:
+def generate_scenario(spec: ScenarioSpec, *,
+                      _kept: dict | None = None) -> tuple[FunctionalSample, FunctionalSample]:
     """Draw the (diseased, healthy) sample pair of a catalog scenario.
 
     Bit-identical output for identical specifications, including the seed.
+    Private: ``_kept`` goes to ``sample_gaussian``.
     """
     grid, diseased_spec, healthy_spec = _scenario_inputs(spec)
     rng = np.random.Generator(np.random.Philox(key=spec.seed & _SEED_MASK))
-    diseased = sample_gaussian(diseased_spec, grid, spec.n_d, rng)
-    healthy = sample_gaussian(healthy_spec, grid, spec.n_h, rng)
+    diseased = sample_gaussian(diseased_spec, grid, spec.n_d, rng, _kept=_kept, _name="diseased")
+    healthy = sample_gaussian(healthy_spec, grid, spec.n_h, rng, _kept=_kept, _name="healthy")
     return diseased, healthy

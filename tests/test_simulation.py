@@ -238,6 +238,18 @@ class TestSampleGaussian:
             sample_gaussian(ProcessSpec("brownian"), make_uniform_grid(5), n,
                             np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3", None, np.float64(4.0), np.bool_(True)])
+    def test_needs_an_integer_count(self, n):
+        with pytest.raises(ValueError, match="^n must be an integer$"):
+            sample_gaussian(ProcessSpec("brownian"), make_uniform_grid(5), n,
+                            np.random.default_rng(0))
+
+    def test_a_numpy_integer_count_draws_as_the_int_does(self):
+        grid = make_uniform_grid(5)
+        a = sample_gaussian(ProcessSpec("brownian"), grid, np.int64(4), np.random.default_rng(0))
+        b = sample_gaussian(ProcessSpec("brownian"), grid, 4, np.random.default_rng(0))
+        assert a.values.shape == (4, 5) and np.array_equal(a.values, b.values)
+
     def test_healthy_mode_variances_recovered_within_ten_percent(self):
         grid = make_uniform_grid(100)
         rng = np.random.default_rng(46)
